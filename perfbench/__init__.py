@@ -1,0 +1,2 @@
+"""Benchmark harness for agmds: seeded workloads, end-to-end metrics and a
+traced per-layer run.  Entry point: ``python3 perfbench/run.py --help``."""
