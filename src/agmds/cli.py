@@ -33,7 +33,6 @@ from .errors import (
     BudgetExhausted,
     NoAdmissibleBeta,
     NoAdmissibleCurve,
-    NoCurveFound,
     NoFullWeightSolution,
     NotFound,
     NotMDS,
@@ -58,7 +57,6 @@ SEARCH_FAILURES = (
     BudgetExhausted,
     BudgetExceeded,
     NoAdmissibleCurve,
-    NoCurveFound,
     NoAdmissibleBeta,
     NoFullWeightSolution,
     SubgroupNotFound,

@@ -285,10 +285,8 @@ def hull_dim(code: LinearCode) -> int:
 
 
 def is_self_dual(code: LinearCode) -> bool:
-    if 2 * code.k != code.n:
-        return False
-    dual = kernel_basis(code.gen)
-    return rank(code.gen.stack(dual)) == code.k
+    """Whether C equals its dual: n = 2k and the hull is all of C."""
+    return 2 * code.k == code.n and hull_dim(code) == code.k
 
 
 def self_dualize(
@@ -371,19 +369,29 @@ def invariant_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeRepo
                 mds = is_mds_by_minors(code, budget)
             except BudgetExceeded:
                 mds = None
+    return _report_from_distance(code, d, mds, budget)
+
+
+def _report_from_distance(
+    code: LinearCode, d: int | None, is_mds: bool | None, budget: int = DEFAULT_BUDGET
+) -> CodeReport:
+    """The CodeReport of a code whose distance and MDS verdict are already
+    known: a recipe whose certificate proved MDS passes d = n - k + 1."""
+    n, k = code.n, code.k
     schur = schur_square(code)
     try:
         schur_d = min_distance(schur, budget) if schur.k else None
     except BudgetExceeded:
         schur_d = None
+    hull = hull_dim(code)
     return CodeReport(
         n=n,
         k=k,
         d=d,
-        is_mds=mds,
+        is_mds=is_mds,
         schur_dim=schur.k,
         schur_d=schur_d,
-        hull_dim=hull_dim(code),
-        self_dual=is_self_dual(code),
+        hull_dim=hull,
+        self_dual=2 * k == n and hull == k,
         non_rs_certified=schur.k >= 2 * k,
     )

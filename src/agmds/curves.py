@@ -603,6 +603,40 @@ def attained_structures(field: FieldSpec) -> set[tuple[int, tuple[int, int]]]:
 _EXHAUSTIVE_FAMILY_CAP = 3000
 
 
+def _matching_curves(
+    field: FieldSpec,
+    n_points: int,
+    shape: tuple[int, int] | None,
+    seed: int,
+    draws: int,
+    family_cap: int = _EXHAUSTIVE_FAMILY_CAP,
+):
+    """Distinct curves with exactly n_points rational points (and the
+    requested (d1, d2) shape, if given), in a seeded order.
+
+    Fields of order at most family_cap walk curve_family in its
+    deterministic order; larger ones draw `draws` seeded random
+    five-coefficient models, skipping repeats.
+    """
+
+    def matches(curve: Curve) -> bool:
+        return curve.point_count() == n_points and (
+            shape is None or group_structure(curve) == tuple(shape)
+        )
+
+    if field.q <= family_cap:
+        yield from filter(matches, curve_family(field))
+        return
+    rng = Random(seed)
+    seen = set()
+    for _ in range(draws):
+        curve = random_curve(field, rng)
+        if curve.coeffs not in seen:
+            seen.add(curve.coeffs)
+            if matches(curve):
+                yield curve
+
+
 def find_curve_with_order(
     field: FieldSpec,
     n_points: int,
@@ -628,26 +662,11 @@ def find_curve_with_order(
         raise NotAdmissible(
             f"shape {tuple(shape)} is not attainable for N={n_points}, q={field.q}"
         )
-
-    def matches(curve: Curve) -> bool:
-        if curve.point_count() != n_points:
-            return False
-        return shape is None or group_structure(curve) == tuple(shape)
-
-    want = f"N={n_points}" + (f" and shape {tuple(shape)}" if shape else "")
-    if field.q <= _EXHAUSTIVE_FAMILY_CAP:
-        for curve in curve_family(field):
-            if matches(curve):
-                return curve
-        raise BudgetExhausted(
-            f"exhausted the curve family over q={field.q} without {want}"
-        )
-    rng = Random(seed)
-    for _ in range(budget):
-        curve = random_curve(field, rng)
-        if matches(curve):
-            return curve
-    raise BudgetExhausted(f"no curve with {want} over q={field.q} within {budget} samples")
+    curve = next(_matching_curves(field, n_points, shape, seed, budget), None)
+    if curve is None:
+        want = f"N={n_points}" + (f" and shape {tuple(shape)}" if shape else "")
+        raise BudgetExhausted(f"no curve with {want} over q={field.q}")
+    return curve
 
 
 def parse_curve_text(field: FieldSpec, text: str) -> Curve:

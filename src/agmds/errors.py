@@ -35,6 +35,10 @@ class CharNotTwo(AgmdsError):
     """Operation requires a field of characteristic 2."""
 
 
+class MalformedText(AgmdsError):
+    """Field, element or curve text does not parse."""
+
+
 # -- curves ----------------------------------------------------------------
 
 class Singular(AgmdsError):
@@ -123,10 +127,6 @@ class SubgroupNotFound(AgmdsError):
 
 class NoAdmissibleBeta(AgmdsError):
     """No trace value satisfies the pipeline congruences."""
-
-
-class NoCurveFound(AgmdsError):
-    """Curve search exhausted without a match."""
 
 
 class NotFound(AgmdsError):

@@ -21,6 +21,7 @@ from .errors import (
     CharNotTwo,
     DegreeMismatch,
     DivisionByZero,
+    MalformedText,
     NotPrime,
     Reducible,
     TooLarge,
@@ -379,12 +380,12 @@ class FieldSpec:
         if text.startswith("["):
             if not text.endswith("]"):
                 raise DegreeMismatch(f"malformed element text {text!r}")
-            coeffs = [int(t) for t in text[1:-1].split(",")] if text != "[]" else []
+            coeffs = [_parse_int(t) for t in text[1:-1].split(",")] if text != "[]" else []
             if len(coeffs) > self.s:
                 raise DegreeMismatch(f"too many coefficients in {text!r}")
             coeffs += [0] * (self.s - len(coeffs))
             return self.encode(coeffs)
-        code = int(text)
+        code = _parse_int(text)
         if self.s == 1:
             return code % self.p
         if not 0 <= code < self.q:
@@ -476,15 +477,22 @@ def parse_field_text(text: str) -> FieldSpec:
     text = text.strip()
     body, _, mod = text.partition(":")
     p_txt, _, s_txt = body.partition("^")
-    p = int(p_txt)
-    s = int(s_txt) if s_txt else 1
+    p = _parse_int(p_txt)
+    s = _parse_int(s_txt) if s_txt else 1
     mod = mod.strip()
     if not mod or s == 1:
         return field_make(p, s)
     if not (mod.startswith("[") and mod.endswith("]")):
         raise DegreeMismatch(f"malformed modulus text {mod!r}")
-    coeffs = [int(t) for t in mod[1:-1].split(",")]
+    coeffs = [_parse_int(t) for t in mod[1:-1].split(",")]
     return field_make(p, s, coeffs)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedText(f"malformed integer text {text!r}") from None
 
 
 def frobenius_sqrt(field: FieldSpec, a: int) -> int:

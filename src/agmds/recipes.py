@@ -1,21 +1,23 @@
 """End-to-end code constructions.
 
 Each recipe locates (or accepts) a curve, picks evaluation points, builds
-the one-point code, and re-certifies the MDS property with the exhaustive
-group-sum scan; the scan is authoritative even when a sufficient condition
-already guarantees the result.  Polynomial-code baselines (plain and
-twisted evaluation codes) live here too.
+the code and certifies it MDS exactly once: by the group-sum scan for
+elliptic codes (their exact MDS condition, so it runs even when a
+sufficient condition already holds), by the product criterion for twisted
+evaluation codes, by column minors on genus 2.  The report takes
+d = n - k + 1 from that verdict.  Polynomial-code baselines live here too.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd, isqrt
 from random import Random
 
 from .code import (
     LinearCode,
     CodeReport,
+    _report_from_distance,
     build_code,
     invariant_report,
     is_mds_by_group_sums,
@@ -26,14 +28,13 @@ from .curves import (
     Curve,
     CurvePoint,
     INFINITY,
+    _matching_curves,
     admissible_curve_orders,
     coset,
-    curve_family,
     curve_make,
     find_curve_with_order,
     group_structure,
     hasse_window,
-    random_curve,
     subgroup_closure,
 )
 from .intmath import is_prime, prime_factors
@@ -66,14 +67,11 @@ def _group_sum(curve: Curve, points) -> CurvePoint:
 def _certified_coset_code(
     curve: Curve, eval_points, m: int, provenance: dict, budget: int
 ) -> tuple[LinearCode, CodeReport]:
-    """Scan-first construction: the group-sum certificate runs before the
-    matrix is even built, then the minor criterion must agree."""
-    if not is_mds_by_group_sums(curve, eval_points, m, budget):
-        raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
+    """The degree-m coset code on points that passed the group-sum scan,
+    with its report; the scan has fixed d = n - m + 1."""
+    provenance = {"construction": "coset", "curve": curve.text(), "m": m, **provenance}
     code = build_code(curve, eval_points, m, provenance)
-    if not is_mds_by_minors(code, budget):  # pragma: no cover - oracle agreement
-        raise AssertionError("group-sum and minor certificates disagree")
-    return code, invariant_report(code, budget)
+    return code, _report_from_distance(code, code.n - m + 1, True, budget)
 
 
 def coset_code(
@@ -124,22 +122,18 @@ def coset_code(
             seen |= cs
         sufficient = _multi_coset_condition(curve, sub_set, reps, m)
         points = sorted(seen, key=CurvePoint.sort_key)
-    provenance = {
-        "construction": "coset",
-        "curve": curve.text(),
-        "m": m,
-        "subgroup_order": len(subgroup),
-        "cosets": len(reps),
-    }
+    provenance = {"subgroup_order": len(subgroup), "cosets": len(reps)}
     if len(reps) > 1:
         provenance["combination_condition"] = sufficient
+    if not is_mds_by_group_sums(curve, points, m, budget):
+        raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     return _certified_coset_code(curve, points, m, provenance, budget)
 
 
 def _multi_coset_condition(curve, sub_set, reps, m) -> bool:
     """Sufficient condition for the multi-coset variant: no combination
-    sum(m_i * b_i) with m_i >= 0 summing to m lands in the subgroup.  Only
-    informative: callers still run the authoritative subset scan."""
+    sum(m_i * b_i) with m_i >= 0 summing to m lands in the subgroup.  It is
+    recorded in the provenance only; the group-sum scan certifies."""
     rep_xys = [curve._as_xy(b) for b in reps]
 
     def rec(idx: int, left: int, acc):
@@ -188,6 +182,13 @@ def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
     return sorted(found, key=lambda s: [pt.sort_key() for pt in s])
 
 
+# search_coset_code tries at most 40 curves, with 200 random draws per curve,
+# and walks the curve family only up to q = 300: above that, seeded draws find
+# curves of one order far sooner, and they keep the codes it always returned.
+_SEARCH_CURVES = 40
+_SEARCH_FAMILY_CAP = 300
+
+
 def search_coset_code(
     field: FieldSpec,
     n_points: int,
@@ -202,7 +203,8 @@ def search_coset_code(
     Candidates satisfying the cyclic-intersection precondition are tried
     first; cosets whose full point sum is nonzero are preferred when
     2m = n (that keeps the Schur dimension at its generic value 2m).  The
-    subset scan remains the authoritative certificate either way.
+    group-sum scan decides every candidate and is the code's only MDS
+    certificate.
     """
     if n_points not in admissible_curve_orders(field.q):
         raise NoAdmissibleCurve(
@@ -212,9 +214,21 @@ def search_coset_code(
         raise NoAdmissibleCurve(
             f"a size-{n} subgroup needs n | N, got N={n_points}"
         )
+
+    def finish(curve, subgroup, b, points):
+        code, report = _certified_coset_code(
+            curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}, budget
+        )
+        meta = {"curve": curve, "group": group_structure(curve), "N": n_points,
+                "subgroup": subgroup, "rep": b, "points": points}
+        return code, report, meta
+
     fallback = None
+    draws = 200 * _SEARCH_CURVES
     for sufficient_only in (True, False):
-        for curve in _curves_with_order(field, n_points, seed):
+        curves = _matching_curves(field, n_points, None, seed, draws, _SEARCH_FAMILY_CAP)
+        curve = None
+        for curve in islice(curves, _SEARCH_CURVES):
             for subgroup in _subgroups_of_order(curve, n):
                 sub_set = set(subgroup)
                 seen_cosets: set = set()
@@ -234,9 +248,13 @@ def search_coset_code(
                     if 2 * m == n and _group_sum(curve, points).is_infinity:
                         fallback = fallback or candidate
                         continue
-                    return _finish_coset_search(candidate, field, n_points, m, budget)
+                    return finish(*candidate)
+        if curve is None:
+            raise NoAdmissibleCurve(
+                f"no curve with N={n_points} found over q={field.q}"
+            )
     if fallback is not None:
-        return _finish_coset_search(fallback, field, n_points, m, budget)
+        return finish(*fallback)
     raise NoAdmissibleCurve(
         f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
         f"giving an MDS degree-{m} code"
@@ -259,63 +277,6 @@ def _rep_is_independent(curve: Curve, b: CurvePoint, sub_set: set, m: int) -> bo
         if (INFINITY if piece is None else CurvePoint(*piece)) in sub_set:
             return False
     return True
-
-
-def _finish_coset_search(candidate, field, n_points, m, budget):
-    curve, subgroup, b, points = candidate
-    d1, d2 = group_structure(curve)
-    provenance = {
-        "construction": "coset",
-        "curve": curve.text(),
-        "m": m,
-        "subgroup_order": len(subgroup),
-        "cosets": 1,
-    }
-    code = build_code(curve, points, m, provenance)
-    if not is_mds_by_minors(code, budget):  # pragma: no cover - oracle agreement
-        raise AssertionError("group-sum and minor certificates disagree")
-    meta = {
-        "curve": curve,
-        "group": (d1, d2),
-        "N": n_points,
-        "subgroup": subgroup,
-        "rep": b,
-        "points": points,
-    }
-    return code, invariant_report(code, budget), meta
-
-
-def _curves_with_order(field: FieldSpec, n_points: int, seed: int, max_curves: int = 40):
-    """Curves with the requested point count, at most max_curves of them.
-
-    Small fields scan the isomorphism-class family in deterministic order;
-    larger ones draw seeded random models until enough matches appear.
-    """
-    found = 0
-    if field.q <= 300:
-        for curve in curve_family(field):
-            if curve.point_count() == n_points:
-                found += 1
-                yield curve
-                if found >= max_curves:
-                    return
-    else:
-        rng = Random(seed)
-        seen = set()
-        for _ in range(200 * max_curves):
-            curve = random_curve(field, rng)
-            if curve.coeffs in seen:
-                continue
-            seen.add(curve.coeffs)
-            if curve.point_count() == n_points:
-                found += 1
-                yield curve
-                if found >= max_curves:
-                    return
-    if not found:
-        raise NoAdmissibleCurve(
-            f"no curve with N={n_points} found over q={field.q}"
-        )
 
 
 # -- length recipes ------------------------------------------------------------------
@@ -496,8 +457,8 @@ def twisted_rs_code(
         if F.mul(eta, prod_s) == target:
             flag = False
             break
-    if flag and not is_mds_by_minors(code):  # pragma: no cover - identity check
-        raise AssertionError("product criterion disagrees with the minor scan")
+    if flag:
+        return code, _report_from_distance(code, n - k + 1, True), flag
     return code, invariant_report(code), flag
 
 
@@ -595,16 +556,19 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, budget, beta):
     m = n // 2
     if not _group_sum(curve, points).is_infinity:  # pragma: no cover
         raise AssertionError("pipeline coset does not sum to the identity")
+    if not is_mds_by_group_sums(curve, points, m, budget):
+        raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     provenance = {
         "construction": "self-dual-pipeline",
         "curve": curve.text(),
         "m": m,
         "beta": beta,
     }
-    base_code, _ = _certified_coset_code(curve, points, m, provenance, budget)
+    base_code = build_code(curve, points, m, provenance)
     sd = self_dualize(base_code, seed=seed)
     sd.provenance.update(provenance)
-    report = invariant_report(sd, budget)
+    # Diagonal scaling keeps every codeword weight, so sd is MDS as well.
+    report = _report_from_distance(sd, n - m + 1, True, budget)
     meta = {
         "curve": curve,
         "N": n_points,
@@ -664,5 +628,6 @@ def genus2_mds_search(
                 "attempts": attempt,
                 "counting_bound_ok": bound_ok,
             }
-            return code, invariant_report(code, check_budget), meta
+            report = _report_from_distance(code, n - code.k + 1, True, check_budget)
+            return code, report, meta
     raise NotFound(f"no MDS sample within {budget} attempts (bound_ok={bound_ok})")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from agmds import curve_make, field_make
 from agmds.catalog import (
     append_entry,
@@ -240,6 +242,47 @@ def test_cli_usage_errors(capsys):
     assert rc in (1, 2)  # inadmissible order
     rc, _, _ = run_cli("nonsense", capsys=capsys)
     assert rc == 2
+    for argv in (
+        ("curve-info", "--field", "abc", "--curve", "g1:0,0,0,0,1"),
+        ("build", "--recipe", "rs", "--q", "19", "--alpha", "1,x", "--k", "2"),
+        ("curve-info", "--field", "19", "--curve", "g1:0,0,zz,0,1"),
+    ):
+        rc, _, err = run_cli(*argv, capsys=capsys)
+        assert rc == 2 and "MalformedText" in err and "Traceback" not in err
+
+
+# Content ids pinned before recipes took d from their certificate; the id
+# hashes the whole report, so any moved reported value changes it.
+GOLDEN_IDS = [
+    (
+        ("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3"),
+        "8ea9b61d6964e318aa0bf20d9f233dc294407e1882474fc98267d9c550111bce",
+    ),
+    (
+        ("build", "--recipe", "twisted-rs", "--q", "19", "--alpha", "1,2,3,4",
+         "--eta", "5", "--k", "2"),
+        "29189d33b85d43709fd9d9de493aa13ba053616c3ad7ea6766342111656026f7",
+    ),
+    (
+        ("selfdual", "--s1", "2", "--s2", "2", "--t", "1", "--Lp", "3"),
+        "ce63e9fc01e8ebe315631da01eb432f64a006696a0ff48f6d5112139b72de858",
+    ),
+    (
+        ("search", "--field", "31", "--curve", "g2:1,0,0,0,0,1;0,0,0",
+         "--n", "10", "--m", "6", "--seed", "0"),
+        "70d0fdabea43f28a7557435ef573fcd6017daff0df084f1e570a847a48bee14e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, entry_id", GOLDEN_IDS, ids=["coset", "twisted-rs", "selfdual", "search"]
+)
+def test_cli_golden_ids(argv, entry_id, monkeypatch, capsys):
+    monkeypatch.delenv("AGMDS_SEED", raising=False)
+    rc, out, _ = run_cli(*argv, "--json", capsys=capsys)
+    assert rc == 0
+    assert json.loads(out)["id"] == entry_id
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ squares, hulls, self-dualization, quantum-parameter arithmetic."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from agmds import curve_make, field_make
 from agmds.code import (
@@ -22,7 +23,7 @@ from agmds.code import (
     self_dualize,
 )
 from agmds.code import _distance_by_enumeration, _distance_by_supports
-from agmds.curves import random_curve, subgroup_closure, coset
+from agmds.curves import discriminant_genus1, random_curve, subgroup_closure, coset
 from agmds.errors import (
     BudgetExceeded,
     CharNotTwo,
@@ -151,6 +152,31 @@ def test_cross_oracle_mds_equivalence_on_coset_codes():
         code = build_code(curve, eval_pts, m)
         assert is_mds_by_group_sums(curve, eval_pts, m) == is_mds_by_minors(code)
         done += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_certificates_and_distance_agree_on_random_cosets(data):
+    # the group-sum scan, the minor scan and the support-scan distance are
+    # three independent answers to "is this coset code MDS?"
+    F = field_make(data.draw(st.sampled_from([11, 13, 17, 19])))
+    coeffs = data.draw(st.tuples(*[st.integers(0, F.q - 1)] * 5))
+    assume(discriminant_genus1(F, coeffs) != 0)
+    curve = curve_make(F, 1, coeffs)
+    pts = curve.points()
+    g = data.draw(st.sampled_from(pts))
+    t = curve.point_order(g)
+    sizes = [e for e in range(3, 11) if t % e == 0 and e < len(pts)]
+    assume(sizes)
+    n = data.draw(st.sampled_from(sizes))
+    sub = subgroup_closure(curve, [curve.scalar_mul(t // n, g)])
+    b = data.draw(st.sampled_from([p for p in pts if p not in set(sub)]))
+    eval_pts = coset(curve, sub, b)
+    m = data.draw(st.integers(2, n - 1))
+    code = build_code(curve, eval_pts, m)
+    by_sums = is_mds_by_group_sums(curve, eval_pts, m)
+    assert by_sums == is_mds_by_minors(code)
+    assert by_sums == (min_distance(code) == n - m + 1)
 
 
 def test_ag_designed_distance_bound():

@@ -10,6 +10,7 @@ from agmds.curves import (
     Curve,
     CurvePoint,
     INFINITY,
+    _matching_curves,
     admissible_curve_orders,
     admissible_group_structures,
     attained_orders,
@@ -273,6 +274,20 @@ def test_find_curve_with_order_examples():
 def test_find_curve_rejects_inadmissible_shape():
     with pytest.raises(NotAdmissible):
         find_curve_with_order(field_make(2, 4), 24, shape=(2, 12))  # 2 does not divide 15
+
+
+def test_matching_curves_random_draws_are_distinct_and_seeded():
+    # family_cap=0 forces the seeded random-model path on a small field
+    def draw(shape=None):
+        return list(_matching_curves(F19, 24, shape, 1, 400, family_cap=0))
+
+    curves = draw()
+    assert curves and all(c.point_count() == 24 for c in curves)
+    assert len({c.coeffs for c in curves}) == len(curves)
+    assert draw() == curves
+    assert draw((2, 12)) == [c for c in curves if group_structure(c) == (2, 12)]
+    family = _matching_curves(F19, 24, None, 0, 0)
+    assert find_curve_with_order(F19, 24) == next(family)
 
 
 def test_find_curve_budget_exhaustion_on_large_field():

@@ -4,7 +4,7 @@ pipeline, twisted evaluation codes, genus-2 search."""
 import pytest
 
 from agmds import curve_make, field_make
-from agmds.code import is_mds_by_minors, min_distance, schur_square
+from agmds.code import invariant_report, is_mds_by_minors, min_distance, schur_square
 from agmds.curves import INFINITY, subgroup_closure
 from agmds.errors import (
     NoAdmissibleBeta,
@@ -293,3 +293,43 @@ def test_genus2_schur_dimension():
     code = build_code(X, pts, 9)
     assert code.k == 8
     assert schur_square(code).k == 2 * code.k + 1
+
+
+# -- reports against the full scans --------------------------------------------------------
+
+X31 = curve_make(F31, 2, [1, 0, 0, 0, 0, 1])
+
+# Each recipe certifies MDS once and takes d from that verdict; these runs
+# check every returned report against invariant_report, whose distance and
+# MDS flag come from the support scan and the minor scan.
+DIFFERENTIAL_RUNS = {
+    "search_coset_code": lambda: [
+        search_coset_code(F19, N, n, m)
+        for N, n, m in (
+            (12, 4, 2), (15, 5, 2), (18, 6, 2), (20, 5, 2), (24, 6, 3),
+            (16, 8, 3), (24, 6, 2),
+        )
+    ],
+    "coprime_split_code": lambda: [coprime_split_code(F19, 4, 5, 2)],
+    "sqrt_prime_code": lambda: [
+        sqrt_prime_code(19, 2, longer=longer) for longer in (False, True)
+    ],
+    "supersingular_code": lambda: [
+        supersingular_code(*args) for args in ((5, 1, 2, 1), (5, 2, 3, 2), (7, 2, 4, 2))
+    ],
+    "twisted_rs_code": lambda: [
+        twisted_rs_code(F19, range(1, 7), eta, k)
+        for eta in range(1, 19)
+        for k in (1, 2, 3)
+    ],
+    "self_dual_pipeline": lambda: [self_dual_pipeline(2, 2, 1, 3)],
+    "genus2_mds_search": lambda: [
+        genus2_mds_search(X31, 9, 6, seed=seed) for seed in range(5)
+    ],
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(DIFFERENTIAL_RUNS))
+def test_recipe_report_equals_full_scan_report(recipe):
+    for code, report, _ in DIFFERENTIAL_RUNS[recipe]():
+        assert report == invariant_report(code)
