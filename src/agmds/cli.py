@@ -328,12 +328,11 @@ def _cmd_schur(args) -> int:
 def _cmd_catalog(args) -> int:
     entries = cat.load_entries(args.catalog)
     if args.show:
-        for e in entries:
-            if e.id.startswith(args.show):
-                _emit(args, e.to_json_dict(), _entry_lines(e))
-                return 0
-        print(f"no entry with id prefix {args.show}", file=sys.stderr)
-        return 1
+        e = _entry_by_prefix(entries, args.show)
+        if e is None:
+            return 1
+        _emit(args, e.to_json_dict(), _entry_lines(e))
+        return 0
     doc = {"count": len(entries), "entries": [
         {"id": e.id, "field": e.field, "n": e.n, "k": e.k,
          "recipe": e.construction.get("recipe")} for e in entries]}
@@ -344,6 +343,19 @@ def _cmd_catalog(args) -> int:
     ]
     _emit(args, doc, lines)
     return 0
+
+
+def _entry_by_prefix(entries, prefix: str) -> cat.CatalogEntry | None:
+    """The one entry whose id starts with prefix; None (reported on
+    stderr) when there is none, UsageError when several ids match."""
+    matches = [e for e in entries if e.id.startswith(prefix)]
+    ids = sorted({e.id for e in matches})
+    if len(ids) > 1:
+        raise UsageError(f"id prefix {prefix} is ambiguous: {' '.join(ids)}")
+    if not matches:
+        print(f"no entry with id prefix {prefix}", file=sys.stderr)
+        return None
+    return matches[0]
 
 
 def _entry_lines(e: cat.CatalogEntry) -> list[str]:
@@ -367,11 +379,10 @@ def _cmd_export(args) -> int:
     else:
         _require(args.id is not None and args.catalog is not None,
                  "export needs --in FILE, or --id and --catalog")
-        matches = [e for e in cat.load_entries(args.catalog) if e.id.startswith(args.id)]
-        if not matches:
-            print(f"no entry with id prefix {args.id}", file=sys.stderr)
+        e = _entry_by_prefix(cat.load_entries(args.catalog), args.id)
+        if e is None:
             return 1
-        code = cat.code_from_json(matches[0].to_json_dict())
+        code = cat.code_from_json(e.to_json_dict())
     if args.format == "json":
         sys.stdout.write(json.dumps(cat.export_code_json(code), sort_keys=True) + "\n")
     else:

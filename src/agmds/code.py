@@ -2,9 +2,10 @@
 
 A LinearCode is a field plus a full-rank generator matrix.  Every analytic
 here is exact: minimum distance by message enumeration or by support-kernel
-scan, MDS certification by column minors or (for curve codes) by group-sum
-scans, Schur-square dimension, hull dimension, and diagonal self-dualization
-over characteristic 2.  Checks that would exceed their elementary-step
+scan, MDS certification by column minors or (for elliptic curve codes) by
+an exact subset-sum DP on the integer labels of the point group,
+Schur-square dimension, hull dimension, and diagonal self-dualization over
+characteristic 2.  Checks that would exceed their elementary-step
 budget raise BudgetExceeded instead of approximating.
 """
 
@@ -15,7 +16,7 @@ from itertools import combinations, product
 from math import comb
 from random import Random
 
-from .curves import Curve
+from .curves import Curve, point_labels
 from .errors import (
     BudgetExceeded,
     CharNotTwo,
@@ -232,28 +233,39 @@ def is_mds_by_group_sums(
     the MDS condition: a weight-(n-m) codeword exists precisely when some
     m points form a divisor linearly equivalent to m*P0, i.e. sum to the
     identity in the point group.
+
+    An exact subset-sum DP over (subset size, group element) decides it on
+    the points' labels in Z/d1 x Z/d2: reach[k] holds the sums of the
+    k-subsets of the points seen so far, as one d2-bit row per residue mod
+    d1, and adding a point rotates each row.  The budget caps the row
+    updates the DP performs.
     """
-    curve._require_group()
+    labels = point_labels(curve)
     pts = list(points)
     n = len(pts)
     if not 1 <= m <= n:
         raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
-    if comb(n, m) > budget:
-        raise BudgetExceeded(f"C({n},{m}) subsets exceed budget {budget}")
-    xys = [curve._as_xy(p) for p in pts]
-    add = curve._add_xy
-
-    def scan(start: int, depth: int, acc) -> bool:
-        # True when some (m - depth)-subset of xys[start:] added to acc is 0
-        if depth == m:
-            return acc is None
-        remaining = m - depth
-        for i in range(start, n - remaining + 1):
-            if scan(i + 1, depth + 1, add(acc, xys[i])):
-                return True
-        return False
-
-    return not scan(0, 0, None)
+    d1, d2 = labels.d1, labels.d2
+    full = (1 << d2) - 1
+    reach = [[0] * d1 for _ in range(m + 1)]
+    reach[0][0] = 1
+    steps = 0
+    for t, pt in enumerate(pts):
+        i, j = labels.of(pt)
+        # a k-subset can still grow to m points only if k >= m - (n - t)
+        for k in range(min(t, m - 1), max(0, m - n + t) - 1, -1):
+            steps += d1
+            if steps > budget:
+                raise BudgetExceeded(
+                    f"subset-sum DP over {n} points exceeds budget {budget}"
+                )
+            dst = reach[k + 1]
+            for r, row in enumerate(reach[k]):
+                if row:
+                    dst[(r + i) % d1] |= ((row << j) | (row >> (d2 - j))) & full
+        if reach[m][0] & 1:
+            return False
+    return True
 
 
 # -- invariants -----------------------------------------------------------------------

@@ -10,9 +10,11 @@ Two models are supported:
   one point at infinity and Weierstrass gap structure {1, 3} there.
 
 The module provides point enumeration, the chord-tangent group law,
-group-shape computation, subgroup/coset machinery, curve search by point
-count, and the classification tables of attainable orders and group shapes
-over F_q (cross-checked empirically by the test suite).
+integer labels for the point group (every group question past the
+labelling is integer arithmetic), group-shape computation, subgroup/coset
+machinery, curve search by point count, and the classification tables of
+attainable orders and group shapes over F_q (cross-checked empirically by
+the test suite).
 
 A point count N of a genus-1 curve always satisfies |N - (q+1)| <= 2*sqrt(q).
 Note the window endpoints are computed with integer flooring,
@@ -28,6 +30,7 @@ from random import Random
 from .errors import (
     BadModel,
     BudgetExhausted,
+    MalformedText,
     NotAdmissible,
     NotPrimePower,
     OutsideHasse,
@@ -69,7 +72,7 @@ INFINITY = CurvePoint.infinity()
 class Curve:
     """A validated nonsingular curve model over a FieldSpec."""
 
-    __slots__ = ("field", "genus", "coeffs", "_points", "_structure")
+    __slots__ = ("field", "genus", "coeffs", "_points", "_structure", "_labels")
 
     def __init__(self, field: FieldSpec, genus: int, coeffs: tuple):
         self.field = field
@@ -77,6 +80,7 @@ class Curve:
         self.coeffs = coeffs
         self._points = None
         self._structure = None
+        self._labels = None
 
     # coeffs layout: genus 1 -> (a1, a3, a2, a4, a6)
     #               genus 2 -> (f0..f5, h0, h1, h2)
@@ -334,8 +338,8 @@ def curve_make(field: FieldSpec, genus: int, coefficients) -> Curve:
 
     Genus 1 takes (a1, a3, a2, a4, a6); the discriminant must be nonzero.
     Genus 2 takes f-coefficients (length 6, f5 != 0) and optionally
-    h-coefficients (up to 3); the model must be smooth at every rational
-    affine point (no common zero of the partial derivatives on the curve).
+    h-coefficients (up to 3); the model must be smooth over the algebraic
+    closure, which polynomial gcds over F_q decide.
     """
     if genus == 1:
         coeffs = tuple(int(c) for c in coefficients)
@@ -361,28 +365,234 @@ def curve_make(field: FieldSpec, genus: int, coefficients) -> Curve:
 
 
 def _check_genus2_smooth(curve: Curve):
-    """Reject models with a singular rational affine point.
+    """Reject models that are singular anywhere over the algebraic closure.
 
-    At (x, y) the partials of y^2 + h*y - f are (h'(x)*y - f'(x), 2y + h(x));
-    a point on the curve where both vanish is singular.
+    The affine singular points of y^2 + h*y = f are the common zeros of the
+    curve and its partials (h'*y - f', 2y + h).  For odd p, completing the
+    square turns the model into (2y + h)^2 = 4f + h^2, which is smooth
+    exactly when 4f + h^2 is squarefree.  For p = 2 a singular point needs
+    h(x) = 0 and then y^2 = f(x), h'(x)*y = f'(x), so the model is smooth
+    exactly when gcd(h, h'^2*f + f'^2) = 1; h = 0 is always singular.
+    The point at infinity of an odd-degree model is always smooth.
     """
     F = curve.field
-    f = curve.coeffs[:6]
-    h = curve.coeffs[6:]
-    two = F.from_int(2)
-    for x in range(F.q):
-        b, c = curve._rhs_quadratic(x)
-        for y in F.solve_quadratic(b, c):
-            d_y = F.add(F.mul(two, y), b)
-            if d_y != 0:
-                continue
-            fprime = 0
-            for i in range(5, 0, -1):
-                fprime = F.add(F.mul(fprime, x), F.mul(F.from_int(i), f[i]))
-            hprime = F.add(h[1], F.mul(F.mul(two, h[2]), x))
-            d_x = F.sub(F.mul(hprime, y), fprime)
-            if d_x == 0:
-                raise Singular(f"singular point ({x},{y}) on {curve.text()}")
+    f = _poly_trim(list(curve.coeffs[:6]))
+    h = _poly_trim(list(curve.coeffs[6:]))
+    if F.p == 2:
+        dh, df = _poly_deriv(F, h), _poly_deriv(F, f)
+        g = _poly_gcd(F, h, _poly_add(F, _poly_mul(F, _poly_mul(F, dh, dh), f),
+                                      _poly_mul(F, df, df)))
+        reason = "h has a root where h'^2*f + f'^2 vanishes"
+    else:
+        disc = _poly_add(F, [F.mul(F.from_int(4), c) for c in f], _poly_mul(F, h, h))
+        g = _poly_gcd(F, disc, _poly_deriv(F, disc))
+        reason = "4f + h^2 is not squarefree"
+    if len(g) != 1:
+        raise Singular(f"{curve.text()} is singular over the algebraic closure: {reason}")
+
+
+# -- polynomials over F_q, coefficient lists low degree first ------------------------
+
+
+def _poly_trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(F: FieldSpec, a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _poly_trim([F.add(c, b[i]) if i < len(b) else c for i, c in enumerate(a)])
+
+
+def _poly_mul(F: FieldSpec, a: list, b: list) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _poly_trim(out)
+
+
+def _poly_deriv(F: FieldSpec, a: list) -> list:
+    return _poly_trim([F.mul(F.from_int(i), a[i]) for i in range(1, len(a))])
+
+
+def _poly_gcd(F: FieldSpec, a: list, b: list) -> list:
+    """A greatest common divisor (not normalized); [] only for gcd(0, 0)."""
+    a, b = list(a), list(b)
+    while b:
+        inv_lead = F.inv(b[-1])
+        while len(a) >= len(b):
+            c = F.mul(a[-1], inv_lead)
+            shift = len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] = F.sub(a[shift + i], F.mul(c, y))
+            _poly_trim(a)
+        a, b = b, a
+    return a
+
+
+# -- integer labels for the point group -----------------------------------------------
+
+
+class PointLabels:
+    """Integer coordinates for the rational points of a genus-1 curve.
+
+    The point group is Z/d1 x Z/d2 (d1 | d2) with a basis (P1, P2) of
+    orders d1 and d2; the point i*P1 + j*P2 carries the label (i, j).
+    Labels add coordinatewise, so orders, spans and cosets are integer
+    arithmetic.
+    """
+
+    __slots__ = ("d1", "d2", "_label", "_point")
+
+    def __init__(self, d1: int, d2: int, label: dict, point: dict):
+        self.d1 = d1
+        self.d2 = d2
+        self._label = label
+        self._point = point
+
+    def of(self, pt: CurvePoint) -> tuple[int, int]:
+        try:
+            return self._label[pt]
+        except KeyError:
+            raise PointNotOnCurve(f"{pt} is not a rational point of the curve") from None
+
+    def point(self, a: tuple[int, int]) -> CurvePoint:
+        return self._point[a]
+
+    def sorted_points(self, labels) -> list:
+        return sorted((self._point[a] for a in labels), key=CurvePoint.sort_key)
+
+    def add(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0]) % self.d1, (a[1] + b[1]) % self.d2
+
+    def scale(self, k: int, a: tuple[int, int]) -> tuple[int, int]:
+        return k * a[0] % self.d1, k * a[1] % self.d2
+
+    def order(self, a: tuple[int, int]) -> int:
+        o1 = self.d1 // gcd(a[0], self.d1)
+        o2 = self.d2 // gcd(a[1], self.d2)
+        return o1 * o2 // gcd(o1, o2)
+
+    def span(self, generators) -> set:
+        """The labels of the subgroup the given labels generate."""
+        return _closure(self.add, (0, 0), generators)
+
+    def torsion(self, n: int) -> list:
+        """The labels killed by n: the n-torsion Z/gcd(n,d1) x Z/gcd(n,d2)."""
+        s1, s2 = self.d1 // gcd(n, self.d1), self.d2 // gcd(n, self.d2)
+        return [(i, j) for i in range(0, self.d1, s1) for j in range(0, self.d2, s2)]
+
+
+def point_labels(curve: Curve) -> PointLabels:
+    """The integer labels of the curve's points, computed once per curve.
+
+    A basis is built prime by prime (_sylow_basis) and CRT-combined into
+    P1 of order d1 and P2 of order d2; labelling then walks the grid
+    i*P1 + j*P2 with N additions.
+    """
+    curve._require_group()
+    if curve._labels is None:
+        n = len(curve.points())
+        add = curve._add_xy
+        p1 = p2 = None
+        d1 = 1
+        for l, h in factorint(n).items():
+            g_max, g_other, a = _sylow_basis(curve, n, l, h)
+            p2 = add(p2, g_max)
+            p1 = add(p1, g_other)
+            d1 *= l**a
+        d2 = n // d1
+        label: dict = {}
+        point: dict = {}
+        row = None
+        for i in range(d1):
+            xy = row
+            for j in range(d2):
+                pt = INFINITY if xy is None else CurvePoint(*xy)
+                label[pt] = (i, j)
+                point[(i, j)] = pt
+                xy = add(xy, p2)
+            row = add(row, p1)
+        if len(label) != n:  # pragma: no cover - consistency guard
+            raise AssertionError(f"basis of {curve.text()} does not span {n} points")
+        curve._labels = PointLabels(d1, d2, label, point)
+        curve._structure = (d1, d2)
+    return curve._labels
+
+
+def _xy_key(xy) -> tuple:
+    return (0,) if xy is None else (1, *xy)
+
+
+def _sylow_basis(curve: Curve, n: int, l: int, h: int):
+    """A basis (G, H, a) of the l-Sylow subgroup Z/l^a x Z/l^(h-a), a <= h-a:
+    G of maximal order l^(h-a), H of order l^a with <G> + <H> the whole
+    l-part (H is None when a = 0).  Group elements are xy pairs.
+
+    Points, walked in sorted order, are mapped into the l-part by the
+    cofactor n / l^h.  When the l-part must be cyclic (h = 1, or l does not
+    divide q - 1, by the Weil pairing) the first image of order l^h is G.
+    Otherwise the images' span is closed until it has l^h elements; G is
+    its first element of maximal order and H the first of order l^a whose
+    order-l multiple lies outside <G>.
+    """
+    scalar, add = curve._scalar_xy, curve._add_xy
+    size = l**h
+    cofactor = n // size
+    images = (scalar(cofactor, curve._as_xy(pt)) for pt in curve.points())
+    if h == 1 or (curve.field.q - 1) % l:
+        for g in images:
+            if scalar(size // l, g) is not None:
+                return g, None, 0
+        raise AssertionError(f"no element of order {size}")  # pragma: no cover
+    elements = sorted(_closure(add, None, images, size), key=_xy_key)
+    times_l = {x: scalar(l, x) for x in elements}
+
+    def log_order(x) -> int:  # log_l of the order of x
+        e = 0
+        while x is not None:
+            x = times_l[x]
+            e += 1
+        return e
+
+    order = {x: log_order(x) for x in elements}
+    top = max(order.values())
+    g_max = next(x for x in elements if order[x] == top)
+    a = h - top
+    if a == 0:
+        return g_max, None, 0
+    cyclic = _closure(add, None, [g_max])
+    for x in elements:
+        if order[x] == a:
+            y = x
+            for _ in range(a - 1):
+                y = times_l[y]
+            if y not in cyclic:
+                return g_max, x, a
+    raise AssertionError(f"no complement to <G> in the {l}-part")  # pragma: no cover
+
+
+def _closure(add, zero, generators, size: int = 0) -> set:
+    """The subgroup the generators span under add (identity zero).  With a
+    size, generators stop being drawn once the span has that many elements.
+
+    Joining g to a subgroup H adds the cosets H + k*g for k below the
+    first k with k*g in H.
+    """
+    span = {zero}
+    for g in generators:
+        if len(span) == size:
+            break
+        grown = set(span)
+        step = g
+        while step not in span:
+            grown.update(add(s, step) for s in span)
+            step = add(step, g)
+        span = grown
+    return span
 
 
 # -- subgroups and cosets ------------------------------------------------------------
@@ -390,69 +600,33 @@ def _check_genus2_smooth(curve: Curve):
 
 def subgroup_closure(curve: Curve, generators) -> list:
     """The subgroup generated by the given points, sorted deterministically."""
-    curve._require_group()
-    span = {None}
-    for g in generators:
-        if not curve.contains(g):
-            raise PointNotOnCurve(f"{g} not on {curve.text()}")
-        gxy = curve._as_xy(g)
-        order = curve.point_order(g)
-        new = set()
-        step = None
-        for _ in range(order):
-            new.update(curve._add_xy(s, step) for s in span)
-            step = curve._add_xy(step, gxy)
-        span = new
-    pts = [INFINITY if s is None else CurvePoint(*s) for s in span]
-    pts.sort(key=CurvePoint.sort_key)
-    return pts
+    labels = point_labels(curve)
+    return labels.sorted_points(labels.span(map(labels.of, generators)))
 
 
 def coset(curve: Curve, subgroup_points, rep: CurvePoint) -> list:
     """The coset rep + S as a sorted point list."""
-    curve._require_group()
-    rxy = curve._as_xy(rep)
-    out = []
-    for s in subgroup_points:
-        r = curve._add_xy(rxy, curve._as_xy(s))
-        out.append(INFINITY if r is None else CurvePoint(*r))
-    out.sort(key=CurvePoint.sort_key)
-    return out
+    labels = point_labels(curve)
+    r = labels.of(rep)
+    return labels.sorted_points(labels.add(r, labels.of(s)) for s in subgroup_points)
 
 
 def group_structure(curve: Curve) -> tuple[int, int]:
     """The pair (d1, d2), d1 | d2, with the point group = Z/d1 x Z/d2.
 
-    d1 is assembled prime-by-prime from torsion counts: the l^i-torsion
-    has size l^(2i) exactly when l^i divides d1.  Only primes dividing
-    gcd(N, q-1) can contribute.
+    Only an l-part with l | q - 1 and l^2 | N can be non-cyclic (Weil
+    pairing), so d1 is assembled from the Sylow bases of those primes
+    alone; the rest of the group is never labelled.
     """
     curve._require_group()
-    if curve._structure is not None:
-        return curve._structure
-    pts = curve.points()
-    n = len(pts)
-    q = curve.field.q
-    xys = None
-    d1 = 1
-    for l in prime_factors(gcd(n, q - 1)):
-        a = 0
-        while True:
-            la = l ** (a + 1)
-            if n % (la * la) != 0 or (q - 1) % la != 0:
-                break
-            if xys is None:
-                xys = [curve._as_xy(p) for p in pts]
-            cnt = sum(1 for xy in xys if curve._scalar_xy(la, xy) is None)
-            if cnt == la * la:
-                a += 1
-            else:
-                break
-        d1 *= l**a
-    d2 = n // d1
-    if d2 % d1 != 0 or (q - 1) % d1 != 0:  # pragma: no cover - consistency guard
-        raise AssertionError(f"inconsistent group shape ({d1},{d2}) for {curve.text()}")
-    curve._structure = (d1, d2)
+    if curve._structure is None:
+        n = len(curve.points())
+        q = curve.field.q
+        d1 = 1
+        for l, h in factorint(n).items():
+            if h >= 2 and (q - 1) % l == 0:
+                d1 *= l ** _sylow_basis(curve, n, l, h)[2]
+        curve._structure = (d1, n // d1)
     return curve._structure
 
 
@@ -715,7 +889,7 @@ def parse_point_text(field: FieldSpec, text: str) -> CurvePoint:
     text = text.strip()
     if text == "inf":
         return INFINITY
-    if not (text.startswith("(") and text.endswith(")")):
-        raise PointNotOnCurve(f"malformed point text {text!r}")
-    x_txt, y_txt = _split_elements(text[1:-1])
-    return CurvePoint(field.parse_element(x_txt), field.parse_element(y_txt))
+    parts = _split_elements(text[1:-1])
+    if not (text.startswith("(") and text.endswith(")")) or len(parts) != 2:
+        raise MalformedText(f"malformed point text {text!r}")
+    return CurvePoint(*(field.parse_element(t) for t in parts))

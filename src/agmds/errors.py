@@ -36,7 +36,7 @@ class CharNotTwo(AgmdsError):
 
 
 class MalformedText(AgmdsError):
-    """Field, element or curve text does not parse."""
+    """Field, element, curve or point text does not parse."""
 
 
 # -- curves ----------------------------------------------------------------

@@ -1,10 +1,10 @@
 """End-to-end code constructions.
 
 Each recipe locates (or accepts) a curve, picks evaluation points, builds
-the code and certifies it MDS exactly once: by the group-sum scan for
-elliptic codes (their exact MDS condition, so it runs even when a
-sufficient condition already holds), by the product criterion for twisted
-evaluation codes, by column minors on genus 2.  The report takes
+the code and certifies it MDS exactly once: by the subset-sum DP on the
+point labels for elliptic codes (their exact MDS condition, so it runs
+even when a sufficient condition already holds), by the product criterion
+for twisted evaluation codes, by column minors on genus 2.  The report takes
 d = n - k + 1 from that verdict.  Polynomial-code baselines live here too.
 """
 
@@ -27,7 +27,7 @@ from .code import (
 from .curves import (
     Curve,
     CurvePoint,
-    INFINITY,
+    PointLabels,
     _matching_curves,
     admissible_curve_orders,
     coset,
@@ -35,6 +35,7 @@ from .curves import (
     find_curve_with_order,
     group_structure,
     hasse_window,
+    point_labels,
     subgroup_closure,
 )
 from .intmath import is_prime, prime_factors
@@ -58,17 +59,18 @@ DEFAULT_BUDGET = 10**7
 
 
 def _group_sum(curve: Curve, points) -> CurvePoint:
-    acc = None
+    labels = point_labels(curve)
+    acc = (0, 0)
     for p in points:
-        acc = curve._add_xy(acc, curve._as_xy(p))
-    return INFINITY if acc is None else CurvePoint(*acc)
+        acc = labels.add(acc, labels.of(p))
+    return labels.point(acc)
 
 
 def _certified_coset_code(
     curve: Curve, eval_points, m: int, provenance: dict, budget: int
 ) -> tuple[LinearCode, CodeReport]:
-    """The degree-m coset code on points that passed the group-sum scan,
-    with its report; the scan has fixed d = n - m + 1."""
+    """The degree-m coset code on points that passed the group-sum
+    certificate, with its report; the certificate has fixed d = n - m + 1."""
     provenance = {"construction": "coset", "curve": curve.text(), "m": m, **provenance}
     code = build_code(curve, eval_points, m, provenance)
     return code, _report_from_distance(code, code.n - m + 1, True, budget)
@@ -88,21 +90,22 @@ def coset_code(
     m <= order(b) - 1, which guarantees the MDS property (every m-subset
     sums to m*b plus an element of S, and m*b stays outside S).
     Multiple cosets: the union must be disjoint; a sufficient combination
-    condition is checked, but the exhaustive subset scan decides.
+    condition is checked, but the exact group-sum certificate decides.
     """
     subgroup = subgroup_closure(curve, subgroup_generators)
-    sub_set = set(subgroup)
+    labels = point_labels(curve)
+    sub_set = {labels.of(p) for p in subgroup}
     reps = list(coset_reps)
     if len(reps) == 1:
         b = reps[0]
-        if b in sub_set:
+        lb = labels.of(b)
+        if lb in sub_set:
             # Degenerate call: the "coset" is the subgroup itself, the
-            # sufficient condition cannot apply; the scan decides alone.
+            # sufficient condition cannot apply; the certificate decides alone.
             points = list(subgroup)
         else:
-            span_b = subgroup_closure(curve, [b])
-            order_b = len(span_b)
-            if any(pt in sub_set for pt in span_b if not pt.is_infinity):
+            order_b = labels.order(lb)
+            if not _meets_only_at_identity(labels, lb, sub_set):
                 raise PreconditionFailed(
                     "the cyclic group of the coset representative meets the "
                     "subgroup beyond the identity"
@@ -120,7 +123,9 @@ def coset_code(
             if seen & cs:
                 raise PreconditionFailed("cosets are not pairwise disjoint")
             seen |= cs
-        sufficient = _multi_coset_condition(curve, sub_set, reps, m)
+        sufficient = _multi_coset_condition(
+            labels, sub_set, [labels.of(b) for b in reps], m
+        )
         points = sorted(seen, key=CurvePoint.sort_key)
     provenance = {"subgroup_order": len(subgroup), "cosets": len(reps)}
     if len(reps) > 1:
@@ -130,56 +135,43 @@ def coset_code(
     return _certified_coset_code(curve, points, m, provenance, budget)
 
 
-def _multi_coset_condition(curve, sub_set, reps, m) -> bool:
+def _multi_coset_condition(
+    labels: PointLabels, sub_set: set, reps: list, m: int
+) -> bool:
     """Sufficient condition for the multi-coset variant: no combination
-    sum(m_i * b_i) with m_i >= 0 summing to m lands in the subgroup.  It is
-    recorded in the provenance only; the group-sum scan certifies."""
-    rep_xys = [curve._as_xy(b) for b in reps]
+    sum(m_i * b_i) with m_i >= 0 summing to m lands in the subgroup (all
+    as labels).  It is recorded in the provenance only; the group-sum
+    certificate decides."""
 
-    def rec(idx: int, left: int, acc):
-        if idx == len(rep_xys):
-            if left:
-                return True
-            pt = INFINITY if acc is None else CurvePoint(*acc)
-            return pt not in sub_set
+    def rec(idx: int, left: int, acc) -> bool:
+        if idx == len(reps):
+            return bool(left) or acc not in sub_set
         step = acc
         for cnt in range(left + 1):
             if cnt:
-                step = curve._add_xy(step, rep_xys[idx])
+                step = labels.add(step, reps[idx])
             if not rec(idx + 1, left - cnt, step):
                 return False
         return True
 
-    return rec(0, m, None)
+    return rec(0, m, (0, 0))
 
 
 def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
     """All subgroups of the given order, each as a sorted point tuple.
 
-    A subgroup of order t lives inside the t-torsion, and the point group
-    has rank at most 2, so closures of torsion-element pairs find every
-    subgroup without touching the rest of the (possibly large) group.
+    A subgroup of order t lies in the t-torsion, and the point group has
+    rank at most 2, so every such subgroup is a cyclic subgroup of the
+    torsion or the sum of two; on labels each sum is integer arithmetic.
     """
-    torsion = [
-        p
-        for p in curve.points()
-        if curve._scalar_xy(order, curve._as_xy(p)) is None
-    ]
-    found: set = set()
-    singles = []
-    for p in torsion:
-        sub = tuple(subgroup_closure(curve, [p]))
-        singles.append((p, sub))
-        if len(sub) == order:
-            found.add(sub)
-    for i, (p, sub_p) in enumerate(singles):
-        for q_pt, sub_q in singles[i + 1 :]:
-            if q_pt in sub_p or (len(sub_p) * len(sub_q)) % order != 0:
-                continue
-            sub = tuple(subgroup_closure(curve, [p, q_pt]))
-            if len(sub) == order:
-                found.add(sub)
-    return sorted(found, key=lambda s: [pt.sort_key() for pt in s])
+    labels = point_labels(curve)
+    cyclic = list({frozenset(labels.span([t])) for t in labels.torsion(order)})
+    found = {c for c in cyclic if len(c) == order}
+    for a, b in combinations(cyclic, 2):
+        if len(a) * len(b) == order * len(a & b):
+            found.add(frozenset(labels.add(x, y) for x in a for y in b))
+    subgroups = [tuple(labels.sorted_points(s)) for s in found]
+    return sorted(subgroups, key=lambda s: [pt.sort_key() for pt in s])
 
 
 # search_coset_code tries at most 40 curves, with 200 random draws per curve,
@@ -203,7 +195,7 @@ def search_coset_code(
     Candidates satisfying the cyclic-intersection precondition are tried
     first; cosets whose full point sum is nonzero are preferred when
     2m = n (that keeps the Schur dimension at its generic value 2m).  The
-    group-sum scan decides every candidate and is the code's only MDS
+    group-sum certificate decides every candidate and is the code's only MDS
     certificate.
     """
     if n_points not in admissible_curve_orders(field.q):
@@ -229,19 +221,22 @@ def search_coset_code(
         curves = _matching_curves(field, n_points, None, seed, draws, _SEARCH_FAMILY_CAP)
         curve = None
         for curve in islice(curves, _SEARCH_CURVES):
+            labels = point_labels(curve)
             for subgroup in _subgroups_of_order(curve, n):
-                sub_set = set(subgroup)
-                seen_cosets: set = set()
-                for b in (p for p in curve.points() if p not in sub_set):
-                    if sufficient_only and not _rep_is_independent(
-                        curve, b, sub_set, m
+                sub_labels = [labels.of(p) for p in subgroup]
+                sub_set = set(sub_labels)
+                # the subgroup and every coset tried so far, as labels
+                covered = set(sub_set)
+                for b in curve.points():
+                    lb = labels.of(b)
+                    if lb in covered or (
+                        sufficient_only
+                        and not _rep_is_independent(labels, lb, sub_set, m)
                     ):
                         continue
-                    points = coset(curve, subgroup, b)
-                    key = tuple(points)
-                    if key in seen_cosets:
-                        continue
-                    seen_cosets.add(key)
+                    coset_labels = [labels.add(lb, s) for s in sub_labels]
+                    covered.update(coset_labels)
+                    points = labels.sorted_points(coset_labels)
                     if not is_mds_by_group_sums(curve, points, m, budget):
                         continue
                     candidate = (curve, subgroup, b, points)
@@ -261,22 +256,23 @@ def search_coset_code(
     )
 
 
-def _rep_is_independent(curve: Curve, b: CurvePoint, sub_set: set, m: int) -> bool:
-    """Whether order(b) > m and <b> meets the subgroup only at the identity.
+def _rep_is_independent(labels: PointLabels, b, sub_set: set, m: int) -> bool:
+    """Whether order(b) > m and <b> meets the subgroup only at the identity
+    (b and the subgroup as labels)."""
+    return labels.order(b) > m and _meets_only_at_identity(labels, b, sub_set)
 
-    The intersection is a subgroup of the cyclic <b>; it is trivial iff no
+
+def _meets_only_at_identity(labels: PointLabels, b, sub_set: set) -> bool:
+    """Whether the cyclic group <b> meets the subgroup only at the identity.
+
+    The intersection is a subgroup of <b>; it is trivial iff no
     prime-order piece of <b> lies in the subgroup, and the order-l piece is
     generated by (order(b)/l) * b.
     """
-    order_b = curve.point_order(b)
-    if order_b - 1 < m:
-        return False
-    bxy = curve._as_xy(b)
-    for l in prime_factors(order_b):
-        piece = curve._scalar_xy(order_b // l, bxy)
-        if (INFINITY if piece is None else CurvePoint(*piece)) in sub_set:
-            return False
-    return True
+    order_b = labels.order(b)
+    return all(
+        labels.scale(order_b // l, b) not in sub_set for l in prime_factors(order_b)
+    )
 
 
 # -- length recipes ------------------------------------------------------------------
@@ -381,19 +377,18 @@ def supersingular_code(
         raise PreconditionFailed(f"N={n_sub} exceeds the length bound for {count} points")
     if not 1 <= k <= n_sub - 1:
         raise PreconditionFailed(f"need 1 <= k <= N - 1, got k={k}")
-    generator = None
-    for pt in curve.points():
-        if pt.is_infinity:
-            continue
-        if curve.point_order(pt) == n_sub:
-            generator = pt
-            break
+    labels = point_labels(curve)
+    generator = next(
+        (pt for pt in curve.points()[1:] if labels.order(labels.of(pt)) == n_sub),
+        None,
+    )
     if generator is None:
         raise SubgroupNotFound(f"no point of order {n_sub} on {curve.text()}")
     subgroup = subgroup_closure(curve, [generator])
-    sub_set = set(subgroup)
+    sub_set = {labels.of(p) for p in subgroup}
     for b in curve.points():
-        if b in sub_set or not _rep_is_independent(curve, b, sub_set, k):
+        lb = labels.of(b)
+        if lb in sub_set or not _rep_is_independent(labels, lb, sub_set, k):
             continue
         code, report = coset_code(curve, [generator], [b], k)
         meta = {"curve": curve, "N": count, "subgroup": subgroup, "rep": b}
@@ -495,9 +490,9 @@ def self_dual_pipeline(
     the order-2^t piece of the 2-part with an order-l_prime subgroup and
     b = 2^(h2-1-t) * theta for theta generating the 2-part.  The coset sums
     to the identity, so the dual of the degree-n/2 code is a diagonal
-    rescaling of it; MDS is certified by the subset scan (it can fail for
-    t >= 2, in which case NotMDS propagates), and the square-root rescaling
-    then yields a self-dual generator.
+    rescaling of it; MDS is certified by the group-sum certificate (it can
+    fail for t >= 2, in which case NotMDS propagates), and the square-root
+    rescaling then yields a self-dual generator.
     """
     if s1 < 1 or s2 < 1:
         raise PreconditionFailed("extension degrees must be positive")
@@ -538,19 +533,19 @@ def self_dual_pipeline(
 
 
 def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, budget, beta):
-    generator = None
-    for pt in curve.points():
-        if not pt.is_infinity and curve.point_order(pt) == n_points:
-            generator = pt
-            break
+    labels = point_labels(curve)
+    generator = next(
+        (g for g in map(labels.of, curve.points()[1:]) if labels.order(g) == n_points),
+        None,
+    )
     if generator is None:  # pragma: no cover - cyclic by construction
         raise SubgroupNotFound("no generator of the cyclic point group")
-    theta = curve.scalar_mul(big_l, generator)  # order 2^h2
-    odd_gen = curve.scalar_mul(2**h2, generator)  # order L
-    e2_gen = curve.scalar_mul(big_l // l_prime, odd_gen)  # order l_prime
-    e1_gens = [curve.scalar_mul(2 ** (h2 - t), theta), e2_gen]
-    b = curve.scalar_mul(2 ** (h2 - 1 - t), theta)
-    subgroup = subgroup_closure(curve, e1_gens)
+    theta = labels.scale(big_l, generator)  # order 2^h2
+    odd_gen = labels.scale(2**h2, generator)  # order L
+    e2_gen = labels.scale(big_l // l_prime, odd_gen)  # order l_prime
+    e1_gens = [labels.scale(2 ** (h2 - t), theta), e2_gen]
+    b = labels.point(labels.scale(2 ** (h2 - 1 - t), theta))
+    subgroup = subgroup_closure(curve, map(labels.point, e1_gens))
     points = coset(curve, subgroup, b)
     n = len(points)
     m = n // 2

@@ -232,6 +232,41 @@ def test_cli_export_unknown_id(tmp_path, capsys):
     assert rc == 1 and "no entry" in err
 
 
+def _entries_sharing_a_prefix():
+    # content ids are hashes: vary the seed until two share their first digit
+    code = _hand_code()
+    report = invariant_report(code)
+    by_first = {}
+    for seed in range(100):
+        e = make_entry(code, report, {"recipe": "coset", "seed": seed})
+        if e.id[0] in by_first:
+            return by_first[e.id[0]], e
+        by_first[e.id[0]] = e
+    raise AssertionError("no two ids share a first digit")
+
+
+def test_cli_ambiguous_id_prefix_is_a_usage_error(tmp_path, capsys):
+    cat_path = str(tmp_path / "cat.jsonl")
+    e1, e2 = _entries_sharing_a_prefix()
+    assert append_entry(cat_path, e1) and append_entry(cat_path, e2)
+    prefix = e1.id[0]
+    for argv in (
+        ("catalog", "--catalog", cat_path, "--show", prefix),
+        ("export", "--catalog", cat_path, "--id", prefix),
+    ):
+        rc, out, err = run_cli(*argv, capsys=capsys)
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert "ambiguous" in err and e1.id in err and e2.id in err
+    # a unique prefix still selects its entry
+    unique = e2.id[:12]
+    rc, out, _ = run_cli("catalog", "--catalog", cat_path, "--show", unique,
+                         "--json", capsys=capsys)
+    assert rc == 0 and json.loads(out)["id"] == e2.id
+    rc, out, _ = run_cli("export", "--catalog", cat_path, "--id", unique,
+                         capsys=capsys)
+    assert rc == 0 and out == export_matrix_text(code_from_json(e2.to_json_dict()))
+
+
 def test_cli_usage_errors(capsys):
     rc, _, err = run_cli("build", "--recipe", "coset", "--q", "19", capsys=capsys)
     assert rc == 2 and "needs" in err

@@ -23,7 +23,15 @@ from agmds.code import (
     self_dualize,
 )
 from agmds.code import _distance_by_enumeration, _distance_by_supports
-from agmds.curves import discriminant_genus1, random_curve, subgroup_closure, coset
+from agmds.curves import (
+    INFINITY,
+    coset,
+    curve_family,
+    discriminant_genus1,
+    point_labels,
+    random_curve,
+    subgroup_closure,
+)
 from agmds.errors import (
     BudgetExceeded,
     CharNotTwo,
@@ -133,6 +141,88 @@ def test_mds_by_group_sums_examples():
     # inverse pair with m = 2 sums to the identity
     pts = [E_F5.point(0, 1), E_F5.point(0, 4), E_F5.point(2, 2)]
     assert not is_mds_by_group_sums(E_F5, pts, 2)
+
+
+def zero_sum_subset_exists(curve, points, m):
+    """Oracle: recursive scan over the m-subsets with the chord-tangent law."""
+    pts = list(points)
+
+    def scan(start, left, acc):
+        if left == 0:
+            return acc.is_infinity
+        return any(
+            scan(i + 1, left - 1, curve.add(acc, pts[i]))
+            for i in range(start, len(pts) - left + 1)
+        )
+
+    return scan(0, m, INFINITY)
+
+
+def _three_verdicts_agree(curve, pts, m):
+    by_dp = is_mds_by_group_sums(curve, pts, m)
+    assert by_dp == (not zero_sum_subset_exists(curve, pts, m))
+    if m < len(pts):  # build_code needs m < n
+        assert by_dp == is_mds_by_minors(build_code(curve, pts, m))
+    return by_dp
+
+
+# curves of every shape over small fields, d1 > 1 among them
+DP_CURVES = [
+    c
+    for F in (F7, field_make(3, 2), field_make(13), F16)
+    for c in list(curve_family(F))[::7]
+    if len(c.points()) >= 4
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subset_sum_dp_agrees_with_scan_and_minors(data):
+    curve = data.draw(st.sampled_from(DP_CURVES))
+    pts = curve.points()
+    if data.draw(st.booleans()):  # a coset of a random subgroup
+        gens = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=2))
+        sub = subgroup_closure(curve, gens)
+        assume(len(sub) < len(pts) and len(sub) <= 10)
+        b = data.draw(st.sampled_from([p for p in pts if p not in set(sub)]))
+        eval_pts = coset(curve, sub, b)
+    else:  # any set of affine points
+        eval_pts = data.draw(
+            st.lists(st.sampled_from(curve.affine_points()), min_size=1,
+                     max_size=9, unique=True)
+        )
+    m = data.draw(st.integers(1, len(eval_pts)))
+    _three_verdicts_agree(curve, eval_pts, m)
+
+
+def test_subset_sum_dp_every_degree_on_noncyclic_groups():
+    # m = 1 through m = n on cosets and on non-coset sets of Z/d1 x Z/d2
+    rng = random.Random(12)
+    shapes = set()
+    for curve in DP_CURVES:
+        labels = point_labels(curve)
+        if labels.d1 == 1 or (labels.d1, labels.d2) in shapes:
+            continue
+        shapes.add((labels.d1, labels.d2))
+        pts = curve.points()
+        sub = subgroup_closure(curve, [labels.point((1, 0))])
+        b = next(p for p in pts if p not in set(sub))
+        affine = curve.affine_points()
+        for eval_pts in (coset(curve, sub, b), rng.sample(affine, min(8, len(affine)))):
+            verdicts = [
+                _three_verdicts_agree(curve, eval_pts, m)
+                for m in range(1, len(eval_pts) + 1)
+            ]
+            assert verdicts[0]  # no affine point is the identity
+    assert len(shapes) >= 3
+
+
+def test_subset_sum_dp_budget_counts_steps_taken():
+    # an inverse pair comes first, so the DP stops after three row updates
+    pts = [E_F5.point(0, 1), E_F5.point(0, 4)] + [E_F5.point(2, 2)] * 30
+    assert not is_mds_by_group_sums(E_F5, pts, 2, budget=3)
+    with pytest.raises(BudgetExceeded):
+        is_mds_by_group_sums(E_F5, pts[1:], 2, budget=3)
 
 
 def test_cross_oracle_mds_equivalence_on_coset_codes():

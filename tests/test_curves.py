@@ -23,12 +23,14 @@ from agmds.curves import (
     is_admissible_structure,
     parse_curve_text,
     parse_point_text,
+    point_labels,
     point_text,
     random_curve,
     subgroup_closure,
 )
 from agmds.errors import (
     BadModel,
+    MalformedText,
     NotAdmissible,
     NotPrimePower,
     OutsideHasse,
@@ -57,13 +59,27 @@ def brute_order(curve, pt):
     return t
 
 
+def brute_orders(curve):
+    """Independent order oracle for every point: walk each cyclic subgroup
+    by repeated addition; the k-th point of a walk of length t has order
+    t / gcd(k, t)."""
+    order = {}
+    for p in curve.points():
+        if p in order:
+            continue
+        walk = [p]
+        while not walk[-1].is_infinity:
+            walk.append(curve.add(walk[-1], p))
+        t = len(walk)
+        for k, w in enumerate(walk, 1):
+            order[w] = t // math.gcd(k, t)
+    return order
+
+
 def brute_structure(curve):
     """Independent shape oracle: exponent = lcm of brute-force orders."""
-    pts = curve.points()
-    exponent = 1
-    for p in pts:
-        exponent = math.lcm(exponent, brute_order(curve, p))
-    return (len(pts) // exponent, exponent)
+    exponent = math.lcm(*brute_orders(curve).values())
+    return (len(curve.points()) // exponent, exponent)
 
 
 # -- model validation -------------------------------------------------------------
@@ -93,6 +109,63 @@ def test_genus2_smoothness_matches_direct_partial_check():
         assert d_y != 0 or d_x != 0
     with pytest.raises(Singular):
         curve_make(F5, 2, [0, 0, 1, 0, 0, 1])  # y^2 = x^5 + x^2: (0,0) singular
+
+
+def rational_singular_point(curve):
+    """Oracle: an affine point of the model over curve.field where both
+    partials of y^2 + h*y - f vanish, found by scanning every x; or None."""
+    F = curve.field
+    f, h = curve.coeffs[:6], curve.coeffs[6:]
+
+    def ev(poly, x):
+        acc = 0
+        for c in reversed(poly):
+            acc = F.add(F.mul(acc, x), c)
+        return acc
+
+    def deriv(poly):
+        return [F.mul(F.from_int(i), poly[i]) for i in range(1, len(poly))]
+
+    for x in range(F.q):
+        b, c = curve._rhs_quadratic(x)
+        for y in F.solve_quadratic(b, c):
+            d_y = F.add(F.mul(F.from_int(2), y), ev(h, x))
+            d_x = F.sub(F.mul(ev(deriv(h), x), y), ev(deriv(f), x))
+            if d_y == 0 and d_x == 0:
+                return (x, y)
+    return None
+
+
+def test_genus2_models_singular_only_off_the_rational_points():
+    # y^2 = x(x^2+1)^2 over F_31 is singular at x = +-i, outside F_31
+    with pytest.raises(Singular):
+        parse_curve_text(F31, "g2:0,1,0,2,0,1")
+    # h = 0 in characteristic 2: y^2 = x^5+x^3+x+1 is inseparable over F_8
+    with pytest.raises(Singular):
+        curve_make(field_make(2, 3), 2, [1, 1, 0, 1, 0, 1])
+    assert parse_curve_text(F31, "g2:1,0,0,0,0,1;0,0,0").genus == 2
+
+
+def test_genus2_smoothness_matches_scan_over_quadratic_extension():
+    # Over F_p a singular point of y^2 + h*y = f has x a root of a factor of
+    # degree <= 2 (a repeated factor of the degree-5 polynomial 4f + h^2 for
+    # odd p, a factor of h with deg h <= 2 for p = 2) and y in the same
+    # field, so scanning the points over F_(p^2) decides smoothness exactly.
+    rng = random.Random(41)
+    verdicts = set()
+    for p in (2, 3, 5, 7):
+        F, F2 = field_make(p), field_make(p, 2)
+        for _ in range(60):
+            f = [rng.randrange(p) for _ in range(5)] + [rng.randrange(1, p)]
+            h = [rng.randrange(p) for _ in range(3)] if rng.random() < 0.7 else [0, 0, 0]
+            try:
+                curve_make(F, 2, f + h)
+                smooth = True
+            except Singular:
+                smooth = False
+            assert smooth == (rational_singular_point(Curve(F2, 2, tuple(f + h))) is None)
+            verdicts.add((p, smooth))
+    assert len(verdicts) == 8  # both verdicts occur in every characteristic
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -190,6 +263,35 @@ def test_structure_matches_brute_oracle_over_families():
     for F in (F5, field_make(7)):
         for curve in curve_family(F):
             assert group_structure(curve) == brute_structure(curve)
+
+
+def test_point_labels_are_an_isomorphism_over_families():
+    # Labels are a bijection onto Z/d1 x Z/d2 that adds a basis point
+    # correctly to every point; by induction on i*P1 + j*P2 that gives
+    # label(P + Q) = label(P) + label(Q) for every pair.
+    shapes = set()
+    for F in (F5, field_make(7), field_make(2, 3), field_make(3, 2),
+              field_make(11), F13, F16):
+        for curve in curve_family(F):
+            shape = group_structure(curve)  # before labelling sets the shape
+            labels = point_labels(curve)
+            d1, d2 = labels.d1, labels.d2
+            pts = curve.points()
+            orders = brute_orders(curve)
+            exponent = math.lcm(*orders.values())  # brute_structure, one walk
+            assert shape == (d1, d2) == (len(pts) // exponent, exponent)
+            grid = [(i, j) for i in range(d1) for j in range(d2)]
+            assert sorted(labels.of(p) for p in pts) == grid
+            assert all(labels.of(labels.point(a)) == a for a in grid)
+            basis = [labels.point(a) for a in ((1, 0), (0, 1)) if a[0] < d1 and a[1] < d2]
+            for p in pts:
+                a = labels.of(p)
+                assert labels.order(a) == orders[p] == curve.point_order(p)
+                for g in basis:
+                    assert labels.of(curve.add(p, g)) == labels.add(a, labels.of(g))
+            shapes.add((F.q, d1, d2))
+    # over F_8, d1 > 1 would need l | 7 and l^2 | N <= 14
+    assert {q for q, d1, _ in shapes if d1 > 1} == {5, 7, 9, 11, 13, 16}
 
 
 def test_structure_divides_q_minus_1():
@@ -331,3 +433,9 @@ def test_curve_and_point_text_round_trip():
     assert parse_curve_text(ext, ce.text()) == ce
     pt = ce.points()[1]
     assert parse_point_text(ext, point_text(ext, pt)) == pt
+
+
+def test_malformed_point_text():
+    for text in ("(1,2,3)", "(1)", "()", "1,2", "(1,2"):
+        with pytest.raises(MalformedText):
+            parse_point_text(F5, text)

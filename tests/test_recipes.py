@@ -1,11 +1,21 @@
 """End-to-end constructions: coset codes, length recipes, the self-dual
 pipeline, twisted evaluation codes, genus-2 search."""
 
+import time
+from math import comb
+
 import pytest
 
 from agmds import curve_make, field_make
 from agmds.code import invariant_report, is_mds_by_minors, min_distance, schur_square
-from agmds.curves import INFINITY, subgroup_closure
+from agmds.curves import (
+    INFINITY,
+    CurvePoint,
+    curve_family,
+    group_structure,
+    parse_curve_text,
+    subgroup_closure,
+)
 from agmds.errors import (
     NoAdmissibleBeta,
     NoAdmissibleCurve,
@@ -15,6 +25,8 @@ from agmds.errors import (
     SubgroupNotFound,
 )
 from agmds.recipes import (
+    DEFAULT_BUDGET,
+    _subgroups_of_order,
     admissible_pipeline_traces,
     coprime_split_code,
     coset_code,
@@ -64,6 +76,64 @@ def test_coset_code_on_subgroup_itself_hits_scan():
     gen3 = _point_of_order(E_F5, 3)
     with pytest.raises(NotMDS):
         coset_code(E_F5, [gen3], [INFINITY], 2)
+
+
+def test_coset_code_beyond_the_subset_scan_budget():
+    # The cyclic 288-point curve that find_curve_with_order(F_256, 288,
+    # shape=(1, 288)) returns; the search takes seconds, so it is named here.
+    curve = parse_curve_text(field_make(2, 8), "g1:1,0,0,0,[0,0,1,1,1,0,1,0]")
+    assert len(curve.points()) == 288 and group_structure(curve) == (1, 288)
+    gen = _point_of_order(curve, 32)
+    b = _point_of_order(curve, 9)
+    assert comb(32, 8) > DEFAULT_BUDGET  # too many 8-subsets to scan
+    t0 = time.perf_counter()
+    code, report = coset_code(curve, [gen], [b], 8)
+    elapsed = time.perf_counter() - t0
+    assert (report.n, report.k, report.d, report.is_mds) == (32, 8, 25, True)
+    assert elapsed < 1.0
+
+
+def closure_oracle(curve, generators):
+    """Oracle: the subgroup the points generate, grown by the group law."""
+    span = {INFINITY}
+    frontier = [INFINITY]
+    while frontier:
+        grown = {curve.add(s, g) for s in frontier for g in generators} - span
+        span |= grown
+        frontier = list(grown)
+    return tuple(sorted(span, key=CurvePoint.sort_key))
+
+
+def subgroups_of_order_oracle(curve, order):
+    """Oracle: closures of single torsion points and of torsion pairs."""
+    torsion = [p for p in curve.points() if curve.scalar_mul(order, p) == INFINITY]
+    singles = [(p, closure_oracle(curve, [p])) for p in torsion]
+    found = {sub for _, sub in singles if len(sub) == order}
+    for i, (p, sub_p) in enumerate(singles):
+        for q_pt, sub_q in singles[i + 1 :]:
+            if q_pt in sub_p or (len(sub_p) * len(sub_q)) % order != 0:
+                continue
+            sub = closure_oracle(curve, [p, q_pt])
+            if len(sub) == order:
+                found.add(sub)
+    return sorted(found, key=lambda s: [pt.sort_key() for pt in s])
+
+
+def test_subgroups_of_order_match_pairwise_closure_oracle():
+    shapes = set()
+    for F in (field_make(3, 2), field_make(13), field_make(17)):
+        for curve in curve_family(F):
+            shape = group_structure(curve)
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+            n_points = shape[0] * shape[1]
+            for order in range(1, min(n_points, 12) + 1):
+                if n_points % order == 0:
+                    expected = subgroups_of_order_oracle(curve, order)
+                    assert _subgroups_of_order(curve, order) == expected
+    # several subgroups of one order occur only in non-cyclic groups
+    assert sum(d1 > 1 for d1, _ in shapes) >= 5
 
 
 def test_coset_code_multi_coset():
