@@ -43,7 +43,8 @@ def parse_matrix_text(text: str) -> LinearCode:
         raise IOFailure("matrix text must start with 'field' and 'n/k' lines")
     F = parse_field_text(lines[0][len("field "):])
     header = lines[1].split()
-    if len(header) != 4 or header[0] != "n" or header[2] != "k":
+    if (len(header) != 4 or header[0] != "n" or header[2] != "k"
+            or not (header[1].isdigit() and header[3].isdigit())):
         raise IOFailure(f"malformed size line {lines[1]!r}")
     n, k = int(header[1]), int(header[3])
     rows = []
@@ -67,9 +68,12 @@ def export_code_json(code: LinearCode) -> dict:
 
 
 def code_from_json(doc: dict) -> LinearCode:
-    F = parse_field_text(doc["field"])
-    rows = [[F.parse_element(t) for t in row] for row in doc["matrix"]]
-    return LinearCode(F, FFMatrix(F, rows, doc["n"]))
+    try:
+        F = parse_field_text(doc["field"])
+        rows = [[F.parse_element(t) for t in row] for row in doc["matrix"]]
+        return LinearCode(F, FFMatrix(F, rows, doc["n"]))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise IOFailure(f"malformed code document: {exc!r}") from None
 
 
 # -- catalog entries ----------------------------------------------------------------

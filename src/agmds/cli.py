@@ -31,6 +31,7 @@ from .errors import (
     AgmdsError,
     BudgetExceeded,
     BudgetExhausted,
+    IOFailure,
     NoAdmissibleBeta,
     NoAdmissibleCurve,
     NoFullWeightSolution,
@@ -291,7 +292,11 @@ def _load_code_arg(args):
     with open(args.infile, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return cat.code_from_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise IOFailure(f"{args.infile} is not valid JSON: {exc}") from None
+        return cat.code_from_json(doc)
     return cat.parse_matrix_text(text)
 
 
@@ -399,6 +404,17 @@ class UsageError(AgmdsError):
     pass
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the step budgets: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 # -- parser -------------------------------------------------------------------------------
 
 
@@ -466,19 +482,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_positive_int, default=2000)
     common(p, seeded=True, catalog=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("certify", help="full invariant report for a stored code")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=_positive_int, default=10**7)
     common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("schur", help="Schur-square dimension and distance")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=_positive_int, default=10**7)
     common(p)
     p.set_defaults(func=_cmd_schur)
 

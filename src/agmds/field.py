@@ -6,8 +6,12 @@ is a single integer code sum(c_i * p**i); codes make equality, hashing and
 table indexing cheap, and the prime subfield embeds as the codes 0..p-1.
 
 A FieldSpec builds discrete-log tables on first use, after which
-multiplication, inversion and powers are O(1) lookups.  Field orders are
-capped at 2**16 so whole-field exhaustive checks stay practical.
+multiplication, inversion and powers are O(1) lookups.  Addition is XOR in
+characteristic 2 and residue arithmetic in prime fields; in an odd-
+characteristic extension it is a lookup too, through Zech logarithms
+Z(k) = log(1 + g^k), since a + b = a * (1 + b/a).  Characteristic-2 tables
+are built with carry-less integer multiplication.  Field orders are capped
+at 2**16 so whole-field exhaustive checks stay practical.
 
 Text forms: a prime-field element prints as its decimal residue, an
 extension element as a bracketed little-endian coefficient list such as
@@ -117,7 +121,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "s", "q", "modulus",
-        "_exp", "_log", "_sqrt_tab", "_as_tab",
+        "_exp", "_log", "_zech", "_clmul_mod", "_sqrt_tab", "_as_tab",
     )
 
     def __init__(self, p: int, s: int = 1, modulus=None):
@@ -146,8 +150,11 @@ class FieldSpec:
         self.s = s
         self.q = q
         self.modulus = modulus
+        # characteristic 2: the modulus as a bit mask, for carry-less products
+        self._clmul_mod = self.encode(modulus) if p == 2 and s > 1 else None
         self._exp = None
         self._log = None
+        self._zech = None
         self._sqrt_tab = None
         self._as_tab = None
 
@@ -208,6 +215,19 @@ class FieldSpec:
     def _mul_raw(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a * b) % self.p
+        mod = self._clmul_mod
+        if mod is not None:
+            # shift-and-add over F_2[x], reducing a*x^i as it passes x^s
+            top = 1 << self.s
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mod
+            return r
         return self.encode(
             _poly_mul_mod(self.decode(a), self.decode(b), self.modulus, self.p)
         )
@@ -243,6 +263,12 @@ class FieldSpec:
             log[acc] = i
         for i in range(order, len(exp)):
             exp[i] = exp[i - order]
+        p = self.p
+        if p != 2 and self.s > 1:
+            # Z(k) = log(1 + g^k), -1 where 1 + g^k = 0: adding 1 bumps the
+            # lowest base-p digit of the code.  Two periods, so any exponent
+            # difference in (-(q-1), 2(q-1)) indexes it directly.
+            self._zech = [log[v - p + 1 if v % p == p - 1 else v + 1] for v in exp]
         self._exp = exp
         self._log = log
 
@@ -253,24 +279,42 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p = self.p
-        da, db = self.decode(a), self.decode(b)
-        return self.encode((x + y) % p for x, y in zip(da, db))
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        if self._zech is None:
+            self._ensure_tables()
+        # a + b = g^la * (1 + g^(lb - la))
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.s == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        p = self.p
-        return self.encode((-x) % p for x in self.decode(a))
+        if self._exp is None:
+            self._ensure_tables()
+        # -1 = g^((q-1)/2), and (q-1)/2 == q >> 1 for odd q
+        return self._exp[self._log[a] + (self.q >> 1)]
 
     def sub(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if b == 0:
+            return a
+        if a == 0:
+            return self.neg(b)
+        if self._zech is None:
+            self._ensure_tables()
+        # a - b = g^la * (1 + g^(lb + (q-1)/2 - la))
+        la = self._log[a]
+        z = self._zech[self._log[b] + (self.q >> 1) - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -47,6 +47,7 @@ from .errors import (
     NotFound,
     NotMDS,
     PreconditionFailed,
+    RangeViolation,
     SubgroupNotFound,
 )
 from .field import FieldSpec, field_make
@@ -198,6 +199,8 @@ def search_coset_code(
     group-sum certificate decides every candidate and is the code's only MDS
     certificate.
     """
+    if not 1 <= m <= n:
+        raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
     if n_points not in admissible_curve_orders(field.q):
         raise NoAdmissibleCurve(
             f"N={n_points} is not an attainable point count over q={field.q}"

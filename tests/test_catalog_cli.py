@@ -277,6 +277,11 @@ def test_cli_usage_errors(capsys):
     assert rc in (1, 2)  # inadmissible order
     rc, _, _ = run_cli("nonsense", capsys=capsys)
     assert rc == 2
+    # a coset size below m or below 1 is refused before any curve search
+    for n in ("0", "-4"):
+        rc, _, err = run_cli("build", "--recipe", "coset", "--q", "2^8", "--N", "288",
+                             "--n", n, "--m", "8", capsys=capsys)
+        assert rc == 2 and "RangeViolation" in err and "Traceback" not in err
     for argv in (
         ("curve-info", "--field", "abc", "--curve", "g1:0,0,0,0,1"),
         ("build", "--recipe", "rs", "--q", "19", "--alpha", "1,x", "--k", "2"),
@@ -284,6 +289,31 @@ def test_cli_usage_errors(capsys):
     ):
         rc, _, err = run_cli(*argv, capsys=capsys)
         assert rc == 2 and "MalformedText" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": ',
+    '{"field": "5^1:", "n": 3, "k": 2, "matrix": [[1, 1, 1], [0, 2, 4]]}',
+    '{"n": 3}',
+    "field 5^1:\nn three k 2\n",
+], ids=["truncated-json", "integer-entries", "missing-keys", "non-numeric-size"])
+def test_cli_malformed_code_file_is_a_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    for command in ("certify", "schur", "export"):
+        rc, out, err = run_cli(command, "--in", str(path), capsys=capsys)
+        assert rc == 2 and out == "" and "IOFailure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+@pytest.mark.parametrize("argv", [
+    ("search", "--field", "31", "--curve", "g2:1,0,0,0,0,1;0,0,0", "--n", "10", "--m", "6"),
+    ("certify", "--in", "code.txt"),
+    ("schur", "--in", "code.txt"),
+])
+def test_cli_budget_must_be_positive(argv, budget, capsys):
+    rc, out, err = run_cli(*argv, "--budget", budget, capsys=capsys)
+    assert rc == 2 and out == "" and "--budget" in err
 
 
 # Content ids pinned before recipes took d from their certificate; the id

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agmds import field_make, parse_field_text
+from agmds.field import FieldSpec, _poly_mul_mod
 from agmds.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -197,3 +198,65 @@ def test_canonical_codes_are_hashable_equal():
     a = F25.element([3, 4])
     b = F25.element(F25.encode([3, 4]))
     assert a == b and hash(a) == hash(b)
+
+
+# -- table-lookup addition against digit-wise oracles ---------------------------
+
+
+def _digits(F, a):
+    out = []
+    for _ in range(F.s):
+        a, c = divmod(a, F.p)
+        out.append(c)
+    return out
+
+
+def _undigits(F, digits):
+    return sum(c * F.p**i for i, c in enumerate(digits))
+
+
+def digit_add(F, a, b):
+    """Coefficient-wise sum of the base-p digits of two codes."""
+    return _undigits(F, [(x + y) % F.p for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def digit_neg(F, a):
+    return _undigits(F, [(-x) % F.p for x in _digits(F, a)])
+
+
+# every odd-characteristic extension field with q <= 125
+SMALL_ODD_EXTENSIONS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("p, s", SMALL_ODD_EXTENSIONS)
+def test_zech_add_sub_neg_exhaustive(p, s):
+    F = field_make(p, s)
+    for a in range(F.q):
+        assert F.neg(a) == digit_neg(F, a)
+        for b in range(F.q):
+            total = digit_add(F, a, b)
+            assert F.add(a, b) == total
+            assert F.sub(total, b) == a
+
+
+@pytest.mark.parametrize("p, s", [(3, 5), (7, 3), (3, 10), (5, 6), (7, 5)])
+def test_zech_add_sub_neg_random_pairs(p, s):
+    F = field_make(p, s)
+    rng = random.Random(f"zech:{p}^{s}")
+    # the first pairs include zero operands and b = -a
+    pairs = [(0, 0), (0, 1), (1, 0), (1, F.neg(1))]
+    pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert F.add(a, b) == digit_add(F, a, b)
+        assert F.sub(a, b) == digit_add(F, a, digit_neg(F, b))
+        assert F.neg(b) == digit_neg(F, b)
+
+
+@pytest.mark.parametrize("s", range(2, 17))
+def test_char2_carryless_mul_matches_polynomial_product(s):
+    F = FieldSpec(2, s)
+    rng = random.Random(f"clmul:{s}")
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        expected = F.encode(_poly_mul_mod(F.decode(a), F.decode(b), F.modulus, 2))
+        assert F._mul_raw(a, b) == expected
