@@ -777,6 +777,54 @@ def attained_structures(field: FieldSpec) -> set[tuple[int, tuple[int, int]]]:
 _EXHAUSTIVE_FAMILY_CAP = 3000
 
 
+def _char2_class_key(F: FieldSpec, coeffs: tuple):
+    """Isomorphism-class key of a characteristic-2 curve_family tuple.
+
+    y^2 + xy = x^3 + a2 x^2 + a6 and the same curve with a2 + z^2 + z are
+    isomorphic under y -> y + zx, so the class is fixed by a6 and the
+    absolute trace Tr(a2); Tr(a2) = 0 iff a2 = z^2 + z for some z.  The
+    a1 = 0 (j = 0) branch gets no key.
+    """
+    a1, _, a2, _, a6 = coeffs
+    if a1 == 0:
+        return None
+    F._ensure_as()
+    return a6, a2 in F._as_tab
+
+
+def _short_class_key(F: FieldSpec, coeffs: tuple):
+    """Isomorphism-class key of y^2 = x^3 + a4 x + a6 over F_q, p >= 5.
+
+    (a4, a6) and (u^4 a4, u^6 a6) are the isomorphic models.  For
+    a4*a6 != 0 the key is (a4^3 / a6^2, chi(a4*a6)): if both agree, then
+    nu = (a6'/a6) / (a4'/a4) has nu^2 = a4'/a4, nu^3 = a6'/a6 and
+    chi(nu) = chi(a4 a6) chi(a4' a6') = 1, so nu = u^2.  For a4 = 0
+    (j = 0) the key is a6 modulo 6th powers, for a6 = 0 (j = 1728) a4
+    modulo 4th powers, each read off as a power that kills exactly those.
+    """
+    a4, a6 = coeffs[3], coeffs[4]
+    order = F.q - 1
+    if a4 == 0:
+        return "j=0", F.pow(a6, order // gcd(6, order))
+    if a6 == 0:
+        return "j=1728", F.pow(a4, order // gcd(4, order))
+    return F.div(F.pow(a4, 3), F.mul(a6, a6)), F.chi(F.mul(a4, a6))
+
+
+def _class_key(F: FieldSpec, coeffs: tuple):
+    """A key shared only by isomorphic curve_family tuples, or None for
+    tuples without one (p = 3 and the characteristic-2 a1 = 0 branch).
+
+    Keys follow Silverman, The Arithmetic of Elliptic Curves, App. A, and
+    Menezes, Elliptic Curve Public Key Cryptosystems, ch. 3.
+    """
+    if F.p == 2:
+        return _char2_class_key(F, coeffs)
+    if F.p > 3:
+        return _short_class_key(F, coeffs)
+    return None
+
+
 def _matching_curves(
     field: FieldSpec,
     n_points: int,
@@ -789,8 +837,12 @@ def _matching_curves(
     requested (d1, d2) shape, if given), in a seeded order.
 
     Fields of order at most family_cap walk curve_family in its
-    deterministic order; larger ones draw `draws` seeded random
-    five-coefficient models, skipping repeats.
+    deterministic order.  Isomorphic curves share point count and shape,
+    so the verdict is computed once per isomorphism-class key (_class_key)
+    and reused for every later tuple of that class; tuples without a key
+    are counted one by one.  The walk yields exactly the curves, in the
+    order, that testing every tuple would.  Larger fields draw `draws`
+    seeded random five-coefficient models, skipping repeats.
     """
 
     def matches(curve: Curve) -> bool:
@@ -799,7 +851,17 @@ def _matching_curves(
         )
 
     if field.q <= family_cap:
-        yield from filter(matches, curve_family(field))
+        verdicts: dict = {}
+        for curve in curve_family(field):
+            key = _class_key(field, curve.coeffs)
+            if key is None:
+                hit = matches(curve)
+            else:
+                hit = verdicts.get(key)
+                if hit is None:
+                    hit = verdicts[key] = matches(curve)
+            if hit:
+                yield curve
         return
     rng = Random(seed)
     seen = set()
@@ -822,8 +884,9 @@ def find_curve_with_order(
     (and the requested (d1, d2) shape, if given).
 
     The family is scanned exhaustively in deterministic order when the
-    field is small; above the cap, seeded random five-coefficient models
-    are drawn until the budget runs out.
+    field is small, counting points once per isomorphism class (see
+    _matching_curves); above the cap, seeded random five-coefficient
+    models are drawn until the budget runs out.
     """
     lo, hi = hasse_window(field.q)
     if not lo <= n_points <= hi:

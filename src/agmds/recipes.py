@@ -5,7 +5,8 @@ the code and certifies it MDS exactly once: by the subset-sum DP on the
 point labels for elliptic codes (their exact MDS condition, so it runs
 even when a sufficient condition already holds), by the product criterion
 for twisted evaluation codes, by column minors on genus 2.  The report takes
-d = n - k + 1 from that verdict.  Polynomial-code baselines live here too.
+d = n - k + 1 from that verdict (d = n - k for a twisted code that fails
+it).  Polynomial-code baselines live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .code import (
     CodeReport,
     _report_from_distance,
     build_code,
-    invariant_report,
     is_mds_by_group_sums,
     is_mds_by_minors,
     self_dualize,
@@ -429,6 +429,11 @@ def twisted_rs_code(
     independent iff no k distinct evaluation elements have product equal
     to (-1)^k / eta, because the k x k minor on columns S factors as
     Vandermonde(S) * (1 + (-1)^(k-1) * eta * prod(S)).
+
+    A non-MDS code has d = n - k exactly, so its report needs no distance
+    scan: a nonzero element of span{1 + eta*x^k, x, ..., x^(k-1)} has
+    degree at most k, hence at most k roots among the n distinct points,
+    so d >= n - k; and a non-MDS verdict means d <= n - k.
     """
     pts = list(points)
     n = len(pts)
@@ -457,7 +462,7 @@ def twisted_rs_code(
             break
     if flag:
         return code, _report_from_distance(code, n - k + 1, True), flag
-    return code, invariant_report(code), flag
+    return code, _report_from_distance(code, n - k, False), flag
 
 
 # -- self-dual pipeline --------------------------------------------------------------------

@@ -10,6 +10,7 @@ from agmds.curves import (
     Curve,
     CurvePoint,
     INFINITY,
+    _class_key,
     _matching_curves,
     admissible_curve_orders,
     admissible_group_structures,
@@ -398,6 +399,83 @@ def test_find_curve_budget_exhaustion_on_large_field():
     big = field_make(2, 12)  # above the exhaustive-family cap
     with pytest.raises(BudgetExhausted):
         find_curve_with_order(big, 4096, budget=3)
+
+
+# -- isomorphism-class keys of the family walk --------------------------------------------
+
+KEY_FIELDS = [field_make(p, s) for p, s in
+              ((5, 1), (7, 1), (2, 3), (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (5, 2))]
+
+
+def class_count(F):
+    """Number of isomorphism classes the keyed tuples fall into: the
+    characteristic-2 ordinary branch has 2(q-1) (a6, Tr(a2)) classes; for
+    p >= 5 each j != 0, 1728 has 2 twists, j = 0 has gcd(6, q-1) and
+    j = 1728 has gcd(4, q-1)."""
+    q = F.q
+    if F.p == 2:
+        return 2 * (q - 1)
+    return 2 * (q - 2) + math.gcd(6, q - 1) + math.gcd(4, q - 1)
+
+
+@pytest.mark.parametrize("F", KEY_FIELDS, ids=lambda F: f"q{F.q}")
+def test_class_keys_are_sound_and_exact(F):
+    invariants = {}
+    for c in curve_family(F):
+        key = _class_key(F, c.coeffs)
+        assert (key is None) == (F.p == 2 and c.coeffs[0] == 0), c.text()
+        if key is not None:
+            inv = (c.point_count(), group_structure(c))
+            assert invariants.setdefault(key, inv) == inv, c.text()
+    assert len(invariants) == class_count(F)
+
+
+def test_characteristic_3_gets_no_class_key():
+    for F in (F3, field_make(3, 2)):
+        assert all(_class_key(F, c.coeffs) is None for c in curve_family(F))
+
+
+def plain_first_matches(F) -> dict:
+    """Oracle: for every attainable (N, shape) and (N, None), the first
+    curve of filter(matches, curve_family(F)), all from one walk that
+    counts every tuple."""
+    targets = {
+        (n, shape)
+        for n in admissible_curve_orders(F.q)
+        for shape in (None, *admissible_group_structures(F.q, n))
+    }
+    first = {}
+    for c in curve_family(F):
+        n, shape = c.point_count(), group_structure(c)
+        first.setdefault((n, shape), c)
+        first.setdefault((n, None), c)
+        if len(first) == len(targets):
+            break
+    assert set(first) == targets
+    return first
+
+
+@pytest.mark.parametrize("F", KEY_FIELDS, ids=lambda F: f"q{F.q}")
+def test_keyed_walk_yields_the_plain_walks_first_curve(F):
+    for (n, shape), curve in plain_first_matches(F).items():
+        assert next(_matching_curves(F, n, shape, 0, 0)) == curve, (n, shape)
+
+
+@pytest.mark.parametrize("F", [F19, F16, field_make(5, 2)], ids=lambda F: f"q{F.q}")
+def test_keyed_walk_counts_each_class_once(F, monkeypatch):
+    n = F.q + 1
+    plain = [c for c in curve_family(F) if c.point_count() == n]
+    counted = []
+    point_count = Curve.point_count
+
+    def counting(curve):
+        counted.append(_class_key(F, curve.coeffs))
+        return point_count(curve)
+
+    monkeypatch.setattr(Curve, "point_count", counting)
+    assert list(_matching_curves(F, n, None, 0, 0)) == plain
+    keys = [k for k in counted if k is not None]
+    assert len(keys) == len(set(keys)) == class_count(F)
 
 
 def test_random_full_model_counts_land_in_table():
