@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import catalog as cat
-from .code import invariant_report, min_distance, schur_square
+from .code import DEFAULT_BUDGET, invariant_report, min_distance, schur_square
 from .curves import (
     group_structure,
     hasse_window,
@@ -488,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="full invariant report for a stored code")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=_positive_int, default=10**7)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("schur", help="Schur-square dimension and distance")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=_positive_int, default=10**7)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_schur)
 

@@ -156,27 +156,21 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     supports of growing weight w, testing whether some nonzero codeword
     vanishes outside the support (a kernel computation).  The Singleton
     bound caps B at w = n - k + 1, so B always terminates.  Whichever has
-    the smaller cost estimate runs, provided it fits the budget.
+    the smaller cost estimate runs (B on a tie), provided it fits the budget.
     """
     n, k = code.n, code.k
     if k == 0:
         raise RangeViolation("distance of the zero code is undefined")
     q = code.field.q
-    cost_a = (q**k) * n if k * _log2(q) < 60 else None
+    cost_a = q**k * n
     cost_b = sum(comb(n, w) for w in range(1, n - k + 2)) * k * n
-    if cost_b <= (cost_a if cost_a is not None else cost_b + 1) and cost_b <= budget:
+    if min(cost_a, cost_b) > budget:
+        raise BudgetExceeded(
+            f"distance of [{n},{k}] over q={q} exceeds budget {budget}"
+        )
+    if cost_b <= cost_a:
         return _distance_by_supports(code)
-    if cost_a is not None and cost_a <= budget:
-        return _distance_by_enumeration(code)
-    if cost_b <= budget:
-        return _distance_by_supports(code)
-    raise BudgetExceeded(
-        f"distance of [{n},{k}] over q={q} exceeds budget {budget}"
-    )
-
-
-def _log2(x: int) -> float:
-    return x.bit_length()
+    return _distance_by_enumeration(code)
 
 
 def _distance_by_enumeration(code: LinearCode) -> int:
@@ -301,14 +295,17 @@ def is_self_dual(code: LinearCode) -> bool:
     return 2 * code.k == code.n and hull_dim(code) == code.k
 
 
-def self_dualize(
-    code: LinearCode, seed: int = 0, budget: int = 10**5
-) -> LinearCode:
+# self_dualize draws at most this many random combinations of the solution basis.
+_FULL_WEIGHT_DRAWS = 10**5
+
+
+def self_dualize(code: LinearCode, seed: int = 0) -> LinearCode:
     """Diagonal rescaling to a self-dual code over characteristic 2.
 
     Solves G diag(v) G^T = 0 for v, hunts an all-nonzero solution (basis
-    vectors first, then seeded random combinations), replaces each v_i by
-    its square root (unique in characteristic 2) and scales the columns.
+    vectors first, then _FULL_WEIGHT_DRAWS seeded random combinations),
+    replaces each v_i by its square root (unique in characteristic 2) and
+    scales the columns.
     """
     F = code.field
     if F.p != 2:
@@ -316,11 +313,11 @@ def self_dualize(
     if 2 * code.k != code.n:
         raise NotHalfRate(f"need n = 2k, got n={code.n}, k={code.k}")
     basis = diagonal_bilinear_solve(code.gen)
-    v = _full_weight_vector(F, basis, seed, budget)
+    v = _full_weight_vector(F, basis, seed)
     if v is None:
         raise NoFullWeightSolution(
             f"no all-nonzero solution among {basis.rows} basis vectors "
-            f"within {budget} combinations"
+            f"within {_FULL_WEIGHT_DRAWS} combinations"
         )
     sqrt_v = [F.frobenius_sqrt(c) for c in v]
     scaled = code.gen.scale_columns(sqrt_v)
@@ -330,7 +327,7 @@ def self_dualize(
     return out
 
 
-def _full_weight_vector(F: FieldSpec, basis: FFMatrix, seed: int, budget: int):
+def _full_weight_vector(F: FieldSpec, basis: FFMatrix, seed: int):
     if basis.rows == 0:
         return None
     for row in basis.data:
@@ -339,7 +336,7 @@ def _full_weight_vector(F: FieldSpec, basis: FFMatrix, seed: int, budget: int):
     rng = Random(seed)
     add, mul = F.add, F.mul
     n = basis.cols
-    for _ in range(budget):
+    for _ in range(_FULL_WEIGHT_DRAWS):
         coeffs = [rng.randrange(F.q) for _ in range(basis.rows)]
         if not any(coeffs):
             continue

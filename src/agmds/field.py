@@ -537,7 +537,3 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise MalformedText(f"malformed integer text {text!r}") from None
-
-
-def frobenius_sqrt(field: FieldSpec, a: int) -> int:
-    return field.frobenius_sqrt(a)

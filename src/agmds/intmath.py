@@ -1,4 +1,4 @@
-"""Small integer helpers: primality, factoring, divisors.
+"""Small integer helpers: primality and factoring.
 
 Everything here targets desk-scale integers (< 2**32); trial division is
 plenty and keeps the routines obviously correct.
@@ -45,13 +45,6 @@ def factorint(n: int) -> dict[int, int]:
 
 def prime_factors(n: int) -> list[int]:
     return sorted(factorint(n))
-
-
-def divisors_sorted(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorint(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

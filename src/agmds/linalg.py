@@ -36,9 +36,6 @@ class FFMatrix:
     def identity(cls, field: FieldSpec, n: int) -> "FFMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def copy(self) -> "FFMatrix":
-        return FFMatrix(self.field, self.data, self.cols)
-
     def transpose(self) -> "FFMatrix":
         return FFMatrix(
             self.field,

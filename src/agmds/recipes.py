@@ -7,6 +7,13 @@ even when a sufficient condition already holds), by the product criterion
 for twisted evaluation codes, by column minors on genus 2.  The report takes
 d = n - k + 1 from that verdict (d = n - k for a twisted code that fails
 it).  Polynomial-code baselines live here too.
+
+The elliptic recipes share one group representation, the point labels of
+curves.point_labels: subgroups are spans of labels, a coset b + S is S
+shifted by b's label, and one scan (_mds_cosets) walks the cosets of a
+subgroup for search_coset_code and supersingular_code.  Step budgets are
+code.DEFAULT_BUDGET throughout; only the genus-2 hunt takes a budget (its
+sample count).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from math import comb, gcd, isqrt
 from random import Random
 
 from .code import (
+    DEFAULT_BUDGET,  # re-exported: the step budget of every certificate here
     LinearCode,
     CodeReport,
     _report_from_distance,
@@ -30,13 +38,11 @@ from .curves import (
     PointLabels,
     _matching_curves,
     admissible_curve_orders,
-    coset,
     curve_make,
     find_curve_with_order,
     group_structure,
     hasse_window,
     point_labels,
-    subgroup_closure,
 )
 from .intmath import is_prime, prime_factors
 from .errors import (
@@ -53,8 +59,6 @@ from .errors import (
 from .field import FieldSpec, field_make
 from .linalg import FFMatrix
 
-DEFAULT_BUDGET = 10**7
-
 
 # -- coset codes -----------------------------------------------------------------
 
@@ -68,21 +72,17 @@ def _group_sum(curve: Curve, points) -> CurvePoint:
 
 
 def _certified_coset_code(
-    curve: Curve, eval_points, m: int, provenance: dict, budget: int
+    curve: Curve, eval_points, m: int, provenance: dict
 ) -> tuple[LinearCode, CodeReport]:
     """The degree-m coset code on points that passed the group-sum
     certificate, with its report; the certificate has fixed d = n - m + 1."""
     provenance = {"construction": "coset", "curve": curve.text(), "m": m, **provenance}
     code = build_code(curve, eval_points, m, provenance)
-    return code, _report_from_distance(code, code.n - m + 1, True, budget)
+    return code, _report_from_distance(code, code.n - m + 1, True)
 
 
 def coset_code(
-    curve: Curve,
-    subgroup_generators,
-    coset_reps,
-    m: int,
-    budget: int = DEFAULT_BUDGET,
+    curve: Curve, subgroup_generators, coset_reps, m: int
 ) -> tuple[LinearCode, CodeReport]:
     """Code on a coset b + S (or a disjoint union of cosets) of a subgroup
     S, with divisor m * P0.
@@ -92,21 +92,21 @@ def coset_code(
     sums to m*b plus an element of S, and m*b stays outside S).
     Multiple cosets: the union must be disjoint; a sufficient combination
     condition is checked, but the exact group-sum certificate decides.
+    Subgroup, cosets and sums are all taken on the point labels; two
+    cosets are equal or disjoint, so the union is disjoint iff it has
+    len(reps) * |S| labels.
     """
-    subgroup = subgroup_closure(curve, subgroup_generators)
     labels = point_labels(curve)
-    sub_set = {labels.of(p) for p in subgroup}
-    reps = list(coset_reps)
+    sub_set = labels.span(map(labels.of, subgroup_generators))
+    reps = [labels.of(b) for b in coset_reps]
+    union = {labels.add(r, s) for r in reps for s in sub_set}
+    provenance = {"subgroup_order": len(sub_set), "cosets": len(reps)}
     if len(reps) == 1:
-        b = reps[0]
-        lb = labels.of(b)
-        if lb in sub_set:
-            # Degenerate call: the "coset" is the subgroup itself, the
-            # sufficient condition cannot apply; the certificate decides alone.
-            points = list(subgroup)
-        else:
-            order_b = labels.order(lb)
-            if not _meets_only_at_identity(labels, lb, sub_set):
+        # A rep inside S makes the "coset" the subgroup itself: the
+        # sufficient condition cannot apply and the certificate decides alone.
+        if reps[0] not in sub_set:
+            order_b = labels.order(reps[0])
+            if not _meets_only_at_identity(labels, reps[0], sub_set):
                 raise PreconditionFailed(
                     "the cyclic group of the coset representative meets the "
                     "subgroup beyond the identity"
@@ -115,25 +115,16 @@ def coset_code(
                 raise PreconditionFailed(
                     f"m must be at most order(b) - 1 = {order_b - 1}, got {m}"
                 )
-            points = coset(curve, subgroup, b)
+    elif len(union) != len(reps) * len(sub_set):
+        raise PreconditionFailed("cosets are not pairwise disjoint")
     else:
-        cosets = [coset(curve, subgroup, b) for b in reps]
-        seen: set = set()
-        for c in cosets:
-            cs = set(c)
-            if seen & cs:
-                raise PreconditionFailed("cosets are not pairwise disjoint")
-            seen |= cs
-        sufficient = _multi_coset_condition(
-            labels, sub_set, [labels.of(b) for b in reps], m
+        provenance["combination_condition"] = _multi_coset_condition(
+            labels, sub_set, reps, m
         )
-        points = sorted(seen, key=CurvePoint.sort_key)
-    provenance = {"subgroup_order": len(subgroup), "cosets": len(reps)}
-    if len(reps) > 1:
-        provenance["combination_condition"] = sufficient
-    if not is_mds_by_group_sums(curve, points, m, budget):
+    points = labels.sorted_points(union)
+    if not is_mds_by_group_sums(curve, points, m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
-    return _certified_coset_code(curve, points, m, provenance, budget)
+    return _certified_coset_code(curve, points, m, provenance)
 
 
 def _multi_coset_condition(
@@ -183,12 +174,7 @@ _SEARCH_FAMILY_CAP = 300
 
 
 def search_coset_code(
-    field: FieldSpec,
-    n_points: int,
-    n: int,
-    m: int,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    field: FieldSpec, n_points: int, n: int, m: int, seed: int = 0
 ) -> tuple[LinearCode, CodeReport, dict]:
     """Find a curve with the given point count and a size-n coset whose
     degree-m code is MDS.
@@ -212,7 +198,7 @@ def search_coset_code(
 
     def finish(curve, subgroup, b, points):
         code, report = _certified_coset_code(
-            curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}, budget
+            curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}
         )
         meta = {"curve": curve, "group": group_structure(curve), "N": n_points,
                 "subgroup": subgroup, "rep": b, "points": points}
@@ -227,21 +213,7 @@ def search_coset_code(
             labels = point_labels(curve)
             for subgroup in _subgroups_of_order(curve, n):
                 sub_labels = [labels.of(p) for p in subgroup]
-                sub_set = set(sub_labels)
-                # the subgroup and every coset tried so far, as labels
-                covered = set(sub_set)
-                for b in curve.points():
-                    lb = labels.of(b)
-                    if lb in covered or (
-                        sufficient_only
-                        and not _rep_is_independent(labels, lb, sub_set, m)
-                    ):
-                        continue
-                    coset_labels = [labels.add(lb, s) for s in sub_labels]
-                    covered.update(coset_labels)
-                    points = labels.sorted_points(coset_labels)
-                    if not is_mds_by_group_sums(curve, points, m, budget):
-                        continue
+                for b, points in _mds_cosets(curve, sub_labels, m, sufficient_only):
                     candidate = (curve, subgroup, b, points)
                     if 2 * m == n and _group_sum(curve, points).is_infinity:
                         fallback = fallback or candidate
@@ -257,6 +229,31 @@ def search_coset_code(
         f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
         f"giving an MDS degree-{m} code"
     )
+
+
+def _mds_cosets(curve: Curve, sub_labels: list, m: int, independent_only: bool):
+    """Yield (b, sorted points of b + S) for every coset of the subgroup S
+    (given by its labels) on which no m points sum to the identity.
+
+    Reps b are walked in sorted point order and each coset is tried once,
+    from its first rep; with independent_only, only reps b with order(b) > m
+    and <b> meeting S only at the identity are tried (their cosets always
+    pass: every m-subset sums to m*b plus an element of S).
+    """
+    labels = point_labels(curve)
+    sub_set = set(sub_labels)
+    covered = set(sub_set)  # the subgroup and every coset tried so far
+    for b in curve.points():
+        lb = labels.of(b)
+        if lb in covered or (
+            independent_only and not _rep_is_independent(labels, lb, sub_set, m)
+        ):
+            continue
+        coset_labels = [labels.add(lb, s) for s in sub_labels]
+        covered.update(coset_labels)
+        points = labels.sorted_points(coset_labels)
+        if is_mds_by_group_sums(curve, points, m):
+            yield b, points
 
 
 def _rep_is_independent(labels: PointLabels, b, sub_set: set, m: int) -> bool:
@@ -382,24 +379,25 @@ def supersingular_code(
         raise PreconditionFailed(f"need 1 <= k <= N - 1, got k={k}")
     labels = point_labels(curve)
     generator = next(
-        (pt for pt in curve.points()[1:] if labels.order(labels.of(pt)) == n_sub),
+        (g for g in map(labels.of, curve.points()[1:]) if labels.order(g) == n_sub),
         None,
     )
     if generator is None:
         raise SubgroupNotFound(f"no point of order {n_sub} on {curve.text()}")
-    subgroup = subgroup_closure(curve, [generator])
-    sub_set = {labels.of(p) for p in subgroup}
-    for b in curve.points():
-        lb = labels.of(b)
-        if lb in sub_set or not _rep_is_independent(labels, lb, sub_set, k):
-            continue
-        code, report = coset_code(curve, [generator], [b], k)
-        meta = {"curve": curve, "N": count, "subgroup": subgroup, "rep": b}
-        return code, report, meta
-    raise SubgroupNotFound(
-        f"no coset representative of order > {k} independent of the "
-        f"order-{n_sub} subgroup"
+    sub_labels = list(labels.span([generator]))
+    found = next(_mds_cosets(curve, sub_labels, k, True), None)
+    if found is None:
+        raise SubgroupNotFound(
+            f"no coset representative of order > {k} independent of the "
+            f"order-{n_sub} subgroup"
+        )
+    b, points = found
+    code, report = _certified_coset_code(
+        curve, points, k, {"subgroup_order": n_sub, "cosets": 1}
     )
+    meta = {"curve": curve, "N": count, "subgroup": labels.sorted_points(sub_labels),
+            "rep": b}
+    return code, report, meta
 
 
 # -- polynomial-code baselines -----------------------------------------------------------
@@ -483,12 +481,7 @@ def admissible_pipeline_traces(s1: int, s2: int) -> list[int]:
 
 
 def self_dual_pipeline(
-    s1: int,
-    s2: int,
-    t: int,
-    l_prime: int,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    s1: int, s2: int, t: int, l_prime: int, seed: int = 0
 ) -> tuple[LinearCode, CodeReport, dict]:
     """Self-dual code of length n = 2^t * l_prime over F_{2^(s1*s2)}.
 
@@ -536,11 +529,11 @@ def self_dual_pipeline(
         except BudgetExhausted as exc:
             last = NoAdmissibleCurve(str(exc))
             continue
-        return _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, budget, beta)
+        return _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta)
     raise last if last is not None else NoAdmissibleBeta(f"no usable trace over q={q}")
 
 
-def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, budget, beta):
+def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
     labels = point_labels(curve)
     generator = next(
         (g for g in map(labels.of, curve.points()[1:]) if labels.order(g) == n_points),
@@ -551,15 +544,14 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, budget, beta):
     theta = labels.scale(big_l, generator)  # order 2^h2
     odd_gen = labels.scale(2**h2, generator)  # order L
     e2_gen = labels.scale(big_l // l_prime, odd_gen)  # order l_prime
-    e1_gens = [labels.scale(2 ** (h2 - t), theta), e2_gen]
-    b = labels.point(labels.scale(2 ** (h2 - 1 - t), theta))
-    subgroup = subgroup_closure(curve, map(labels.point, e1_gens))
-    points = coset(curve, subgroup, b)
+    e1 = labels.span([labels.scale(2 ** (h2 - t), theta), e2_gen])
+    b = labels.scale(2 ** (h2 - 1 - t), theta)
+    points = labels.sorted_points(labels.add(b, s) for s in e1)
     n = len(points)
     m = n // 2
     if not _group_sum(curve, points).is_infinity:  # pragma: no cover
         raise AssertionError("pipeline coset does not sum to the identity")
-    if not is_mds_by_group_sums(curve, points, m, budget):
+    if not is_mds_by_group_sums(curve, points, m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     provenance = {
         "construction": "self-dual-pipeline",
@@ -571,7 +563,7 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, budget, beta):
     sd = self_dualize(base_code, seed=seed)
     sd.provenance.update(provenance)
     # Diagonal scaling keeps every codeword weight, so sd is MDS as well.
-    report = _report_from_distance(sd, n - m + 1, True, budget)
+    report = _report_from_distance(sd, n - m + 1, True)
     meta = {
         "curve": curve,
         "N": n_points,
@@ -594,7 +586,6 @@ def genus2_mds_search(
     m: int,
     seed: int = 0,
     budget: int = 2000,
-    check_budget: int = DEFAULT_BUDGET,
 ) -> tuple[LinearCode, CodeReport, dict]:
     """Seeded random hunt for an MDS one-point code on a genus-2 curve.
 
@@ -624,13 +615,13 @@ def genus2_mds_search(
             m,
             {"construction": "genus2-search", "curve": curve.text(), "m": m},
         )
-        if is_mds_by_minors(code, check_budget):
+        if is_mds_by_minors(code):
             meta = {
                 "curve": curve,
                 "points": pts,
                 "attempts": attempt,
                 "counting_bound_ok": bound_ok,
             }
-            report = _report_from_distance(code, n - code.k + 1, True, check_budget)
+            report = _report_from_distance(code, n - code.k + 1, True)
             return code, report, meta
     raise NotFound(f"no MDS sample within {budget} attempts (bound_ok={bound_ok})")

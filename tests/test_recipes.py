@@ -2,21 +2,32 @@
 pipeline, twisted evaluation codes, genus-2 search."""
 
 import time
+from itertools import islice
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agmds import curve_make, field_make
-from agmds.code import invariant_report, is_mds_by_minors, min_distance, schur_square
+from agmds.code import (
+    build_code,
+    invariant_report,
+    is_mds_by_group_sums,
+    is_mds_by_minors,
+    min_distance,
+    schur_square,
+)
 from agmds.curves import (
     INFINITY,
     CurvePoint,
+    coset,
     curve_family,
     group_structure,
     parse_curve_text,
     subgroup_closure,
 )
 from agmds.errors import (
+    AgmdsError,
     NoAdmissibleBeta,
     NoAdmissibleCurve,
     NotFound,
@@ -148,6 +159,78 @@ def test_coset_code_multi_coset():
     assert isinstance(code.provenance["combination_condition"], bool)
     with pytest.raises(PreconditionFailed):
         coset_code(E_F5, [gen2], [g6, E_F5.add(g6, gen2)], 1)  # same coset twice
+
+
+def coset_code_oracle(curve, generators, reps, m):
+    """Oracle: coset_code's evaluation points as point sets, the union of
+    coset() lists with a pairwise-disjointness check; raises what
+    coset_code must raise."""
+    subgroup = subgroup_closure(curve, generators)
+    if len(reps) == 1:
+        b = reps[0]
+        if b in subgroup:
+            points = list(subgroup)
+        else:
+            if set(closure_oracle(curve, [b])) & set(subgroup) != {INFINITY}:
+                raise PreconditionFailed("<b> meets the subgroup")
+            if m > curve.point_order(b) - 1:
+                raise PreconditionFailed("m > order(b) - 1")
+            points = coset(curve, subgroup, b)
+    else:
+        seen = set()
+        for b in reps:
+            cs = set(coset(curve, subgroup, b))
+            if seen & cs:
+                raise PreconditionFailed("cosets are not pairwise disjoint")
+            seen |= cs
+        points = sorted(seen, key=CurvePoint.sort_key)
+    if not is_mds_by_group_sums(curve, points, m):
+        raise NotMDS("an m-subset sums to the identity")
+    return points
+
+
+def _oracle_curves():
+    """Curves of composite order, one per group shape, from the families
+    over F_19, F_25 and F_2^6."""
+    out = {}
+    for F in (F19, field_make(5, 2), field_make(2, 6)):
+        for curve in islice(curve_family(F), 0, 400, 7):
+            n_points = len(curve.points())
+            if any(n_points % d == 0 for d in range(2, n_points)):
+                out.setdefault((F.q, group_structure(curve)), curve)
+    return [out[key] for key in sorted(out)]
+
+
+ORACLE_CURVES = _oracle_curves()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coset_code_matches_point_set_oracle(data):
+    curve = data.draw(st.sampled_from(ORACLE_CURVES))
+    # the point at infinity last: hypothesis favours the first element
+    pts = curve.points()[1:] + (INFINITY,)
+    # c * P has order dividing N / c, so the subgroups stay small enough to
+    # leave room for several cosets
+    cofactors = [c for c in range(2, len(pts)) if len(pts) % c == 0]
+    gens = [
+        curve.scalar_mul(data.draw(st.sampled_from(cofactors)), p)
+        for p in data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=2))
+    ]
+    # 0 reps included: an empty rep list must end in an AgmdsError
+    n_reps = data.draw(st.sampled_from((1, 2, 3, 0)))
+    reps = [data.draw(st.sampled_from(pts)) for _ in range(n_reps)]
+    m = data.draw(st.integers(1, 4))
+    try:
+        expected = build_code(curve, coset_code_oracle(curve, gens, reps, m), m).gen
+    except AgmdsError as exc:
+        # an empty rep list ends in the DP's RangeViolation, never IndexError
+        with pytest.raises(AgmdsError) as got:
+            coset_code(curve, gens, reps, m)
+        assert type(got.value) is type(exc)
+        return
+    code, report = coset_code(curve, gens, reps, m)
+    assert code.gen == expected and report.is_mds
 
 
 # -- searched coset codes -----------------------------------------------------------
