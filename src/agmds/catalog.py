@@ -83,10 +83,6 @@ def report_to_dict(report: CodeReport) -> dict:
     return asdict(report)
 
 
-def report_from_dict(doc: dict) -> CodeReport:
-    return CodeReport(**doc)
-
-
 @dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One discovered code: construction inputs, invariants, exact matrix."""
@@ -141,7 +137,6 @@ def make_entry(
     group: tuple[int, int] | None = None,
     m: int | None = None,
     points_text: list | None = None,
-    timestamp: bool = True,
 ) -> CatalogEntry:
     F = code.field
     doc = {
@@ -170,7 +165,7 @@ def make_entry(
         report=doc["report"],
         points=points_text,
         matrix=doc["matrix"],
-        created=datetime.now(timezone.utc).isoformat() if timestamp else None,
+        created=datetime.now(timezone.utc).isoformat(),
     )
 
 

@@ -19,6 +19,7 @@ import sys
 
 from . import catalog as cat
 from .code import DEFAULT_BUDGET, invariant_report, min_distance, schur_square
+from .code import _report_from_distance
 from .curves import (
     group_structure,
     hasse_window,
@@ -207,7 +208,8 @@ def _cmd_build(args) -> int:
                  "rs recipe needs --alpha and --k")
         alphas = [field.parse_element(t) for t in args.alpha.split(",")]
         code = rs_code(field, alphas, args.k)
-        report = invariant_report(code)
+        # MDS by the Vandermonde theorem: every k columns are independent
+        report = _report_from_distance(code, code.n - code.k + 1, True)
         params = {"q": field.q, "alpha": args.alpha, "k": args.k}
     else:  # pragma: no cover - argparse restricts choices
         raise AgmdsError(f"unknown recipe {recipe}")

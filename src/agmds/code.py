@@ -226,40 +226,46 @@ def is_mds_by_group_sums(
     For a one-point code of degree m on an elliptic curve this is exactly
     the MDS condition: a weight-(n-m) codeword exists precisely when some
     m points form a divisor linearly equivalent to m*P0, i.e. sum to the
-    identity in the point group.
-
-    An exact subset-sum DP over (subset size, group element) decides it on
-    the points' labels in Z/d1 x Z/d2: reach[k] holds the sums of the
-    k-subsets of the points seen so far, as one d2-bit row per residue mod
-    d1, and adding a point rotates each row.  The budget caps the row
-    updates the DP performs.
+    identity in the point group.  The subset-sum DP of _has_subset_sum
+    decides it on the points' labels in Z/d1 x Z/d2.
     """
     labels = point_labels(curve)
-    pts = list(points)
-    n = len(pts)
+    elements = [labels.of(pt) for pt in points]
+    n = len(elements)
     if not 1 <= m <= n:
         raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
-    d1, d2 = labels.d1, labels.d2
+    return not _has_subset_sum(elements, m, labels.d1, labels.d2, (0, 0), budget)
+
+
+def _has_subset_sum(elements, m: int, d1: int, d2: int, target, budget: int) -> bool:
+    """Whether some m of the elements (pairs in Z/d1 x Z/d2) sum to target.
+
+    An exact DP over (subset size, group element): reach[k] holds the sums
+    of the k-subsets of the elements seen so far, as one d2-bit row per
+    residue mod d1, and adding an element rotates each row.  The budget
+    caps the row updates the DP performs.
+    """
+    n = len(elements)
+    ti, tj = target
     full = (1 << d2) - 1
     reach = [[0] * d1 for _ in range(m + 1)]
     reach[0][0] = 1
     steps = 0
-    for t, pt in enumerate(pts):
-        i, j = labels.of(pt)
-        # a k-subset can still grow to m points only if k >= m - (n - t)
+    for t, (i, j) in enumerate(elements):
+        # a k-subset can still grow to m elements only if k >= m - (n - t)
         for k in range(min(t, m - 1), max(0, m - n + t) - 1, -1):
             steps += d1
             if steps > budget:
                 raise BudgetExceeded(
-                    f"subset-sum DP over {n} points exceeds budget {budget}"
+                    f"subset-sum DP over {n} elements exceeds budget {budget}"
                 )
             dst = reach[k + 1]
             for r, row in enumerate(reach[k]):
                 if row:
                     dst[(r + i) % d1] |= ((row << j) | (row >> (d2 - j))) & full
-        if reach[m][0] & 1:
-            return False
-    return True
+        if reach[m][ti] >> tj & 1:
+            return True
+    return False
 
 
 # -- invariants -----------------------------------------------------------------------

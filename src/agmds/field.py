@@ -345,6 +345,14 @@ class FieldSpec:
             return 1
         return self._exp[(self._log[a] * e) % order]
 
+    def log(self, a: int) -> int:
+        """The discrete log of nonzero a to the tables' generator, in [0, q-1)."""
+        if a == 0:
+            raise DivisionByZero("logarithm of zero")
+        if self._log is None:
+            self._ensure_tables()
+        return self._log[a]
+
     def frobenius_sqrt(self, a: int) -> int:
         """The unique square root in characteristic 2: a**(2**(s-1))."""
         if self.p != 2:

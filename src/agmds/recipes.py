@@ -3,10 +3,12 @@
 Each recipe locates (or accepts) a curve, picks evaluation points, builds
 the code and certifies it MDS exactly once: by the subset-sum DP on the
 point labels for elliptic codes (their exact MDS condition, so it runs
-even when a sufficient condition already holds), by the product criterion
-for twisted evaluation codes, by column minors on genus 2.  The report takes
+even when a sufficient condition already holds), by the same DP on the
+discrete logs of the evaluation elements for twisted evaluation codes
+(their product criterion), by column minors on genus 2.  The report takes
 d = n - k + 1 from that verdict (d = n - k for a twisted code that fails
-it).  Polynomial-code baselines live here too.
+it).  Polynomial-code baselines live here too; a plain RS code is MDS by
+the Vandermonde theorem and needs no certificate.
 
 The elliptic recipes share one group representation, the point labels of
 curves.point_labels: subgroups are spans of labels, a coset b + S is S
@@ -26,6 +28,7 @@ from .code import (
     DEFAULT_BUDGET,  # re-exported: the step budget of every certificate here
     LinearCode,
     CodeReport,
+    _has_subset_sum,
     _report_from_distance,
     build_code,
     is_mds_by_group_sums,
@@ -96,6 +99,8 @@ def coset_code(
     cosets are equal or disjoint, so the union is disjoint iff it has
     len(reps) * |S| labels.
     """
+    if not coset_reps:
+        raise RangeViolation("need at least one coset representative")
     labels = point_labels(curve)
     sub_set = labels.span(map(labels.of, subgroup_generators))
     reps = [labels.of(b) for b in coset_reps]
@@ -426,7 +431,11 @@ def twisted_rs_code(
     The returned flag is the exact MDS criterion: every k columns are
     independent iff no k distinct evaluation elements have product equal
     to (-1)^k / eta, because the k x k minor on columns S factors as
-    Vandermonde(S) * (1 + (-1)^(k-1) * eta * prod(S)).
+    Vandermonde(S) * (1 + (-1)^(k-1) * eta * prod(S)).  A subset holding 0
+    has product 0, never (-1)^k / eta, so 0 drops out; on the nonzero
+    elements, taken as discrete logs, the condition is a k-subset sum in
+    Z/(q-1) hitting log((-1)^k / eta), which the elliptic certificate's
+    subset-sum DP decides (in Z/1 x Z/(q-1)) in at most (n-k+1)*k row updates.
 
     A non-MDS code has d = n - k exactly, so its report needs no distance
     scan: a nonzero element of span{1 + eta*x^k, x, ..., x^(k-1)} has
@@ -449,15 +458,9 @@ def twisted_rs_code(
     code = LinearCode(
         F, FFMatrix(F, rows, n), {"construction": "twisted-rs", "k": k, "eta": eta}
     )
-    target = F.from_int(-1) if k % 2 == 1 else F.from_int(1)
-    flag = True
-    for subset in combinations(pts, k):
-        prod_s = 1
-        for a in subset:
-            prod_s = F.mul(prod_s, a)
-        if F.mul(eta, prod_s) == target:
-            flag = False
-            break
+    target = F.div(F.from_int((-1) ** k), eta)
+    logs = [(0, F.log(a)) for a in pts if a]
+    flag = not _has_subset_sum(logs, k, 1, F.q - 1, (0, F.log(target)), DEFAULT_BUDGET)
     if flag:
         return code, _report_from_distance(code, n - k + 1, True), flag
     return code, _report_from_distance(code, n - k, False), flag
@@ -535,12 +538,7 @@ def self_dual_pipeline(
 
 def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
     labels = point_labels(curve)
-    generator = next(
-        (g for g in map(labels.of, curve.points()[1:]) if labels.order(g) == n_points),
-        None,
-    )
-    if generator is None:  # pragma: no cover - cyclic by construction
-        raise SubgroupNotFound("no generator of the cyclic point group")
+    generator = (0, 1)  # the curve has shape (1, N): labels are Z/1 x Z/N
     theta = labels.scale(big_l, generator)  # order 2^h2
     odd_gen = labels.scale(2**h2, generator)  # order L
     e2_gen = labels.scale(big_l // l_prime, odd_gen)  # order l_prime

@@ -316,8 +316,10 @@ def test_cli_budget_must_be_positive(argv, budget, capsys):
     assert rc == 2 and out == "" and "--budget" in err
 
 
-# Content ids pinned before recipes took d from their certificate; the id
-# hashes the whole report, so any moved reported value changes it.
+# Content ids; the id hashes the whole report, so any moved reported value
+# changes it.  The first four were pinned before recipes took d from their
+# certificate, the rest before the twisted flag moved to the subset-sum DP
+# and the rs recipe to the Vandermonde report.
 GOLDEN_IDS = [
     (
         ("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3"),
@@ -337,12 +339,41 @@ GOLDEN_IDS = [
          "--n", "10", "--m", "6", "--seed", "0"),
         "70d0fdabea43f28a7557435ef573fcd6017daff0df084f1e570a847a48bee14e",
     ),
+    (
+        ("build", "--recipe", "rs", "--q", "19", "--alpha", "1,2,3,4,5,6,7,8", "--k", "3"),
+        "ef158a51ceafff5e474f44d393b80577c0673bda7500cc59194c5d46619715f5",
+    ),
+    (
+        ("build", "--recipe", "rs", "--q", "5", "--alpha", "0,1,2,3,4", "--k", "5"),
+        "bda56f6ee3b27a561bfe832444264207dc91762fa828ab7fb735d5e99e01de8b",
+    ),
+    (
+        ("build", "--recipe", "twisted-rs", "--q", "19", "--alpha", "1,2,3,4",
+         "--eta", "6", "--k", "2"),
+        "cc1eedac016efdf48a2b96662a3fba25be6d27bbd5eb06d67763e495535d664d",
+    ),
+    (
+        ("build", "--recipe", "twisted-rs", "--q", "19", "--alpha", "12,13,1,8,15,7,6,4",
+         "--eta", "11", "--k", "3"),
+        "2d9cff583ce802ee619d737d6c7e6e17c6e226206e51e9a877bbbc6c6a59a12d",
+    ),
+    (
+        ("build", "--recipe", "twisted-rs", "--q", "3^2", "--alpha", "0,1,2,3,4,5",
+         "--eta", "2", "--k", "3"),
+        "c3c5ce065f7ccb1eb3286bfcf1baad439e7799d0e5e0cb8bc1447f7ee3236260",
+    ),
+    (
+        ("selfdual", "--s1", "2", "--s2", "4", "--t", "1", "--Lp", "3"),
+        "41e04b836efdbe385754d5d3b0ddd97ac06f3950f13d2408a2dadc8d81c98b3e",
+    ),
+]
+GOLDEN_NAMES = [
+    "coset", "twisted-rs", "selfdual", "search", "rs-f19", "rs-full-f5",
+    "twisted-rs-mds", "twisted-rs-n8", "twisted-rs-f9-zero", "selfdual-f256",
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, entry_id", GOLDEN_IDS, ids=["coset", "twisted-rs", "selfdual", "search"]
-)
+@pytest.mark.parametrize("argv, entry_id", GOLDEN_IDS, ids=GOLDEN_NAMES)
 def test_cli_golden_ids(argv, entry_id, monkeypatch, capsys):
     monkeypatch.delenv("AGMDS_SEED", raising=False)
     rc, out, _ = run_cli(*argv, "--json", capsys=capsys)

@@ -124,6 +124,20 @@ def test_inverse_and_frobenius_fixed_point(F):
             assert F.mul(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("F", [F19, F4, F16, F25, field_make(3, 3), field_make(2)])
+def test_log_is_a_bijection_turning_products_into_sums(F):
+    order = F.q - 1
+    logs = [F.log(a) for a in range(1, F.q)]
+    assert sorted(logs) == list(range(order)) and F.log(1) == 0
+    g = next(a for a in range(1, F.q) if F.log(a) == 1 % order)
+    for a in range(1, F.q):
+        assert F.pow(g, F.log(a)) == a
+        for b in range(1, F.q, 3):
+            assert F.log(F.mul(a, b)) == (F.log(a) + F.log(b)) % order
+    with pytest.raises(DivisionByZero):
+        F.log(0)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 6, 8, 10])
 def test_frobenius_sqrt_squares_back_exhaustive(s):
     F = field_make(2, s)

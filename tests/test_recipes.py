@@ -2,7 +2,7 @@
 pipeline, twisted evaluation codes, genus-2 search."""
 
 import time
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -28,11 +28,13 @@ from agmds.curves import (
 )
 from agmds.errors import (
     AgmdsError,
+    BudgetExceeded,
     NoAdmissibleBeta,
     NoAdmissibleCurve,
     NotFound,
     NotMDS,
     PreconditionFailed,
+    RangeViolation,
     SubgroupNotFound,
 )
 from agmds.recipes import (
@@ -80,6 +82,12 @@ def test_coset_code_preconditions():
     gen6 = _point_of_order(E_F5, 6)
     with pytest.raises(PreconditionFailed):
         coset_code(E_F5, [gen3], [gen6], 2)  # <b> meets the subgroup
+
+
+def test_coset_code_needs_a_coset_representative():
+    gen3 = _point_of_order(E_F5, 3)
+    with pytest.raises(RangeViolation, match="representative"):
+        coset_code(E_F5, [gen3], [], 2)
 
 
 def test_coset_code_on_subgroup_itself_hits_scan():
@@ -224,7 +232,7 @@ def test_coset_code_matches_point_set_oracle(data):
     try:
         expected = build_code(curve, coset_code_oracle(curve, gens, reps, m), m).gen
     except AgmdsError as exc:
-        # an empty rep list ends in the DP's RangeViolation, never IndexError
+        # an empty rep list ends in RangeViolation, never IndexError
         with pytest.raises(AgmdsError) as got:
             coset_code(curve, gens, reps, m)
         assert type(got.value) is type(exc)
@@ -349,6 +357,64 @@ def test_twisted_rs_schur_dimension_certificate():
     code, report, flag = twisted_rs_code(F19, [12, 13, 1, 8, 15, 7, 6, 4], 11, 3)
     assert flag and report.is_mds and report.non_rs_certified
     assert (report.n, report.k, report.d) == (8, 3, 6)
+
+
+def twisted_flag_oracle(F, points, eta, k):
+    """The product scan: no k distinct points have product (-1)^k / eta."""
+    target = F.from_int((-1) ** k)
+    for subset in combinations(points, k):
+        prod_s = 1
+        for a in subset:
+            prod_s = F.mul(prod_s, a)
+        if F.mul(eta, prod_s) == target:
+            return False
+    return True
+
+
+# F_3^3 and F_5^2 add by Zech logarithms, F_2^4 by XOR
+TWISTED_FIELDS = [F19, field_make(2, 4), field_make(3, 3), field_make(5, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_twisted_flag_matches_product_scan(data):
+    F = data.draw(st.sampled_from(TWISTED_FIELDS))
+    points = data.draw(
+        st.lists(st.integers(0, F.q - 1), min_size=2, max_size=min(F.q - 1, 10),
+                 unique=True)
+    )
+    eta = data.draw(st.integers(1, F.q - 1))
+    for k in range(1, len(points)):
+        code, report, flag = twisted_rs_code(F, points, eta, k)
+        assert flag == twisted_flag_oracle(F, points, eta, k)
+        assert report.is_mds is flag
+        if comb(len(points), k) <= 60:
+            assert flag == is_mds_by_minors(code)
+
+
+def test_twisted_flag_on_a_large_multiplicative_subgroup():
+    # C(63, 30) ~ 8.6e17 products: beyond any scan, but 1,020 DP row
+    # updates.  Products of subgroup elements stay in the subgroup, and
+    # 1/eta lies outside it, so the code is MDS.
+    F = field_make(2, 12)
+    g = next(a for a in range(2, F.q) if F.log(a) == 1)
+    subgroup = [F.pow(g, 65 * i) for i in range(63)]
+    code, report, flag = twisted_rs_code(F, subgroup, g, 30)
+    assert flag and report.is_mds
+    assert (report.n, report.k, report.d) == (63, 30, 34)
+
+
+def test_twisted_flag_budget_counts_row_updates(monkeypatch):
+    import agmds.recipes as recipes
+
+    # 8 points, k = 3: a DP that never reaches its target (eta = 11 gives an
+    # MDS code) makes 1 + 2 + 3*4 + 2 + 1 = 18 row updates
+    points = [12, 13, 1, 8, 15, 7, 6, 4]
+    monkeypatch.setattr(recipes, "DEFAULT_BUDGET", 18)
+    assert twisted_rs_code(F19, points, 11, 3)[2]
+    monkeypatch.setattr(recipes, "DEFAULT_BUDGET", 17)
+    with pytest.raises(BudgetExceeded):
+        twisted_rs_code(F19, points, 11, 3)
 
 
 def test_twisted_rs_validation():
