@@ -27,6 +27,7 @@ from .code import (
     invariant_report,
     is_mds_by_group_sums,
     is_mds_by_minors,
+    is_mds_by_systematic_minors,
     is_self_dual,
     min_distance,
     permute_and_scale,

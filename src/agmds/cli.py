@@ -208,8 +208,12 @@ def _cmd_build(args) -> int:
                  "rs recipe needs --alpha and --k")
         alphas = [field.parse_element(t) for t in args.alpha.split(",")]
         code = rs_code(field, alphas, args.k)
-        # MDS by the Vandermonde theorem: every k columns are independent
-        report = _report_from_distance(code, code.n - code.k + 1, True)
+        # By the Vandermonde theorem every k columns are independent, and
+        # the Schur square is the RS code of dimension min(2k - 1, n).
+        n, k = code.n, code.k
+        report = _report_from_distance(
+            code, n - k + 1, True, schur_d=n - min(2 * k - 1, n) + 1
+        )
         params = {"q": field.q, "alpha": args.alpha, "k": args.k}
     else:  # pragma: no cover - argparse restricts choices
         raise AgmdsError(f"unknown recipe {recipe}")

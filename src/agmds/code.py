@@ -2,11 +2,14 @@
 
 A LinearCode is a field plus a full-rank generator matrix.  Every analytic
 here is exact: minimum distance by message enumeration or by support-kernel
-scan, MDS certification by column minors or (for elliptic curve codes) by
-an exact subset-sum DP on the integer labels of the point group,
-Schur-square dimension, hull dimension, and diagonal self-dualization over
-characteristic 2.  Checks that would exceed their elementary-step
-budget raise BudgetExceeded instead of approximating.
+scan, MDS certification by the square minors of the systematic form
+[I | A] or (for elliptic curve codes) by an exact subset-sum DP on the
+integer labels of the point group, Schur-square dimension, hull
+dimension, and diagonal self-dualization over characteristic 2.  Checks
+that would exceed their elementary-step budget raise BudgetExceeded
+instead of approximating.  is_mds_by_minors, one k x k elimination per
+k-subset of columns, is the slow oracle the faster certificates are
+tested against.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ class CodeReport:
     """Equivalence-relevant fingerprint of a code.
 
     d and schur_d are None when their exact computation would exceed the
-    budget; is_mds is None only if both the distance and the minor scan
-    were over budget.
+    budget; is_mds is None only if both the distance and the systematic
+    minor check were over budget.
     """
 
     n: int
@@ -215,6 +218,43 @@ def is_mds_by_minors(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
     for subset in combinations(range(n), k):
         if not has_full_column_rank_square(F, [cols[c] for c in subset]):
             return False
+    return True
+
+
+def is_mds_by_systematic_minors(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether every k columns of G are independent, read off [I | A].
+
+    Row-reduce G.  If the first k columns are dependent the code is not
+    MDS; otherwise G ~ [I | A] and the code is MDS iff every square
+    submatrix of A is nonsingular (MacWilliams & Sloane, ch. 11, Thm. 8).
+    The minors are checked in increasing size, so a zero entry of A
+    rejects at once.  There are C(n, k) - 1 of them, one per k-subset of
+    columns other than the first k, and the budget refuses the same codes
+    as is_mds_by_minors, which stays the slow oracle.
+    """
+    n, k = code.n, code.k
+    if comb(n, k) > budget:
+        raise BudgetExceeded(f"C({n},{k}) column subsets exceed budget {budget}")
+    if k == 0:
+        return False
+    R, _, pivots = rref_rank(code.gen)
+    if pivots != list(range(k)):
+        return False
+    A = [row[k:] for row in R.data]
+    if any(0 in row for row in A):
+        return False
+    F = code.field
+    mul = F.mul
+    cols = range(n - k)
+    for a, b in combinations(A, 2):
+        for j1, j2 in combinations(cols, 2):
+            if mul(a[j1], b[j2]) == mul(a[j2], b[j1]):
+                return False
+    for size in range(3, min(k, n - k) + 1):
+        for rows in combinations(A, size):
+            for sub in combinations(cols, size):
+                if not has_full_column_rank_square(F, [[r[j] for j in sub] for r in rows]):
+                    return False
     return True
 
 
@@ -381,23 +421,30 @@ def invariant_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeRepo
             mds = d == n - k + 1
         else:
             try:
-                mds = is_mds_by_minors(code, budget)
+                mds = is_mds_by_systematic_minors(code, budget)
             except BudgetExceeded:
                 mds = None
     return _report_from_distance(code, d, mds, budget)
 
 
 def _report_from_distance(
-    code: LinearCode, d: int | None, is_mds: bool | None, budget: int = DEFAULT_BUDGET
+    code: LinearCode,
+    d: int | None,
+    is_mds: bool | None,
+    budget: int = DEFAULT_BUDGET,
+    schur_d: int | None = None,
 ) -> CodeReport:
     """The CodeReport of a code whose distance and MDS verdict are already
-    known: a recipe whose certificate proved MDS passes d = n - k + 1."""
+    known: a recipe whose certificate proved MDS passes d = n - k + 1.  A
+    caller that knows the Schur square's distance passes it as schur_d;
+    otherwise it is computed, and stays None over budget."""
     n, k = code.n, code.k
     schur = schur_square(code)
-    try:
-        schur_d = min_distance(schur, budget) if schur.k else None
-    except BudgetExceeded:
-        schur_d = None
+    if schur_d is None and schur.k:
+        try:
+            schur_d = min_distance(schur, budget)
+        except BudgetExceeded:
+            pass
     hull = hull_dim(code)
     return CodeReport(
         n=n,

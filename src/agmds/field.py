@@ -10,8 +10,10 @@ multiplication, inversion and powers are O(1) lookups.  Addition is XOR in
 characteristic 2 and residue arithmetic in prime fields; in an odd-
 characteristic extension it is a lookup too, through Zech logarithms
 Z(k) = log(1 + g^k), since a + b = a * (1 + b/a).  Characteristic-2 tables
-are built with carry-less integer multiplication.  Field orders are capped
-at 2**16 so whole-field exhaustive checks stay practical.
+are built with carry-less integer multiplication, odd-characteristic
+extension tables with base-p digits packed into integer lanes.  Field
+orders are capped at 2**16 so whole-field exhaustive checks stay
+practical.
 
 Text forms: a prime-field element prints as its decimal residue, an
 extension element as a bracketed little-endian coefficient list such as
@@ -241,6 +243,51 @@ class FieldSpec:
             e >>= 1
         return r
 
+    def _powers_by_digits(self, gen: int, order: int) -> list:
+        """[gen^0, ..., gen^(order-1)] in an odd-characteristic extension,
+        multiplying by gen as digit arithmetic on the code.
+
+        A code is packed one base-p digit per lane of `width` bits.  Times
+        gen is F_p-linear, so gen * v is the lane sum of gen * (low digits
+        of v) and gen * (high digits of v), each looked up in a table of
+        about sqrt(q) entries.  Each lane of that sum is below 2p, and
+        adding 2^(width-1) - p to every lane sets a lane's top bit exactly
+        where its digit must drop by p.
+        """
+        p, s = self.p, self.s
+        width = (2 * p - 2).bit_length() + 1
+        top = width - 1
+
+        def pack(c: int) -> int:
+            v = 0
+            for i in range(s):
+                c, d = divmod(c, p)
+                v |= d << (width * i)
+            return v
+
+        lanes = sum(1 << (width * i) for i in range(s))
+        tops = lanes << top
+        bias = lanes * ((1 << top) - p)
+        half = s // 2
+        cut = width * half
+        low_mask = (1 << cut) - 1
+        step = p**half
+        # packed half -> (the code it stands for, gen times it, packed)
+        low = {pack(c): (c, pack(self._mul_raw(c, gen))) for c in range(step)}
+        high = {
+            pack(c): (c * step, pack(self._mul_raw(c * step, gen)))
+            for c in range(p ** (s - half))
+        }
+        powers = [1] * order
+        v = pack(gen)
+        for i in range(1, order):
+            low_code, low_prod = low[v & low_mask]
+            high_code, high_prod = high[v >> cut]
+            powers[i] = low_code + high_code
+            v = low_prod + high_prod
+            v -= (((v + bias) & tops) >> top) * p
+        return powers
+
     def _ensure_tables(self):
         if self._exp is not None:
             return
@@ -253,18 +300,21 @@ class FieldSpec:
                 if all(self._pow_raw(g, order // l) != 1 for l in factors):
                     gen = g
                     break
-        exp = [1] * (2 * order if order else 1)
-        log = [-1] * q
-        log[1] = 0
-        acc = 1
-        for i in range(1, order):
-            acc = self._mul_raw(acc, gen)
-            exp[i] = acc
-            log[acc] = i
-        for i in range(order, len(exp)):
-            exp[i] = exp[i - order]
         p = self.p
-        if p != 2 and self.s > 1:
+        odd_extension = p != 2 and self.s > 1
+        exp = [1] * (2 * order)
+        if odd_extension:
+            exp[:order] = self._powers_by_digits(gen, order)
+        else:
+            acc = 1
+            for i in range(1, order):
+                acc = self._mul_raw(acc, gen)
+                exp[i] = acc
+        exp[order:] = exp[:order]
+        log = [-1] * q
+        for i in range(order):
+            log[exp[i]] = i
+        if odd_extension:
             # Z(k) = log(1 + g^k), -1 where 1 + g^k = 0: adding 1 bumps the
             # lowest base-p digit of the code.  Two periods, so any exponent
             # difference in (-(q-1), 2(q-1)) indexes it directly.

@@ -5,10 +5,11 @@ the code and certifies it MDS exactly once: by the subset-sum DP on the
 point labels for elliptic codes (their exact MDS condition, so it runs
 even when a sufficient condition already holds), by the same DP on the
 discrete logs of the evaluation elements for twisted evaluation codes
-(their product criterion), by column minors on genus 2.  The report takes
-d = n - k + 1 from that verdict (d = n - k for a twisted code that fails
-it).  Polynomial-code baselines live here too; a plain RS code is MDS by
-the Vandermonde theorem and needs no certificate.
+(their product criterion), by the minors of the systematic form [I | A]
+on genus 2.  The report takes d = n - k + 1 from that verdict (d = n - k
+for a twisted code that fails it).  Polynomial-code baselines live here
+too; a plain RS code is MDS by the Vandermonde theorem and needs no
+certificate.
 
 The elliptic recipes share one group representation, the point labels of
 curves.point_labels: subgroups are spans of labels, a coset b + S is S
@@ -32,7 +33,7 @@ from .code import (
     _report_from_distance,
     build_code,
     is_mds_by_group_sums,
-    is_mds_by_minors,
+    is_mds_by_systematic_minors,
     self_dualize,
 )
 from .curves import (
@@ -588,7 +589,8 @@ def genus2_mds_search(
     """Seeded random hunt for an MDS one-point code on a genus-2 curve.
 
     Samples n-subsets of the affine rational points and keeps the first
-    whose degree-m code passes the minor criterion.  The counting bound
+    whose degree-m code is MDS by the minors of its systematic form
+    (code.is_mds_by_systematic_minors).  The counting bound
     m * C(n, m-2) < N is recorded as an advisory flag; the search runs
     either way.  Raises NotFound with the attempt count when the budget
     runs out.
@@ -613,7 +615,7 @@ def genus2_mds_search(
             m,
             {"construction": "genus2-search", "curve": curve.text(), "m": m},
         )
-        if is_mds_by_minors(code):
+        if is_mds_by_systematic_minors(code):
             meta = {
                 "curve": curve,
                 "points": pts,

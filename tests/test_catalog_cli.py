@@ -17,10 +17,13 @@ from agmds.catalog import (
     parse_matrix_text,
 )
 from agmds.cli import dispatch
-from agmds.code import build_code, invariant_report, LinearCode
+from agmds.code import build_code, invariant_report, LinearCode, min_distance, schur_square
 from agmds.linalg import FFMatrix
+from agmds.recipes import rs_code
 
 F5 = field_make(5)
+F16 = field_make(2, 4)
+F19 = field_make(19)
 E_F5 = curve_make(F5, 1, (0, 0, 0, 0, 1))
 PTS = [E_F5.point(0, 1), E_F5.point(2, 2), E_F5.point(4, 0)]
 
@@ -379,6 +382,30 @@ def test_cli_golden_ids(argv, entry_id, monkeypatch, capsys):
     rc, out, _ = run_cli(*argv, "--json", capsys=capsys)
     assert rc == 0
     assert json.loads(out)["id"] == entry_id
+
+
+@pytest.mark.parametrize("field, n", [(F19, 5), (F19, 8), (F16, 6), (F16, 9)],
+                         ids=["f19-n5", "f19-n8", "f16-n6", "f16-n9"])
+def test_cli_rs_schur_distance_from_the_vandermonde_theorem(field, n, capsys):
+    # the square of RS_k is RS_min(2k-1, n), so schur_d = n - min(2k-1, n) + 1
+    q = str(field.p) if field.s == 1 else f"{field.p}^{field.s}"
+    alphas = list(range(n))
+    for k in range(1, n + 1):
+        rc, out, _ = run_cli("build", "--recipe", "rs", "--q", q, "--alpha",
+                             ",".join(map(str, alphas)), "--k", str(k), "--json",
+                             capsys=capsys)
+        assert rc == 0
+        scanned = min_distance(schur_square(rs_code(field, alphas, k)))
+        assert json.loads(out)["report"]["schur_d"] == scanned
+
+
+def test_cli_rs_schur_distance_beyond_the_scan_budget(capsys):
+    # the [18,4] square over F_19 is too large to scan; the theorem gives 12
+    alpha = ",".join(str(a) for a in range(18))
+    rc, out, _ = run_cli("build", "--recipe", "rs", "--q", "19", "--alpha", alpha,
+                         "--k", "4", "--json", capsys=capsys)
+    assert rc == 0
+    assert json.loads(out)["report"]["schur_d"] == 12
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):

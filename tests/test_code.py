@@ -16,6 +16,7 @@ from agmds.code import (
     invariant_report,
     is_mds_by_group_sums,
     is_mds_by_minors,
+    is_mds_by_systematic_minors,
     is_self_dual,
     min_distance,
     permute_and_scale,
@@ -41,7 +42,7 @@ from agmds.errors import (
     RangeViolation,
     RankDeficient,
 )
-from agmds.linalg import FFMatrix
+from agmds.linalg import FFMatrix, rank
 from agmds.recipes import rs_code, search_coset_code
 
 F2 = field_make(2)
@@ -50,6 +51,7 @@ F7 = field_make(7)
 F11 = field_make(11)
 F16 = field_make(2, 4)
 F19 = field_make(19)
+F31 = field_make(31)
 
 E_F5 = curve_make(F5, 1, (0, 0, 0, 0, 1))
 PTS_F5 = [E_F5.point(0, 1), E_F5.point(2, 2), E_F5.point(4, 0)]
@@ -133,6 +135,85 @@ def test_mds_by_minors_examples():
     code = build_code(E_F5, pts, 2)
     assert not is_mds_by_minors(code)
     assert min_distance(code) == code.n - 2  # weight n-m codeword exists
+
+
+def _both_minor_verdicts(code, **kw):
+    verdict = is_mds_by_systematic_minors(code, **kw)
+    assert verdict == is_mds_by_minors(code, **kw)
+    return verdict
+
+
+def test_systematic_minors_edge_cases():
+    rs = rs_code(F31, range(1, 9), 4)
+    assert _both_minor_verdicts(rs)
+    # a zero column, first among the pivots or inside A
+    for pos in (0, 5):
+        rows = [row[:pos] + [0] + row[pos + 1:] for row in rs.gen.data]
+        assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, rows)))
+    # the first k columns are dependent though the code has full rank
+    dep = [[1, 2, 1, 1], [2, 4, 1, 3]]
+    assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, dep)))
+    # k = 1: MDS iff no coordinate is zero
+    assert _both_minor_verdicts(rs_code(F31, range(1, 9), 1))
+    assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, [[1, 2, 0, 3]])))
+    # k = n - 1 and k = n
+    assert _both_minor_verdicts(rs_code(F31, range(1, 9), 7))
+    repeated = [[1, 0, 1], [0, 1, 0]]  # columns 0 and 2 are equal
+    assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, repeated)))
+    assert _both_minor_verdicts(rs_code(F31, range(1, 6), 5))
+    # k = 0 is never MDS
+    assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, [], 4)))
+    # both refuse the same C(n, k) > budget, before any elimination
+    for fn in (is_mds_by_systematic_minors, is_mds_by_minors):
+        with pytest.raises(BudgetExceeded):
+            fn(rs_code(F31, range(1, 21), 10), budget=1000)
+        with pytest.raises(BudgetExceeded):
+            fn(LinearCode(F31, FFMatrix(F31, [[0, 0, 1]])), budget=2)
+
+
+MINOR_FIELDS = [F31, F16, field_make(3, 2)]
+
+
+def _random_matrix(data, F, rows, cols):
+    return [
+        [data.draw(st.integers(0, F.q - 1)) for _ in range(cols)] for _ in range(rows)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_systematic_minors_agree_with_column_minors(data):
+    F = data.draw(st.sampled_from(MINOR_FIELDS))
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, n))
+    shape = data.draw(st.sampled_from(["random", "mixed-rs", "zero-column", "dependent"]))
+    if shape == "mixed-rs":
+        # an MDS code in no systematic form: a Vandermonde generator with
+        # its rows mixed and its columns scaled
+        alphas = data.draw(
+            st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n, unique=True)
+        )
+        mix = _random_matrix(data, F, k, k)
+        assume(rank(FFMatrix(F, mix)) == k)
+        scales = [data.draw(st.integers(1, F.q - 1)) for _ in range(n)]
+        rows = FFMatrix(F, mix).mul(rs_code(F, alphas, k).gen).scale_columns(scales).data
+    else:
+        rows = _random_matrix(data, F, k, n)
+        if shape == "zero-column":
+            c = data.draw(st.integers(0, n - 1))
+            for row in rows:
+                row[c] = 0
+        elif shape == "dependent" and k >= 2:
+            # column k - 1 a combination of the columns before it
+            coeffs = [data.draw(st.integers(0, F.q - 1)) for _ in range(k - 1)]
+            for row in rows:
+                acc = 0
+                for c, v in zip(coeffs, row):
+                    acc = F.add(acc, F.mul(c, v))
+                row[k - 1] = acc
+    gen = FFMatrix(F, rows, n)
+    assume(rank(gen) == k)
+    _both_minor_verdicts(LinearCode(F, gen))
 
 
 def test_mds_by_group_sums_examples():

@@ -274,3 +274,25 @@ def test_char2_carryless_mul_matches_polynomial_product(s):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
         expected = F.encode(_poly_mul_mod(F.decode(a), F.decode(b), F.modulus, 2))
         assert F._mul_raw(a, b) == expected
+
+
+@pytest.mark.parametrize(
+    "p, s", [(3, s) for s in range(2, 7)] + [(5, 2), (5, 3), (7, 2), (7, 3)]
+)
+def test_odd_extension_tables_equal_the_polynomial_product_walk(p, s):
+    F = FieldSpec(p, s)
+    F._ensure_tables()
+    order = F.q - 1
+    gen = F._exp[1]
+    # gen is the smallest primitive code, as the generator search defines it
+    for g in range(2, gen):
+        assert any(F._pow_raw(g, e) == 1 for e in range(1, order))
+    exp, log = [1], [-1] * F.q
+    log[1] = 0
+    for i in range(1, order):
+        exp.append(F._mul_raw(exp[-1], gen))
+        log[exp[-1]] = i
+    assert F._exp == exp + exp
+    assert F._log == log
+    zech = [log[digit_add(F, 1, v)] for v in exp]
+    assert F._zech == zech + zech

@@ -37,6 +37,7 @@ from agmds.errors import (
     RangeViolation,
     SubgroupNotFound,
 )
+import agmds.recipes as recipes_module
 from agmds.recipes import (
     DEFAULT_BUDGET,
     _subgroups_of_order,
@@ -501,6 +502,31 @@ def test_genus2_search_validation_and_budget():
     assert "3 attempts" in str(exc.value)
 
 
+def _hunt(curve, n, m, seed):
+    try:
+        code, _, meta = genus2_mds_search(curve, n, m, seed=seed)
+    except NotFound as exc:
+        return str(exc)
+    return code.gen, meta["points"], meta["attempts"]
+
+
+@pytest.mark.parametrize("n, m", [(9, 6), (10, 6)])
+def test_genus2_hunt_is_unchanged_under_the_minor_oracle(n, m, monkeypatch):
+    # the systematic-form certificate gives the oracle's verdict on every
+    # sample, so the seeded hunt stops at the same sample (or runs out)
+    X = parse_curve_text(F31, "g2:1,0,0,0,0,1;0,0,0")
+    fast = [_hunt(X, n, m, seed) for seed in range(10)]
+    oracle_calls = [0]
+
+    def oracle(code):
+        oracle_calls[0] += 1
+        return is_mds_by_minors(code)
+
+    monkeypatch.setattr(recipes_module, "is_mds_by_systematic_minors", oracle)
+    assert [_hunt(X, n, m, seed) for seed in range(10)] == fast
+    assert oracle_calls[0] >= 10
+
+
 def test_genus2_schur_dimension():
     X = curve_make(F31, 2, [1, 0, 0, 0, 0, 1])
     import random
@@ -520,7 +546,7 @@ X31 = curve_make(F31, 2, [1, 0, 0, 0, 0, 1])
 
 # Each recipe certifies MDS once and takes d from that verdict; these runs
 # check every returned report against invariant_report, whose distance and
-# MDS flag come from the support scan and the minor scan.
+# MDS flag come from the support scan and the systematic-form minors.
 DIFFERENTIAL_RUNS = {
     "search_coset_code": lambda: [
         search_coset_code(F19, N, n, m)
