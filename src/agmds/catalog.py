@@ -14,8 +14,10 @@ The matrix-text export format round-trips bit-exactly::
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -24,6 +26,9 @@ from .code import CodeReport, LinearCode
 from .errors import IOFailure
 from .field import parse_field_text
 from .linalg import FFMatrix
+
+# Appends scan the catalog for a duplicate id in blocks of this many bytes.
+_SCAN_BLOCK = 1 << 16
 
 
 # -- generator matrix export ---------------------------------------------------
@@ -169,39 +174,59 @@ def make_entry(
     )
 
 
+def _interned(matrix):
+    """The matrix with its element texts interned, so that loaded entries
+    share them with each other and with freshly built ones; a matrix that
+    is not rows of texts is returned as it is."""
+    try:
+        if type(matrix) is list and all(type(row) is list for row in matrix):
+            return [list(map(sys.intern, row)) for row in matrix]
+    except TypeError:  # an element that is not text
+        pass
+    return matrix
+
+
+def _parse_line(raw: bytes, lineno: int) -> CatalogEntry | None:
+    """The entry on one catalog line; None for a blank line, and None with
+    a warning for a corrupt one (bad UTF-8, bad JSON, a missing field)."""
+    try:
+        line = raw.decode("utf-8").strip()
+        if not line:
+            return None
+        doc = json.loads(line)
+        return CatalogEntry(
+            id=doc["id"],
+            field=doc["field"],
+            curve=doc.get("curve"),
+            N=doc.get("N"),
+            group=tuple(doc["group"]) if doc.get("group") else None,
+            construction=doc.get("construction", {}),
+            n=doc["n"],
+            k=doc["k"],
+            m=doc.get("m"),
+            report=doc.get("report", {}),
+            points=doc.get("points"),
+            matrix=_interned(doc["matrix"]),
+            created=doc.get("created"),
+        )
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        print(f"warning: skipping corrupt catalog line {lineno}: {exc}", file=sys.stderr)
+        return None
+
+
 def load_entries(path) -> list[CatalogEntry]:
-    """Read a JSON-lines catalog, skipping corrupt lines with a warning."""
+    """Read a JSON-lines catalog, skipping corrupt lines with a warning.
+
+    Lines end at b"\\n" (a CRLF line keeps its CR, which parsing strips),
+    and the file is read one line at a time under a shared lock."""
     entries = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                    entries.append(
-                        CatalogEntry(
-                            id=doc["id"],
-                            field=doc["field"],
-                            curve=doc.get("curve"),
-                            N=doc.get("N"),
-                            group=tuple(doc["group"]) if doc.get("group") else None,
-                            construction=doc.get("construction", {}),
-                            n=doc["n"],
-                            k=doc["k"],
-                            m=doc.get("m"),
-                            report=doc.get("report", {}),
-                            points=doc.get("points"),
-                            matrix=doc["matrix"],
-                            created=doc.get("created"),
-                        )
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    print(
-                        f"warning: skipping corrupt catalog line {lineno}: {exc}",
-                        file=sys.stderr,
-                    )
+        with open(path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            for lineno, raw in enumerate(fh, 1):
+                entry = _parse_line(raw, lineno)
+                if entry is not None:
+                    entries.append(entry)
     except FileNotFoundError:
         return []
     except OSError as exc:
@@ -209,15 +234,56 @@ def load_entries(path) -> list[CatalogEntry]:
     return entries
 
 
+def _may_hold(fh, needle: bytes) -> bool:
+    """Whether the rest of the file holds needle or a backslash.  It is read
+    in blocks into one buffer, so a large catalog never sits in memory
+    whole; the last len(needle) - 1 bytes of a block stay in front of the
+    next, so a needle across two blocks is found too."""
+    keep = len(needle) - 1
+    buf = bytearray(keep + _SCAN_BLOCK)
+    view = memoryview(buf)
+    start = 0
+    while n := fh.readinto(view[start:]):
+        end = start + n
+        if buf.find(b"\\", start, end) >= 0 or buf.find(needle, 0, end) >= 0:
+            return True
+        start = min(keep, end)
+        buf[:start] = buf[end - start:end]
+    return False
+
+
+def _holds_id(fh, entry_id: str) -> bool:
+    """Whether a line of the file parses to an entry with this id.
+
+    Only a line holding the id's UTF-8 bytes or a backslash can: a JSON
+    string decodes to the id either from its literal text or through an
+    escape.  Other lines are not decoded."""
+    needle = entry_id.encode()
+    for lineno, raw in enumerate(fh, 1):
+        if needle in raw or b"\\" in raw:
+            e = _parse_line(raw, lineno)
+            if e is not None and e.id == entry_id:
+                return True
+    return False
+
+
 def append_entry(path, entry: CatalogEntry) -> bool:
-    """Append one entry; duplicates (by id) are skipped.  Returns whether
-    the file changed."""
-    existing = {e.id for e in load_entries(path)}
-    if entry.id in existing:
-        return False
+    """Append one entry unless a line already holds its id; returns whether
+    the file changed.  The check and the write run under one exclusive
+    lock, so concurrent writers store each id once.  A last line left
+    unterminated (a crashed write) is ended first, so the new entry gets a
+    line of its own."""
     try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry.to_json_dict(), sort_keys=True) + "\n")
+        with open(path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.seek(0)
+            if _may_hold(fh, entry.id.encode()):
+                fh.seek(0)
+                if _holds_id(fh, entry.id):
+                    return False
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            line = json.dumps(entry.to_json_dict(), sort_keys=True).encode() + b"\n"
+            fh.write(line if fh.read(1) in (b"", b"\n") else b"\n" + line)
     except OSError as exc:
         raise IOFailure(f"cannot write catalog {path}: {exc}") from exc
     return True

@@ -13,6 +13,7 @@ an explicit --seed wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -424,7 +425,10 @@ def _positive_int(text: str) -> int:
 # -- parser -------------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and every default is fixed (the seed's is resolved after parsing)."""
     ap = argparse.ArgumentParser(
         prog="agmds",
         description="MDS algebraic-geometry code workbench over small finite fields",

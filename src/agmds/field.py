@@ -23,6 +23,8 @@ extension element as a bracketed little-endian coefficient list such as
 
 from __future__ import annotations
 
+import sys
+
 from .errors import (
     CharNotTwo,
     DegreeMismatch,
@@ -473,9 +475,11 @@ class FieldSpec:
     # -- text forms ----------------------------------------------------------------
 
     def element_text(self, a: int) -> str:
+        """Interned, so the many matrices written over one field (catalog
+        entries above all) share one string per element."""
         if self.s == 1:
-            return str(a)
-        return "[" + ",".join(str(c) for c in self.decode(a)) + "]"
+            return sys.intern(str(a))
+        return sys.intern("[" + ",".join(str(c) for c in self.decode(a)) + "]")
 
     def parse_element(self, text: str) -> int:
         text = text.strip()

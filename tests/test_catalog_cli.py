@@ -1,12 +1,19 @@
 """Catalog persistence, exports, and the command-line front end."""
 
+import fcntl
 import json
+import multiprocessing
+import pathlib
 import subprocess
 import sys
+import tempfile
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from agmds import curve_make, field_make
+from agmds import catalog, curve_make, field_make
 from agmds.catalog import (
     append_entry,
     code_from_json,
@@ -131,6 +138,198 @@ def test_catalog_round_trip_preserves_entry(tmp_path):
     append_entry(path, e)
     loaded = load_entries(path)[0]
     assert loaded.to_json_dict() == e.to_json_dict()
+
+
+def _line(entry, **dumps):
+    return json.dumps(entry.to_json_dict(), sort_keys=True, **dumps).encode()
+
+
+def _escaped(line: bytes, entry_id: str, positions) -> bytes:
+    """The line with the id's characters at these positions written as \\u escapes."""
+    text = "".join(f"\\u{ord(c):04x}" if i in positions else c for i, c in enumerate(entry_id))
+    return line.replace(f'"id": "{entry_id}"'.encode(), f'"id": "{text}"'.encode())
+
+
+_CODE = _hand_code()
+_REPORT = invariant_report(_CODE)
+_POOL = [make_entry(_CODE, _REPORT, {"recipe": "coset", "seed": s}) for s in range(2)]
+_POOL.append(make_entry(_CODE, _REPORT, {"recipe": "coset", "note": "a\u2028b"}))
+
+
+@st.composite
+def _catalog_lines(draw, target):
+    """One catalog line (without its end) built around the target's id."""
+    kind = draw(st.sampled_from(
+        ("entry", "raw-utf8", "quoted", "escaped", "corrupt", "bad-utf8", "blank")))
+    other = draw(st.sampled_from(_POOL))
+    if kind == "entry":
+        return _line(other)
+    if kind == "raw-utf8":  # U+2028 written raw inside a string
+        return _line(other, ensure_ascii=False)
+    if kind == "quoted":  # the target id inside another entry's construction
+        return _line(make_entry(_CODE, _REPORT, {"recipe": "coset", "note": target.id}))
+    if kind == "escaped":
+        positions = draw(st.sets(st.integers(0, len(other.id) - 1), min_size=1, max_size=4))
+        return _escaped(_line(other), other.id, positions)
+    if kind == "corrupt":  # holds the target id, yet is not an entry
+        whole = _line(target)
+        return draw(st.sampled_from((
+            whole[:draw(st.integers(0, len(whole) - 1))],
+            f'{{"id": "{target.id}"}}'.encode(),
+            f'["{target.id}"]'.encode(),
+            whole + b" x",
+        )))
+    if kind == "bad-utf8":
+        return b"\xff\xfe " + target.id.encode()
+    return draw(st.sampled_from((b"", b"   ", b"\t", b" \x0c ")))
+
+
+def test_append_duplicate_decision_matches_load_entries():
+    """append_entry's byte scan against the oracle that decodes every line;
+    small scan blocks put block boundaries inside the lines."""
+    verdicts = set()
+
+    @given(data=st.data(), block=st.sampled_from((64, 100, 257, catalog._SCAN_BLOCK)))
+    @settings(max_examples=300, deadline=None)
+    def check(data, block):
+        target = data.draw(st.sampled_from(_POOL))
+        lines = data.draw(st.lists(_catalog_lines(target), max_size=6))
+        ends = [data.draw(st.sampled_from((b"\n", b"\r\n"))) for _ in lines]
+        if lines:
+            ends[-1] = data.draw(st.sampled_from((b"\n", b"\r\n", b"")))
+        before = b"".join(line + end for line, end in zip(lines, ends))
+        path.write_bytes(before)
+        duplicate = target.id in {e.id for e in load_entries(path)}
+        verdicts.add(duplicate)
+        with mock.patch.object(catalog, "_SCAN_BLOCK", block):
+            assert append_entry(path, target) is not duplicate
+        if duplicate:
+            assert path.read_bytes() == before
+        else:
+            sep = b"" if not before or before.endswith(b"\n") else b"\n"
+            assert path.read_bytes() == before + sep + _line(target) + b"\n"
+            assert target.id in {e.id for e in load_entries(path)}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cat.jsonl"
+        check()
+    assert verdicts == {True, False}
+
+
+def test_loaded_matrices_share_element_texts(tmp_path):
+    path = tmp_path / "cat.jsonl"
+    for entry in _POOL[:2]:
+        assert append_entry(path, entry)
+    with open(path, "ab") as fh:  # a matrix that is not rows of texts loads as it is
+        fh.write(b'{"id": "x", "field": "5^1:", "n": 2, "k": 1, "matrix": [[1, "2"]]}\n')
+    first, second, odd = load_entries(path)
+    assert first.matrix == second.matrix == _POOL[0].matrix
+    assert first.matrix[1][2] is second.matrix[1][2] is F5.element_text(4)
+    assert odd.matrix == [[1, "2"]]
+
+
+def test_append_after_an_unterminated_last_line(tmp_path, capsys):
+    # a write cut short leaves a last line without its newline
+    path = tmp_path / "cat.jsonl"
+    assert append_entry(path, _entry())
+    cut = path.read_bytes()[:100]
+    path.write_bytes(cut)
+    rc, out, _ = run_cli(
+        "search", "--field", "31", "--curve", "g2:1,0,0,0,0,1;0,0,0", "--n", "10",
+        "--m", "6", "--catalog", str(path), "--json", capsys=capsys,
+    )
+    assert rc == 0
+    stored = json.loads(out)
+    assert path.read_bytes() == cut + b"\n" + _line(load_entries(path)[0]) + b"\n"
+    rc, out, err = run_cli("catalog", "--catalog", str(path), "--json", capsys=capsys)
+    assert rc == 0 and "corrupt catalog line 1" in err
+    assert [e["id"] for e in json.loads(out)["entries"]] == [stored["id"]]
+
+
+def test_cli_catalog_skips_invalid_utf8(tmp_path, capsys):
+    path = tmp_path / "cat.jsonl"
+    first = _entry()
+    assert append_entry(path, first)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe bad\n")
+    rep = build_code(E_F5, PTS, 1)
+    second = make_entry(rep, invariant_report(rep), {"recipe": "coset"}, m=1)
+    assert append_entry(path, second)
+    rc, out, err = run_cli("catalog", "--catalog", str(path), capsys=capsys)
+    assert rc == 0 and "Traceback" not in err
+    assert "skipping corrupt catalog line 2" in err
+    assert out.splitlines()[0] == "2 entries"
+    assert first.id[:16] in out and second.id[:16] in out
+
+
+def _append_all(path, shared, own, barrier):
+    # A pause after the duplicate scan widens the window between check and
+    # write, and all workers meet before each shared id, so they race on it.
+    scan = catalog._may_hold
+
+    def slow_scan(fh, needle):
+        found = scan(fh, needle)
+        time.sleep(0.005)
+        return found
+
+    with mock.patch.object(catalog, "_may_hold", slow_scan):
+        for entry in shared:
+            barrier.wait()
+            append_entry(path, entry)
+        for entry in own:
+            append_entry(path, entry)
+
+
+def test_concurrent_writers_store_each_id_once(tmp_path):
+    workers = 4
+    shared = [make_entry(_CODE, _REPORT, {"recipe": "coset", "shared": i}) for i in range(20)]
+    own = [[make_entry(_CODE, _REPORT, {"recipe": "coset", "worker": w, "i": i})
+            for i in range(10)] for w in range(workers)]
+    path = tmp_path / "cat.jsonl"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(workers)
+    procs = []
+    for w in range(workers):
+        procs.append(ctx.Process(target=_append_all, args=(path, shared, own[w], barrier)))
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(60)
+    assert [proc.exitcode for proc in procs] == [0] * workers
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    ids = [json.loads(line)["id"] for line in lines[:-1]]
+    expected = {e.id for e in shared} | {e.id for row in own for e in row}
+    assert sorted(ids) == sorted(expected)
+    assert [e.id for e in load_entries(path)] == ids
+
+
+def _count_entries(path, ready, go, conn):
+    ready.set()
+    go.wait()
+    conn.send(len(load_entries(path)))
+
+
+def test_load_waits_for_an_append_in_progress(tmp_path):
+    # a writer holding the lock has written half a line; a reader must not see it
+    path = tmp_path / "cat.jsonl"
+    line = _line(_entry()) + b"\n"
+    ctx = multiprocessing.get_context("spawn")
+    ready, go = ctx.Event(), ctx.Event()
+    receive, send = ctx.Pipe(duplex=False)
+    reader = ctx.Process(target=_count_entries, args=(path, ready, go, send))
+    reader.start()
+    assert ready.wait(30)
+    with open(path, "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.write(line[:50])
+        fh.flush()
+        go.set()
+        time.sleep(0.2)
+        fh.write(line[50:])
+    assert receive.poll(30) and receive.recv() == 1
+    reader.join(30)
+    assert reader.exitcode == 0
 
 
 # -- CLI ------------------------------------------------------------------------------
