@@ -158,18 +158,8 @@ def make_entry(
         "matrix": [[F.element_text(v) for v in row] for row in code.gen.data],
     }
     return CatalogEntry(
+        **dict(doc, group=group),
         id=content_id(doc),
-        field=doc["field"],
-        curve=curve_text,
-        N=n_points,
-        group=group,
-        construction=construction,
-        n=code.n,
-        k=code.k,
-        m=m,
-        report=doc["report"],
-        points=points_text,
-        matrix=doc["matrix"],
         created=datetime.now(timezone.utc).isoformat(),
     )
 

@@ -6,6 +6,11 @@ with --json.  Exit codes: 0 success, 1 for certification/search failures
 (not-MDS, nothing found, budget exhausted), 2 for usage errors (the
 message names the violated precondition).
 
+A build recipe is one row of _RECIPES: the options it records, the option
+holding its degree m, and the call that builds it.  build, selfdual and
+search all end in _finish, which makes the catalog entry, stores it and
+prints it.
+
 The default seed is 0, overridable by the AGMDS_SEED environment variable;
 an explicit --seed wins over both.
 """
@@ -66,30 +71,12 @@ SEARCH_FAILURES = (
 )
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("AGMDS_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
-
-
-def _entry_doc(entry: cat.CatalogEntry) -> dict:
-    # Stdout documents omit the timestamp so identical argv+seed runs are
-    # byte-identical; the timestamp is added when storing.
-    return entry.to_json_dict(with_created=False)
-
-
-def _store(args, entry: cat.CatalogEntry) -> None:
-    if getattr(args, "catalog", None):
-        cat.append_entry(args.catalog, entry)
 
 
 def _report_lines(report) -> list[str]:
@@ -151,91 +138,24 @@ def _cmd_curve_info(args) -> int:
     return 0
 
 
-def _parse_q(q_text):
-    _require(q_text is not None, "this recipe needs --q (as p, p^s or p^s:[modulus])")
-    return parse_field_text(q_text)
+def _seed(args) -> int:
+    """--seed if given, else AGMDS_SEED if it is an integer, else 0."""
+    if args.seed is not None:
+        return args.seed
+    try:
+        return int(os.environ.get("AGMDS_SEED", "0"))
+    except ValueError:
+        return 0
 
 
-def _cmd_build(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    recipe = args.recipe
-    meta = {}
-    m = None
-    if recipe == "coset":
-        field = _parse_q(args.q)
-        _require(args.N is not None and args.n is not None and args.m is not None,
-                 "coset recipe needs --N, --n and --m")
-        m = args.m
-        code, report, meta = search_coset_code(field, args.N, args.n, args.m, seed=seed)
-        params = {"q": field.q, "N": args.N, "n": args.n, "m": args.m}
-    elif recipe == "coprime-split":
-        field = _parse_q(args.q)
-        _require(args.l1 is not None and args.l2 is not None and args.m is not None,
-                 "coprime-split recipe needs --l1, --l2 and --m")
-        m = args.m
-        code, report, meta = coprime_split_code(field, args.l1, args.l2, args.m, seed=seed)
-        params = {"q": field.q, "l1": args.l1, "l2": args.l2, "m": args.m}
-    elif recipe == "short-length":
-        field = _parse_q(args.q)
-        _require(args.n is not None and args.m is not None,
-                 "short-length recipe needs --n and --m")
-        m = args.m
-        code, report, meta = short_length_code(field, args.n, args.m, seed=seed)
-        params = {"q": field.q, "n": args.n, "m": args.m}
-    elif recipe == "sqrt-prime":
-        _require(args.p is not None and args.m is not None,
-                 "sqrt-prime recipe needs --p and --m")
-        m = args.m
-        code, report, meta = sqrt_prime_code(args.p, args.m, longer=args.longer, seed=seed)
-        params = {"p": args.p, "m": args.m, "longer": args.longer}
-    elif recipe == "supersingular":
-        _require(None not in (args.p, args.ext, args.N, args.k),
-                 "supersingular recipe needs --p, --ext, --N and --k")
-        m = args.k
-        code, report, meta = supersingular_code(args.p, args.ext, args.N, args.k, seed=seed)
-        params = {"p": args.p, "ext": args.ext, "N": args.N, "k": args.k}
-    elif recipe == "twisted-rs":
-        field = _parse_q(args.q)
-        _require(args.alpha is not None and args.eta is not None and args.k is not None,
-                 "twisted-rs recipe needs --alpha, --eta and --k")
-        alphas = [field.parse_element(t) for t in args.alpha.split(",")]
-        eta = field.parse_element(args.eta)
-        code, report, flag = twisted_rs_code(field, alphas, eta, args.k)
-        meta = {"mds_condition": flag}
-        params = {"q": field.q, "alpha": args.alpha, "eta": args.eta, "k": args.k}
-    elif recipe == "rs":
-        field = _parse_q(args.q)
-        _require(args.alpha is not None and args.k is not None,
-                 "rs recipe needs --alpha and --k")
-        alphas = [field.parse_element(t) for t in args.alpha.split(",")]
-        code = rs_code(field, alphas, args.k)
-        # By the Vandermonde theorem every k columns are independent, and
-        # the Schur square is the RS code of dimension min(2k - 1, n).
-        n, k = code.n, code.k
-        report = _report_from_distance(
-            code, n - k + 1, True, schur_d=n - min(2 * k - 1, n) + 1
-        )
-        params = {"q": field.q, "alpha": args.alpha, "k": args.k}
-    else:  # pragma: no cover - argparse restricts choices
-        raise AgmdsError(f"unknown recipe {recipe}")
-    entry = _make_entry(code, report, recipe, params, seed, meta, m)
-    _store(args, entry)
-    lines = [f"recipe {recipe}: built [{entry.n},{entry.k}] over {entry.field}"]
-    if "mds_condition" in meta:
-        lines.append(f"mds_condition: {meta['mds_condition']}")
-    lines += _report_lines(report) + [f"id: {entry.id}"]
-    doc = _entry_doc(entry)
-    if "mds_condition" in meta:
-        doc["mds_condition"] = meta["mds_condition"]
-    _emit(args, doc, lines)
-    return 0
-
-
-def _make_entry(code, report, recipe, params, seed, meta, m):
-    curve = meta.get("curve")
-    field = code.field
-    points = meta.get("points")
-    return cat.make_entry(
+def _finish(args, recipe, params, seed, built, m, head, extra=()) -> int:
+    """Make the catalog entry of a built (code, report, meta), store it
+    when --catalog is given and print it: the head lines, the report lines
+    and the id, or the entry (without its timestamp, so stdout is
+    byte-deterministic) plus the meta keys named in extra."""
+    code, report, meta = built
+    curve, points = meta.get("curve"), meta.get("points")
+    entry = cat.make_entry(
         code,
         report,
         construction={"recipe": recipe, "params": params, "seed": seed},
@@ -243,56 +163,104 @@ def _make_entry(code, report, recipe, params, seed, meta, m):
         n_points=meta.get("N"),
         group=meta.get("group"),
         m=m,
-        points_text=[point_text(field, p) for p in points] if points else None,
+        points_text=[point_text(code.field, p) for p in points] if points else None,
     )
-
-
-def _cmd_selfdual(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    code, report, meta = self_dual_pipeline(args.s1, args.s2, args.t, args.Lp, seed=seed)
-    entry = _make_entry(
-        code,
-        report,
-        "self-dual-pipeline",
-        {"s1": args.s1, "s2": args.s2, "t": args.t, "Lp": args.Lp},
-        seed,
-        meta,
-        report.n // 2,
-    )
-    _store(args, entry)
-    lines = [
-        f"self-dual pipeline over F_{code.field.q}: beta={meta['beta']}, "
-        f"N={meta['N']}, group=Z/{meta['group'][0]} x Z/{meta['group'][1]}"
-    ] + _report_lines(report) + [f"id: {entry.id}"]
-    _emit(args, _entry_doc(entry), lines)
+    if args.catalog:
+        cat.append_entry(args.catalog, entry)
+    doc = entry.to_json_dict(with_created=False)
+    doc.update((key, meta[key]) for key in extra if key in meta)
+    _emit(args, doc, head + _report_lines(report) + [f"id: {entry.id}"])
     return 0
 
 
+def _elements(field, text: str) -> list:
+    return [field.parse_element(t) for t in text.split(",")]
+
+
+def _twisted_rs(args, field, seed):
+    code, report, flag = twisted_rs_code(
+        field, _elements(field, args.alpha), field.parse_element(args.eta), args.k
+    )
+    return code, report, {"mds_condition": flag}
+
+
+def _rs(args, field, seed):
+    code = rs_code(field, _elements(field, args.alpha), args.k)
+    # By the Vandermonde theorem every k columns are independent, and the
+    # Schur square is the RS code of dimension min(2k - 1, n).
+    n, k = code.n, code.k
+    schur_d = n - min(2 * k - 1, n) + 1
+    return code, _report_from_distance(code, n - k + 1, True, schur_d=schur_d), {}
+
+
+# One row per build recipe: the options it records (each needed but a flag;
+# --q is parsed into the field), the option holding the degree m or None, and
+# the call (args, field or None, seed) -> (code, report, meta).
+_RECIPES = {
+    "coset": (("q", "N", "n", "m"), "m",
+              lambda a, F, s: search_coset_code(F, a.N, a.n, a.m, seed=s)),
+    "coprime-split": (("q", "l1", "l2", "m"), "m",
+                      lambda a, F, s: coprime_split_code(F, a.l1, a.l2, a.m, seed=s)),
+    "short-length": (("q", "n", "m"), "m",
+                     lambda a, F, s: short_length_code(F, a.n, a.m, seed=s)),
+    "sqrt-prime": (("p", "m", "longer"), "m",
+                   lambda a, F, s: sqrt_prime_code(a.p, a.m, longer=a.longer, seed=s)),
+    "supersingular": (("p", "ext", "N", "k"), "k",
+                      lambda a, F, s: supersingular_code(a.p, a.ext, a.N, a.k, seed=s)),
+    "twisted-rs": (("q", "alpha", "eta", "k"), None, _twisted_rs),
+    "rs": (("q", "alpha", "k"), None, _rs),
+}
+
+
+def _cmd_build(args) -> int:
+    options, m_option, run = _RECIPES[args.recipe]
+    field = None
+    if "q" in options:
+        _require(args.q is not None, "this recipe needs --q (as p, p^s or p^s:[modulus])")
+        field = parse_field_text(args.q)
+    params = {o: getattr(args, o) for o in options}
+    needed = [f"--{o}" for o in options if o != "q" and not isinstance(params[o], bool)]
+    _require(None not in params.values(),
+             f"{args.recipe} recipe needs {', '.join(needed[:-1])} and {needed[-1]}")
+    if field is not None:
+        params["q"] = field.q
+    seed = _seed(args)
+    built = run(args, field, seed)
+    code, _, meta = built
+    head = [f"recipe {args.recipe}: built [{code.n},{code.k}] over {code.field.spec_text()}"]
+    if "mds_condition" in meta:
+        head.append(f"mds_condition: {meta['mds_condition']}")
+    m = getattr(args, m_option) if m_option else None
+    return _finish(args, args.recipe, params, seed, built, m, head, ("mds_condition",))
+
+
+def _cmd_selfdual(args) -> int:
+    seed = _seed(args)
+    built = self_dual_pipeline(args.s1, args.s2, args.t, args.Lp, seed=seed)
+    code, report, meta = built
+    params = {"s1": args.s1, "s2": args.s2, "t": args.t, "Lp": args.Lp}
+    head = [
+        f"self-dual pipeline over F_{code.field.q}: beta={meta['beta']}, "
+        f"N={meta['N']}, group=Z/{meta['group'][0]} x Z/{meta['group'][1]}"
+    ]
+    return _finish(args, "self-dual-pipeline", params, seed, built, report.n // 2, head)
+
+
 def _cmd_search(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     field = parse_field_text(args.field)
     curve = parse_curve_text(field, args.curve)
     code, report, meta = genus2_mds_search(
         curve, args.n, args.m, seed=seed, budget=args.budget
     )
-    entry = _make_entry(
-        code,
-        report,
-        "genus2-search",
-        {"field": field.spec_text(), "curve": curve.text(), "n": args.n, "m": args.m},
-        seed,
-        dict(meta, N=len(curve.points())),
-        args.m,
-    )
-    _store(args, entry)
-    lines = [
+    meta["N"] = len(curve.points())
+    params = {"field": field.spec_text(), "curve": curve.text(), "n": args.n, "m": args.m}
+    head = [
         f"found after {meta['attempts']} samples "
         f"(counting bound ok: {meta['counting_bound_ok']})"
-    ] + _report_lines(report) + [f"id: {entry.id}"]
-    doc = _entry_doc(entry)
-    doc["attempts"] = meta["attempts"]
-    _emit(args, doc, lines)
-    return 0
+    ]
+    return _finish(args, "genus2-search", params, seed, (code, report, meta), args.m,
+                   head, ("attempts",))
 
 
 def _load_code_arg(args):
@@ -459,10 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--recipe",
         required=True,
-        choices=[
-            "coset", "coprime-split", "short-length", "sqrt-prime",
-            "supersingular", "twisted-rs", "rs",
-        ],
+        choices=list(_RECIPES),
     )
     p.add_argument("--q", default=None, help="field as p, p^s or p^s:[modulus]")
     p.add_argument("--N", type=int, default=None)

@@ -94,8 +94,8 @@ def coset_code(
     Single coset: requires <b> to meet S only at the identity and
     m <= order(b) - 1, which guarantees the MDS property (every m-subset
     sums to m*b plus an element of S, and m*b stays outside S).
-    Multiple cosets: the union must be disjoint; a sufficient combination
-    condition is checked, but the exact group-sum certificate decides.
+    Multiple cosets: the union must be disjoint, and the exact group-sum
+    certificate decides.
     Subgroup, cosets and sums are all taken on the point labels; two
     cosets are equal or disjoint, so the union is disjoint iff it has
     len(reps) * |S| labels.
@@ -123,36 +123,10 @@ def coset_code(
                 )
     elif len(union) != len(reps) * len(sub_set):
         raise PreconditionFailed("cosets are not pairwise disjoint")
-    else:
-        provenance["combination_condition"] = _multi_coset_condition(
-            labels, sub_set, reps, m
-        )
     points = labels.sorted_points(union)
     if not is_mds_by_group_sums(curve, points, m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     return _certified_coset_code(curve, points, m, provenance)
-
-
-def _multi_coset_condition(
-    labels: PointLabels, sub_set: set, reps: list, m: int
-) -> bool:
-    """Sufficient condition for the multi-coset variant: no combination
-    sum(m_i * b_i) with m_i >= 0 summing to m lands in the subgroup (all
-    as labels).  It is recorded in the provenance only; the group-sum
-    certificate decides."""
-
-    def rec(idx: int, left: int, acc) -> bool:
-        if idx == len(reps):
-            return bool(left) or acc not in sub_set
-        step = acc
-        for cnt in range(left + 1):
-            if cnt:
-                step = labels.add(step, reps[idx])
-            if not rec(idx + 1, left - cnt, step):
-                return False
-        return True
-
-    return rec(0, m, (0, 0))
 
 
 def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
@@ -401,8 +375,8 @@ def supersingular_code(
     code, report = _certified_coset_code(
         curve, points, k, {"subgroup_order": n_sub, "cosets": 1}
     )
-    meta = {"curve": curve, "N": count, "subgroup": labels.sorted_points(sub_labels),
-            "rep": b}
+    meta = {"curve": curve, "group": group_structure(curve), "N": count,
+            "subgroup": labels.sorted_points(sub_labels), "rep": b, "points": points}
     return code, report, meta
 
 

@@ -23,7 +23,7 @@ from agmds.catalog import (
     make_entry,
     parse_matrix_text,
 )
-from agmds.cli import dispatch
+from agmds.cli import _RECIPES, dispatch
 from agmds.code import build_code, invariant_report, LinearCode, min_distance, schur_square
 from agmds.linalg import FFMatrix
 from agmds.recipes import rs_code
@@ -395,7 +395,7 @@ def test_cli_search_store_export_certify(tmp_path, capsys):
     )
     assert rc == 0
     doc = json.loads(out)
-    assert doc["report"]["is_mds"] is True
+    assert doc["report"]["is_mds"] is True and doc["attempts"] >= 1
 
     rc, out, _ = run_cli("catalog", "--catalog", cat_path, capsys=capsys)
     assert rc == 0 and doc["id"][:16] in out
@@ -568,10 +568,34 @@ GOLDEN_IDS = [
         ("selfdual", "--s1", "2", "--s2", "4", "--t", "1", "--Lp", "3"),
         "41e04b836efdbe385754d5d3b0ddd97ac06f3950f13d2408a2dadc8d81c98b3e",
     ),
+    (
+        ("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2"),
+        "8d869e88d29b7d3b68f069f08f4636f68eaafb259a5c19fbb8785ad75550cba6",
+    ),
+    (
+        ("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2", "--longer"),
+        "2b80fcd4626b113282dd44abd106f36a2a3b5ea6b303ca107de716c67c8a0e27",
+    ),
+    (
+        ("build", "--recipe", "coprime-split", "--q", "19", "--l1", "4", "--l2", "5",
+         "--m", "2"),
+        "4fe0706d1950ecf66c5b61f97a6dfb8fbd5b0c4edb71c899fefb98d7ae650e0f",
+    ),
+    (
+        ("build", "--recipe", "short-length", "--q", "2411", "--n", "7", "--m", "3"),
+        "be13b64482c8fb8f8b89b936252bfeb4357dd5e8ef0ebec0e4c09b7049309b4f",
+    ),
+    # pinned once supersingular entries recorded their points and group
+    (
+        ("build", "--recipe", "supersingular", "--p", "7", "--ext", "3", "--N", "8",
+         "--k", "4"),
+        "a39f0506030882ee3208aa47071c980087b29a57260115e16839ddc7d22ef1d1",
+    ),
 ]
 GOLDEN_NAMES = [
     "coset", "twisted-rs", "selfdual", "search", "rs-f19", "rs-full-f5",
     "twisted-rs-mds", "twisted-rs-n8", "twisted-rs-f9-zero", "selfdual-f256",
+    "sqrt-prime", "sqrt-prime-longer", "coprime-split", "short-length", "supersingular",
 ]
 
 
@@ -581,6 +605,67 @@ def test_cli_golden_ids(argv, entry_id, monkeypatch, capsys):
     rc, out, _ = run_cli(*argv, "--json", capsys=capsys)
     assert rc == 0
     assert json.loads(out)["id"] == entry_id
+
+
+# Every build recipe's usage message when its options are left out.
+RECIPE_NEEDS = {
+    "coset": "--N, --n and --m",
+    "coprime-split": "--l1, --l2 and --m",
+    "short-length": "--n and --m",
+    "sqrt-prime": "--p and --m",
+    "supersingular": "--p, --ext, --N and --k",
+    "twisted-rs": "--alpha, --eta and --k",
+    "rs": "--alpha and --k",
+}
+FIELD_RECIPES = {"coset", "coprime-split", "short-length", "twisted-rs", "rs"}
+
+
+def test_cli_recipe_choices_are_the_recipe_table(capsys):
+    assert set(_RECIPES) == set(RECIPE_NEEDS)
+    rc, _, err = run_cli("build", "--recipe", "nonsense", capsys=capsys)
+    assert rc == 2 and "{" + ",".join(_RECIPES) + "}" in err
+
+
+@pytest.mark.parametrize("recipe", list(RECIPE_NEEDS))
+def test_cli_recipe_usage_message(recipe, capsys):
+    field = ("--q", "19") if recipe in FIELD_RECIPES else ()
+    rc, out, err = run_cli("build", "--recipe", recipe, *field, capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"UsageError: {recipe} recipe needs {RECIPE_NEEDS[recipe]}\n"
+    if field:
+        rc, out, err = run_cli("build", "--recipe", recipe, capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == "UsageError: this recipe needs --q (as p, p^s or p^s:[modulus])\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3"),
+    ("build", "--recipe", "coprime-split", "--q", "19", "--l1", "4", "--l2", "5", "--m", "2"),
+    ("build", "--recipe", "short-length", "--q", "2411", "--n", "7", "--m", "3"),
+    ("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2"),
+    ("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2", "--longer"),
+    ("build", "--recipe", "supersingular", "--p", "7", "--ext", "3", "--N", "8", "--k", "4"),
+    ("build", "--recipe", "supersingular", "--p", "5", "--ext", "3", "--N", "6", "--k", "3"),
+    ("selfdual", "--s1", "2", "--s2", "2", "--t", "1", "--Lp", "3"),
+], ids=["coset", "coprime-split", "short-length", "sqrt-prime", "sqrt-prime-longer",
+        "supersingular-f343", "supersingular-f125", "selfdual"])
+def test_cli_elliptic_entries_record_points_and_group(argv, capsys):
+    rc, out, _ = run_cli(*argv, "--json", capsys=capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert len(doc["points"]) == len(set(doc["points"])) == doc["n"]
+    d1, d2 = doc["group"]
+    assert d1 * d2 == doc["N"] and d2 % d1 == 0
+
+
+@pytest.mark.parametrize("eta, flag", [("5", False), ("6", True)])
+def test_cli_twisted_rs_prints_its_mds_condition(eta, flag, capsys):
+    argv = ("build", "--recipe", "twisted-rs", "--q", "19", "--alpha", "1,2,3,4",
+            "--eta", eta, "--k", "2")
+    rc, out, _ = run_cli(*argv, "--json", capsys=capsys)
+    assert rc == 0 and json.loads(out)["mds_condition"] is flag
+    rc, out, _ = run_cli(*argv, capsys=capsys)
+    assert rc == 0 and out.splitlines()[1] == f"mds_condition: {flag}"
 
 
 @pytest.mark.parametrize("field, n", [(F19, 5), (F19, 8), (F16, 6), (F16, 9)],
