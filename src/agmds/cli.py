@@ -139,13 +139,17 @@ def _cmd_curve_info(args) -> int:
 
 
 def _seed(args) -> int:
-    """--seed if given, else AGMDS_SEED if it is an integer, else 0."""
+    """--seed if given, else AGMDS_SEED if set, else 0.  An AGMDS_SEED
+    that is not an integer is a usage error."""
     if args.seed is not None:
         return args.seed
-    try:
-        return int(os.environ.get("AGMDS_SEED", "0"))
-    except ValueError:
+    text = os.environ.get("AGMDS_SEED")
+    if text is None:
         return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"AGMDS_SEED must be an integer, got {text!r}") from None
 
 
 def _finish(args, recipe, params, seed, built, m, head, extra=()) -> int:
@@ -212,8 +216,17 @@ _RECIPES = {
 }
 
 
+# Every option some recipe records, in table order.
+_RECIPE_OPTIONS = tuple(dict.fromkeys(o for options, _, _ in _RECIPES.values() for o in options))
+
+
 def _cmd_build(args) -> int:
     options, m_option, run = _RECIPES[args.recipe]
+    # Unset is None, or False for a flag (0 == False, so test identity).
+    stray = [f"--{o}" for o in _RECIPE_OPTIONS if o not in options
+             and getattr(args, o) is not None and getattr(args, o) is not False]
+    _require(not stray, f"{args.recipe} recipe does not take {', '.join(stray)} "
+                        f"(it takes {', '.join('--' + o for o in options)})")
     field = None
     if "q" in options:
         _require(args.q is not None, "this recipe needs --q (as p, p^s or p^s:[modulus])")

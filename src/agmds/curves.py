@@ -24,6 +24,7 @@ q + 1 +/- isqrt(4q).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt
 from random import Random
 
@@ -251,8 +252,9 @@ class Curve:
         while k:
             if k & 1:
                 acc = self._add_xy(acc, base)
-            base = self._add_xy(base, base)
             k >>= 1
+            if k:  # no doubling after the top bit
+                base = self._add_xy(base, base)
         return acc
 
     def _as_xy(self, point: CurvePoint):
@@ -825,6 +827,25 @@ def _class_key(F: FieldSpec, coeffs: tuple):
     return None
 
 
+_REFUTING_POINTS = 3
+
+
+def _refutes_count(curve: Curve, n_points: int) -> bool:
+    """Whether a rational point P with [n_points]P != O exists among the
+    curve's first few: (x, y) for the first abscissas x, in order, that
+    carry a point, y the first root over x.
+
+    The order of every point divides #E (Lagrange), so True proves
+    #E != n_points; False decides nothing.
+    """
+    solve, rhs = curve.field.solve_quadratic, curve._rhs_quadratic
+    points = ((x, ys[0]) for x in range(curve.field.q) if (ys := solve(*rhs(x))))
+    return any(
+        curve._scalar_xy(n_points, P) is not None
+        for P in islice(points, _REFUTING_POINTS)
+    )
+
+
 def _matching_curves(
     field: FieldSpec,
     n_points: int,
@@ -836,16 +857,23 @@ def _matching_curves(
     """Distinct curves with exactly n_points rational points (and the
     requested (d1, d2) shape, if given), in a seeded order.
 
-    Fields of order at most family_cap walk curve_family in its
-    deterministic order.  Isomorphic curves share point count and shape,
-    so the verdict is computed once per isomorphism-class key (_class_key)
-    and reused for every later tuple of that class; tuples without a key
-    are counted one by one.  The walk yields exactly the curves, in the
-    order, that testing every tuple would.  Larger fields draw `draws`
-    seeded random five-coefficient models, skipping repeats.
+    Each candidate is refuted before it is counted: if one of its first
+    few rational points has [n_points]P != O, it cannot have n_points
+    points (_refutes_count), and only the curves that survive get
+    point_count and, for a shape, group_structure.  Fields of order at
+    most family_cap walk curve_family in its deterministic order.
+    Isomorphic curves share point count and shape, so the verdict is
+    computed once per isomorphism-class key (_class_key) and reused for
+    every later tuple of that class; tuples without a key (p = 3 and the
+    characteristic-2 j = 0 branch) are refuted or counted one by one.
+    The walk yields exactly the curves, in the order, that counting every
+    tuple would.  Larger fields draw `draws` seeded random
+    five-coefficient models, skipping repeats.
     """
 
     def matches(curve: Curve) -> bool:
+        if _refutes_count(curve, n_points):
+            return False
         return curve.point_count() == n_points and (
             shape is None or group_structure(curve) == tuple(shape)
         )
@@ -884,9 +912,11 @@ def find_curve_with_order(
     (and the requested (d1, d2) shape, if given).
 
     The family is scanned exhaustively in deterministic order when the
-    field is small, counting points once per isomorphism class (see
+    field is small, deciding each isomorphism class once (see
     _matching_curves); above the cap, seeded random five-coefficient
-    models are drawn until the budget runs out.
+    models are drawn until the budget runs out.  Either way a candidate
+    is first refuted by [n_points]P != O at a few of its points, and only
+    a survivor's points are counted.
     """
     lo, hi = hasse_window(field.q)
     if not lo <= n_points <= hi:

@@ -40,6 +40,7 @@ from .curves import (
     Curve,
     CurvePoint,
     PointLabels,
+    _class_key,
     _matching_curves,
     admissible_curve_orders,
     curve_make,
@@ -164,6 +165,12 @@ def search_coset_code(
     2m = n (that keeps the Schur dimension at its generic value 2m).  The
     group-sum certificate decides every candidate and is the code's only MDS
     certificate.
+
+    Whether a curve yields a candidate depends only on its group, so a
+    family tuple whose isomorphism class (_class_key) already returned
+    nothing in this pass is skipped unlabelled; it still counts toward
+    the cap of _SEARCH_CURVES curves, which keeps every output the same as
+    trying it.
     """
     if not 1 <= m <= n:
         raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
@@ -186,10 +193,15 @@ def search_coset_code(
 
     fallback = None
     draws = 200 * _SEARCH_CURVES
+    keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
     for sufficient_only in (True, False):
         curves = _matching_curves(field, n_points, None, seed, draws, _SEARCH_FAMILY_CAP)
         curve = None
+        failed = set()  # class keys of this pass's curves that returned nothing
         for curve in islice(curves, _SEARCH_CURVES):
+            key = _class_key(field, curve.coeffs) if keyed else None
+            if key in failed:
+                continue
             labels = point_labels(curve)
             for subgroup in _subgroups_of_order(curve, n):
                 sub_labels = [labels.of(p) for p in subgroup]
@@ -199,6 +211,8 @@ def search_coset_code(
                         fallback = fallback or candidate
                         continue
                     return finish(*candidate)
+            if key is not None:
+                failed.add(key)
         if curve is None:
             raise NoAdmissibleCurve(
                 f"no curve with N={n_points} found over q={field.q}"

@@ -638,6 +638,22 @@ def test_cli_recipe_usage_message(recipe, capsys):
         assert err == "UsageError: this recipe needs --q (as p, p^s or p^s:[modulus])\n"
 
 
+@pytest.mark.parametrize("argv, stray, takes", [
+    (("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2", "--q", "5", "--k", "9"),
+     "--q, --k", "--p, --m, --longer"),
+    (("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2", "--k", "0"),
+     "--k", "--p, --m, --longer"),
+    (("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3",
+      "--longer"), "--longer", "--q, --N, --n, --m"),
+    (("build", "--recipe", "rs", "--q", "19", "--alpha", "1,2,3", "--k", "2", "--eta", "6",
+      "--l1", "4"), "--l1, --eta", "--q, --alpha, --k"),
+], ids=["sqrt-prime", "zero-value", "flag", "rs"])
+def test_cli_build_rejects_options_outside_its_recipe(argv, stray, takes, capsys):
+    rc, out, err = run_cli(*argv, "--json", capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"UsageError: {argv[2]} recipe does not take {stray} (it takes {takes})\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3"),
     ("build", "--recipe", "coprime-split", "--q", "19", "--l1", "4", "--l2", "5", "--m", "2"),
@@ -703,6 +719,21 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     assert out_env == out_explicit
     assert json.loads(out_env)["construction"]["seed"] == 5
     assert json.loads(out_default)["construction"]["seed"] == 0
+
+
+@pytest.mark.parametrize("value", ["x", "", "1.5", "5x"])
+@pytest.mark.parametrize("argv", [
+    ("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3"),
+    ("selfdual", "--s1", "2", "--s2", "2", "--t", "1", "--Lp", "3"),
+], ids=["build", "selfdual"])
+def test_cli_seed_env_must_be_an_integer(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("AGMDS_SEED", value)
+    rc, out, err = run_cli(*argv, "--json", capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"UsageError: AGMDS_SEED must be an integer, got {value!r}\n"
+    # an explicit --seed wins without reading the variable
+    rc, out, _ = run_cli(*argv, "--json", "--seed", "3", capsys=capsys)
+    assert rc == 0 and json.loads(out)["construction"]["seed"] == 3
 
 
 def test_cli_entry_reproduces_matrix(tmp_path, capsys):

@@ -6,7 +6,9 @@ which a shell would see as a traceback.  Fields stay small (q <= 32) so
 every example runs in milliseconds; integers come from [-3, 40], half of
 them from [1, 8], and a value is malformed text one time in twenty.  The
 options a subcommand or recipe requires are usually present and the others
-usually absent, so runs that get past the argument checks are fuzzed too.
+usually absent, so runs that get past the argument checks are fuzzed too;
+a build option outside the chosen recipe is a usage error, so it is rarer
+still.
 """
 
 import contextlib
@@ -40,10 +42,10 @@ def _value(values):
     return st.integers(0, 19).flatmap(lambda i: MALFORMED if i == 0 else values)
 
 
-def _opt(name, values):
-    """``name value`` one time in four, else absent."""
-    return st.integers(0, 3).flatmap(
-        lambda i: _value(values).map(lambda v: (name, v)) if i == 0 else st.just(()))
+def _opt(name, values, one_in=4):
+    """``name value`` one time in one_in, else absent."""
+    return st.integers(1, one_in).flatmap(
+        lambda i: _value(values).map(lambda v: (name, v)) if i == 1 else st.just(()))
 
 
 def _req(name, values):
@@ -52,8 +54,8 @@ def _req(name, values):
         lambda i: st.just(()) if i == 0 else _value(values).map(lambda v: (name, v)))
 
 
-def _flag(name):
-    return st.sampled_from(((), (name,)))
+def _flag(name, one_in=2):
+    return st.integers(1, one_in).map(lambda i: (name,) if i == 1 else ())
 
 
 def _joined(command, parts):
@@ -87,13 +89,15 @@ def _build(draw, catalogs):
     recipe = draw(st.sampled_from(sorted(BUILD_NEEDS)))
     p, ext = draw(_prime_power())
     values = {"--q": FIELDS, "--p": st.just(p), "--ext": st.just(ext), "--alpha": ELEMENTS,
-              "--eta": ELEMENTS, "--seed": INTS, "--catalog": catalogs}
+              "--eta": ELEMENTS}
     parts = [("--recipe", recipe)]
     for name in ("--q", "--N", "--n", "--m", "--k", "--l1", "--l2", "--p", "--ext",
-                 "--alpha", "--eta", "--seed", "--catalog"):
-        option = _req if name in BUILD_NEEDS[recipe] else _opt
-        parts.append(draw(option(name, values.get(name, INTS))))
-    parts.append(draw(_flag("--longer")))
+                 "--alpha", "--eta"):
+        needed = name in BUILD_NEEDS[recipe]
+        value = values.get(name, INTS)
+        parts.append(draw(_req(name, value) if needed else _opt(name, value, one_in=20)))
+    parts += [draw(_opt("--seed", INTS)), draw(_opt("--catalog", catalogs))]
+    parts.append(draw(_flag("--longer", one_in=2 if recipe == "sqrt-prime" else 20)))
     return _joined("build", parts)
 
 

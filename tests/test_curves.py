@@ -1,11 +1,13 @@
 """Curves: models, enumeration, group law, shapes, search, tables."""
 
+import functools
 import math
 import random
 
 import pytest
 
 from agmds import field_make
+import agmds.curves as curves_module
 from agmds.curves import (
     Curve,
     CurvePoint,
@@ -463,19 +465,92 @@ def test_keyed_walk_yields_the_plain_walks_first_curve(F):
 
 @pytest.mark.parametrize("F", [F19, F16, field_make(5, 2)], ids=lambda F: f"q{F.q}")
 def test_keyed_walk_counts_each_class_once(F, monkeypatch):
+    # Each keyed class is decided once: refuted by [N]P != O, or counted.
     n = F.q + 1
     plain = [c for c in curve_family(F) if c.point_count() == n]
-    counted = []
-    point_count = Curve.point_count
+    counted, refuted = [], []
+    point_count, refutes = Curve.point_count, curves_module._refutes_count
 
     def counting(curve):
         counted.append(_class_key(F, curve.coeffs))
         return point_count(curve)
 
+    def refuting(curve, n_points):
+        hit = refutes(curve, n_points)
+        if hit:
+            refuted.append(_class_key(F, curve.coeffs))
+        return hit
+
     monkeypatch.setattr(Curve, "point_count", counting)
+    monkeypatch.setattr(curves_module, "_refutes_count", refuting)
     assert list(_matching_curves(F, n, None, 0, 0)) == plain
-    keys = [k for k in counted if k is not None]
-    assert len(keys) == len(set(keys)) == class_count(F)
+    counted_keys = [k for k in counted if k is not None]
+    refuted_keys = [k for k in refuted if k is not None]
+    assert refuted_keys
+    assert len(counted_keys) == len(set(counted_keys))
+    decided = counted_keys + refuted_keys
+    assert len(decided) == len(set(decided)) == class_count(F)
+
+
+# -- refuting a point count by [N]P != O ---------------------------------------------------
+
+REFUTE_FIELDS = [field_make(p, s) for p, s in
+                 ((5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (5, 2), (3, 3))]
+
+
+@functools.cache
+def family_counts(F) -> tuple:
+    """(curve, point_count) for every curve_family tuple, counted one by one."""
+    return tuple((c, c.point_count()) for c in curve_family(F))
+
+
+@pytest.mark.parametrize("F", REFUTE_FIELDS, ids=lambda F: f"q{F.q}")
+def test_refutation_never_rejects_the_true_count(F):
+    for c, n in family_counts(F):
+        assert not curves_module._refutes_count(c, n), c.text()
+
+
+def walk_targets(F) -> list:
+    return sorted(
+        ((n, shape) for n in admissible_curve_orders(F.q)
+         for shape in (None, *admissible_group_structures(F.q, n))),
+        key=lambda t: (t[0], t[1] or (0, 0)),
+    )
+
+
+# The 39 walks over F_27 take close to a minute, so the suite walks two: the
+# supersingular count 28 (j = 0 in characteristic 3) and a non-cyclic shape
+# of an ordinary count.
+F27_TARGETS = [(28, None), (32, (2, 16))]
+
+
+@pytest.mark.parametrize("F", REFUTE_FIELDS, ids=lambda F: f"q{F.q}")
+def test_filtered_walk_equals_the_counting_oracle(F):
+    """For every attainable (N, shape), _matching_curves yields exactly
+    filter(plain_matches, curve_family(F)), where plain_matches counts
+    every tuple: p = 3 and the characteristic-2 j = 0 branch included."""
+    targets = walk_targets(F)
+    if F.q == 27:
+        assert set(F27_TARGETS) <= set(targets)
+        targets = F27_TARGETS
+    for n, shape in targets:
+        oracle = [c for c, count in family_counts(F)
+                  if count == n and (shape is None or group_structure(c) == shape)]
+        assert list(_matching_curves(F, n, shape, 0, 0)) == oracle, (n, shape)
+    if F.p == 2:  # some count is attained on the j = 0 branch alone
+        assert any(all(c.coeffs[0] == 0 for c, count in family_counts(F) if count == n)
+                   for n, _ in targets)
+
+
+def test_find_curve_refutes_before_counting(monkeypatch):
+    # N = 57 over F_64 occurs only on the j = 0 branch, which has no class
+    # key: counting every tuple before it took 4,223 point counts.
+    calls = []
+    point_count = Curve.point_count
+    monkeypatch.setattr(Curve, "point_count", lambda c: calls.append(c) or point_count(c))
+    curve = find_curve_with_order(field_make(2, 6), 57)
+    assert curve.text() == "g1:[0,0,0,0,0,0],[0,1,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0]"
+    assert len(calls) <= 3
 
 
 def test_random_full_model_counts_land_in_table():

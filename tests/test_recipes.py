@@ -20,6 +20,7 @@ from agmds.code import (
 from agmds.curves import (
     INFINITY,
     CurvePoint,
+    _class_key,
     coset,
     curve_family,
     group_structure,
@@ -253,6 +254,57 @@ def test_search_coset_code_f19(N, n, m, d):
     assert report.is_mds
     assert len(meta["points"]) == n
     assert meta["group"][0] * meta["group"][1] == N
+
+
+def _search_outcome(field, N, n, m):
+    try:
+        code, report, meta = search_coset_code(field, N, n, m)
+    except NoAdmissibleCurve as exc:
+        return f"NoAdmissibleCurve: {exc}"
+    return code.gen, report, meta
+
+
+@pytest.mark.parametrize("q, N, n, m, labelled", [
+    ((2, 8), 288, 16, 8, [1, 1]),
+    ((2, 6), 72, 12, 6, [2, 2]),
+    ((5, 3), 110, 10, 5, [1]),
+    ((19, 1), 24, 6, 3, [1]),
+], ids=["f256-n288", "f64-n72-fails", "f125-n110", "f19-n24"])
+def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
+                                                          monkeypatch):
+    field = field_make(*q)
+    # Oracle: the same search with no class keys labels every tuple it takes.
+    with monkeypatch.context() as patch:
+        patch.setattr(recipes_module, "_class_key", lambda F, coeffs: None)
+        expected = _search_outcome(field, N, n, m)
+    passes = []  # the distinct curves each pass labels, in order
+    matching, point_labels = recipes_module._matching_curves, recipes_module.point_labels
+
+    def new_pass(*args):
+        passes.append([])
+        return matching(*args)
+
+    def labelling(curve):
+        if curve not in passes[-1]:
+            passes[-1].append(curve)
+        return point_labels(curve)
+
+    monkeypatch.setattr(recipes_module, "_matching_curves", new_pass)
+    monkeypatch.setattr(recipes_module, "point_labels", labelling)
+    assert _search_outcome(field, N, n, m) == expected
+    for curves in passes:
+        keys = [_class_key(field, c.coeffs) for c in curves]
+        assert len(keys) == len(set(keys))
+    assert [len(curves) for curves in passes] == labelled
+
+
+def test_search_coset_code_keeps_the_family_cap_failure():
+    # The first 40 N = 72 tuples over F_64 fall into 2 of the 9 ordinary
+    # classes; neither has an MDS size-12 coset, and the cap stops the walk.
+    assert _search_outcome(field_make(2, 6), 72, 12, 6) == (
+        "NoAdmissibleCurve: no curve with N=72 over q=64 has a size-12 coset "
+        "giving an MDS degree-6 code"
+    )
 
 
 def test_search_coset_code_rejects_bad_order():
