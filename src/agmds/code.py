@@ -207,8 +207,7 @@ def _distance_by_supports(code: LinearCode) -> int:
 def is_mds_by_minors(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether every k columns of G are independent (so d = n - k + 1)."""
     n, k = code.n, code.k
-    if comb(n, k) > budget:
-        raise BudgetExceeded(f"C({n},{k}) column subsets exceed budget {budget}")
+    _require_minor_budget(n, k, budget)
     if k == 0:
         return False
     F = code.field
@@ -232,18 +231,30 @@ def is_mds_by_systematic_minors(code: LinearCode, budget: int = DEFAULT_BUDGET) 
     columns other than the first k, and the budget refuses the same codes
     as is_mds_by_minors, which stays the slow oracle.
     """
-    n, k = code.n, code.k
+    _require_minor_budget(code.n, code.k, budget)
+    if code.k == 0:
+        return False
+    return _systematic_form_is_mds(code.gen)
+
+
+def _require_minor_budget(n: int, k: int, budget: int) -> None:
+    """Refuse a minor certificate over more than budget k-subsets of n."""
     if comb(n, k) > budget:
         raise BudgetExceeded(f"C({n},{k}) column subsets exceed budget {budget}")
-    if k == 0:
-        return False
-    R, _, pivots = rref_rank(code.gen)
+
+
+def _systematic_form_is_mds(gen: FFMatrix) -> bool:
+    """The matrix-level body of is_mds_by_systematic_minors: whether every
+    k columns of the k x n matrix gen (k >= 1) are independent.  It checks
+    no budget; the caller does, once per code length and dimension."""
+    k, n = gen.rows, gen.cols
+    R, _, pivots = rref_rank(gen)
     if pivots != list(range(k)):
         return False
     A = [row[k:] for row in R.data]
     if any(0 in row for row in A):
         return False
-    F = code.field
+    F = gen.field
     mul = F.mul
     cols = range(n - k)
     for a, b in combinations(A, 2):

@@ -96,7 +96,9 @@ def rref_rank(M: FFMatrix) -> tuple[FFMatrix, int, list[int]]:
     """Gauss-Jordan reduced row echelon form.
 
     Returns (RREF matrix, rank, pivot column list).  Pivot choice is the
-    first nonzero entry scanning rows top-down within each column.
+    first nonzero entry scanning rows top-down within each column.  The
+    pivot row is zero left of its pivot, so each elimination touches only
+    the pivot column and the pivot row's nonzero columns right of it.
     """
     F = M.field
     mul, sub, inv = F.mul, F.sub, F.inv
@@ -114,16 +116,22 @@ def rref_rank(M: FFMatrix) -> tuple[FFMatrix, int, list[int]]:
             continue
         if pr != r:
             R[r], R[pr] = R[pr], R[r]
-        pv = R[r][c]
+        Rr = R[r]
+        pv = Rr[c]
         if pv != 1:
             ipv = inv(pv)
-            R[r] = [mul(ipv, v) for v in R[r]]
-        Rr = R[r]
+            Rr[c] = 1
+            for j in range(c + 1, ncols):
+                if Rr[j]:
+                    Rr[j] = mul(ipv, Rr[j])
+        live = [(j, Rr[j]) for j in range(c + 1, ncols) if Rr[j]]
         for i in range(nrows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                Ri = R[i]
-                R[i] = [sub(Ri[j], mul(f, Rr[j])) for j in range(ncols)]
+            Ri = R[i]
+            f = Ri[c]
+            if f and i != r:
+                Ri[c] = 0
+                for j, v in live:
+                    Ri[j] = sub(Ri[j], mul(f, v))
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations, islice
 from math import comb, gcd, isqrt
+from operator import itemgetter
 from random import Random
 
 from .code import (
@@ -31,9 +32,10 @@ from .code import (
     CodeReport,
     _has_subset_sum,
     _report_from_distance,
+    _require_minor_budget,
+    _systematic_form_is_mds,
     build_code,
     is_mds_by_group_sums,
-    is_mds_by_systematic_minors,
     self_dualize,
 )
 from .curves import (
@@ -63,6 +65,7 @@ from .errors import (
 )
 from .field import FieldSpec, field_make
 from .linalg import FFMatrix
+from .rrspace import evaluate_monomial, rr_basis
 
 
 # -- coset codes -----------------------------------------------------------------
@@ -576,12 +579,17 @@ def genus2_mds_search(
 ) -> tuple[LinearCode, CodeReport, dict]:
     """Seeded random hunt for an MDS one-point code on a genus-2 curve.
 
-    Samples n-subsets of the affine rational points and keeps the first
-    whose degree-m code is MDS by the minors of its systematic form
-    (code.is_mds_by_systematic_minors).  The counting bound
-    m * C(n, m-2) < N is recorded as an advisory flag; the search runs
-    either way.  Raises NotFound with the attempt count when the budget
-    runs out.
+    Evaluates the basis of L(m*P0) at every affine rational point once,
+    into a k x N table (k = m - 1).  Each attempt samples n columns of
+    that table and keeps the first sample that is MDS by the minors of
+    its systematic form (code._systematic_form_is_mds); only that winner
+    goes through build_code.  A losing sample needs none of build_code's
+    checks: its points are distinct rational points, and its generator
+    has full rank because a nonzero function of L(m*P0) has at most m < n
+    zeros.  The minor budget is checked once, before any sample.  The
+    counting bound m * C(n, m-2) < N is recorded as an advisory flag; the
+    search runs either way.  Raises NotFound with the attempt count when
+    the budget runs out.
     """
     if curve.genus != 2:
         raise PreconditionFailed("search expects a genus-2 curve")
@@ -594,16 +602,26 @@ def genus2_mds_search(
             f"n={n} exceeds the {len(affine)} affine rational points"
         )
     bound_ok = m * comb(n, m - 2) < total
+    F = curve.field
+    table = [
+        [evaluate_monomial(F, mono, p) for p in affine]
+        for mono in rr_basis(curve, m).monomials
+    ]
+    _require_minor_budget(n, len(table), DEFAULT_BUDGET)
+    positions = range(len(affine))
     rng = Random(seed)
     for attempt in range(1, budget + 1):
-        pts = sorted(rng.sample(affine, n), key=CurvePoint.sort_key)
-        code = build_code(
-            curve,
-            pts,
-            m,
-            {"construction": "genus2-search", "curve": curve.text(), "m": m},
-        )
-        if is_mds_by_systematic_minors(code):
+        # affine is in sort_key order, so sorted positions give sorted points
+        idx = sorted(rng.sample(positions, n))
+        columns = itemgetter(*idx)
+        if _systematic_form_is_mds(FFMatrix(F, [columns(row) for row in table], n)):
+            pts = [affine[i] for i in idx]
+            code = build_code(
+                curve,
+                pts,
+                m,
+                {"construction": "genus2-search", "curve": curve.text(), "m": m},
+            )
             meta = {
                 "curve": curve,
                 "points": pts,

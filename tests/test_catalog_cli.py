@@ -417,6 +417,16 @@ def test_cli_search_store_export_certify(tmp_path, capsys):
     assert json.loads(out)["schur_dim"] == 10
 
 
+def test_cli_search_over_the_minor_budget_exits_1(capsys):
+    # C(27, 14) ~ 2.0e7 column subsets: refused before any sample is drawn
+    rc, out, err = run_cli(
+        "search", "--field", "31", "--curve", "g2:1,0,0,0,0,1;0,0,0",
+        "--n", "27", "--m", "15", capsys=capsys,
+    )
+    assert rc == 1 and out == ""
+    assert err.strip() == "BudgetExceeded: C(27,14) column subsets exceed budget 10000000"
+
+
 def test_cli_export_round_trip_bytes(tmp_path, capsys):
     text = export_matrix_text(_hand_code())
     f = tmp_path / "c.txt"

@@ -20,6 +20,7 @@ from agmds.curves import (
     coset,
     curve_family,
     curve_make,
+    discriminant_genus1,
     find_curve_with_order,
     group_structure,
     hasse_window,
@@ -393,6 +394,17 @@ def test_matching_curves_random_draws_are_distinct_and_seeded():
     assert draw((2, 12)) == [c for c in curves if group_structure(c) == (2, 12)]
     family = _matching_curves(F19, 24, None, 0, 0)
     assert find_curve_with_order(F19, 24) == next(family)
+
+
+@pytest.mark.parametrize("p, s", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (5, 3)])
+def test_short_form_family_filter_equals_the_general_discriminant(p, s):
+    # For p >= 5 curve_family keeps y^2 = x^3 + a4 x + a6 when
+    # 4 a4^3 + 27 a6^2 != 0; the general b-invariant discriminant is the oracle.
+    F = field_make(p, s)
+    q = F.q
+    general = [(0, 0, 0, a4, a6) for a4 in range(q) for a6 in range(q)
+               if discriminant_genus1(F, (0, 0, 0, a4, a6)) != 0]
+    assert [c.coeffs for c in curve_family(F)] == general
 
 
 def test_find_curve_budget_exhaustion_on_large_field():

@@ -41,6 +41,62 @@ def test_rref_examples():
     assert R.data == [[1, 2], [0, 0]]
 
 
+def _full_row_gauss_jordan(M):
+    """The RREF oracle: Gauss-Jordan that rewrites every entry of each
+    updated row, the zeros left of the pivot and the columns the pivot row
+    leaves unchanged included."""
+    F = M.field
+    R = [row[:] for row in M.data]
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        pr = next((i for i in range(r, M.rows) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        ipv = F.inv(R[r][c])
+        R[r] = [F.mul(ipv, v) for v in R[r]]
+        for i in range(M.rows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == M.rows:
+            break
+    return R, r, pivots
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """Matrices up to 6 x 10 with zero rows, repeated rows and rows that
+    combine earlier ones, so rank-deficient shapes are common."""
+    F = draw(st.sampled_from([field_make(31), F16, field_make(3, 2)]))
+    cols = draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination")))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(entry), draw(entry)
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return FFMatrix(F, rows, cols)
+
+
+@given(_shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_equals_full_row_gauss_jordan(M):
+    R, r, pivots = rref_rank(M)
+    assert (R.data, r, pivots) == _full_row_gauss_jordan(M)
+
+
 def test_kernel_examples():
     assert kernel_basis(FFMatrix.identity(F5, 2)).rows == 0
 

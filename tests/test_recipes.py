@@ -4,21 +4,26 @@ pipeline, twisted evaluation codes, genus-2 search."""
 import time
 from itertools import combinations, islice
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from agmds import curve_make, field_make
+import agmds.code as code_module
 from agmds.code import (
+    LinearCode,
     build_code,
     invariant_report,
     is_mds_by_group_sums,
     is_mds_by_minors,
+    is_mds_by_systematic_minors,
     min_distance,
     schur_square,
 )
 from agmds.curves import (
     INFINITY,
+    Curve,
     CurvePoint,
     _class_key,
     coset,
@@ -59,6 +64,7 @@ F5 = field_make(5)
 F19 = field_make(19)
 F31 = field_make(31)
 E_F5 = curve_make(F5, 1, (0, 0, 0, 0, 1))  # Z/6
+X31 = curve_make(F31, 2, [1, 0, 0, 0, 0, 1])  # y^2 = x^5 + 1, 27 affine points
 
 
 # -- explicit coset codes ---------------------------------------------------------
@@ -569,13 +575,80 @@ def test_genus2_hunt_is_unchanged_under_the_minor_oracle(n, m, monkeypatch):
     fast = [_hunt(X, n, m, seed) for seed in range(10)]
     oracle_calls = [0]
 
-    def oracle(code):
+    def oracle(gen):
         oracle_calls[0] += 1
-        return is_mds_by_minors(code)
+        return is_mds_by_minors(LinearCode(F31, gen))
 
-    monkeypatch.setattr(recipes_module, "is_mds_by_systematic_minors", oracle)
+    monkeypatch.setattr(recipes_module, "_systematic_form_is_mds", oracle)
     assert [_hunt(X, n, m, seed) for seed in range(10)] == fast
     assert oracle_calls[0] >= 10
+
+
+def _reference_hunt(curve, n, m, seed, budget=2000):
+    """The hunt before its evaluation table: sample points, build the whole
+    code and certify it, once per attempt."""
+    affine = curve.affine_points()
+    rng = Random(seed)
+    for attempt in range(1, budget + 1):
+        pts = sorted(rng.sample(affine, n), key=CurvePoint.sort_key)
+        code = build_code(curve, pts, m)
+        if is_mds_by_systematic_minors(code):
+            return code.gen, pts, attempt
+    return None
+
+
+@pytest.mark.parametrize("field, text", [
+    ((2, 5), "g2:1,0,0,0,0,1;0,1,0"),
+    ((3, 3), "g2:1,0,0,0,0,1;0,0,0"),
+], ids=["f32", "f27"])
+def test_genus2_hunt_equals_the_rebuilding_reference_loop(field, text):
+    X = parse_curve_text(field_make(*field), text)
+    for seed in range(10):
+        expected = _reference_hunt(X, 8, 5, seed)
+        assert expected is not None
+        assert _hunt(X, 8, 5, seed) == expected
+
+
+def test_genus2_hunt_refuses_an_over_budget_code_before_sampling(monkeypatch):
+    def no_sampling(seed):
+        raise AssertionError("the hunt drew a sample")
+
+    monkeypatch.setattr(recipes_module, "Random", no_sampling)
+    with pytest.raises(BudgetExceeded) as exc:
+        genus2_mds_search(X31, 27, 15)
+    assert str(exc.value) == f"C(27,14) column subsets exceed budget {DEFAULT_BUDGET}"
+
+
+def test_genus2_hunt_builds_and_checks_only_the_winner(monkeypatch):
+    # a losing sample is read from the evaluation table, so the checks of
+    # build_code and LinearCode run once, on the returned code
+    n, m = 9, 6
+    k, affine = m - 1, len(X31.affine_points())
+    calls = {"contains": 0, "evaluate": 0, "rank_checks": 0}
+    contains, init = Curve.contains, LinearCode.__init__
+    evaluate = code_module.evaluate_monomial
+
+    def counting_contains(curve, point):
+        calls["contains"] += 1
+        return contains(curve, point)
+
+    def counting_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    def counting_init(code, field, gen, provenance=None):
+        calls["rank_checks"] += (gen.rows, gen.cols) == (k, n)
+        init(code, field, gen, provenance)
+
+    monkeypatch.setattr(Curve, "contains", counting_contains)
+    monkeypatch.setattr(LinearCode, "__init__", counting_init)
+    monkeypatch.setattr(code_module, "evaluate_monomial", counting_evaluate)
+    monkeypatch.setattr(recipes_module, "evaluate_monomial", counting_evaluate)
+    code, _, meta = genus2_mds_search(X31, n, m, seed=0)
+    assert meta["attempts"] > 1
+    assert calls["contains"] <= n
+    assert calls["rank_checks"] == 1
+    assert calls["evaluate"] == k * affine + k * n
 
 
 def test_genus2_schur_dimension():
@@ -592,8 +665,6 @@ def test_genus2_schur_dimension():
 
 
 # -- reports against the full scans --------------------------------------------------------
-
-X31 = curve_make(F31, 2, [1, 0, 0, 0, 0, 1])
 
 # Each recipe certifies MDS once and takes d from that verdict; these runs
 # check every returned report against invariant_report, whose distance and
