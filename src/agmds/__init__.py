@@ -1,7 +1,7 @@
 """MDS algebraic-geometry code workbench over small finite fields."""
 
 from .field import FieldElement, FieldSpec, field_make, parse_field_text
-from .linalg import FFMatrix, diagonal_bilinear_solve, kernel_basis, rank, rref_rank
+from .linalg import FFMatrix, kernel_basis, rank, rref_rank
 from .curves import (
     Curve,
     CurvePoint,

@@ -34,18 +34,7 @@ from .curves import (
     admissible_curve_orders,
     admissible_group_structures,
 )
-from .errors import (
-    AgmdsError,
-    BudgetExceeded,
-    BudgetExhausted,
-    IOFailure,
-    NoAdmissibleBeta,
-    NoAdmissibleCurve,
-    NoFullWeightSolution,
-    NotFound,
-    NotMDS,
-    SubgroupNotFound,
-)
+from .errors import AgmdsError, BudgetExceeded, IOFailure, SearchFailure
 from .field import parse_field_text
 from .recipes import (
     coprime_split_code,
@@ -58,18 +47,6 @@ from .recipes import (
     supersingular_code,
     twisted_rs_code,
 )
-
-SEARCH_FAILURES = (
-    NotMDS,
-    NotFound,
-    BudgetExhausted,
-    BudgetExceeded,
-    NoAdmissibleCurve,
-    NoAdmissibleBeta,
-    NoFullWeightSolution,
-    SubgroupNotFound,
-)
-
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
@@ -511,7 +488,7 @@ def dispatch(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SEARCH_FAILURES as exc:
+    except SearchFailure as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (AgmdsError, OSError) as exc:

@@ -5,7 +5,8 @@ here is exact: minimum distance by message enumeration or by support-kernel
 scan, MDS certification by the square minors of the systematic form
 [I | A] or (for elliptic curve codes) by an exact subset-sum DP on the
 integer labels of the point group, Schur-square dimension, hull
-dimension, and diagonal self-dualization over characteristic 2.  Checks
+dimension from the rank of G G^T, and diagonal self-dualization over
+characteristic 2, whose scalings are the dual of the Schur square.  Checks
 that would exceed their elementary-step budget raise BudgetExceeded
 instead of approximating.  is_mds_by_minors, one k x k elimination per
 k-subset of columns, is the slow oracle the faster certificates are
@@ -33,14 +34,7 @@ from .errors import (
     RankDeficient,
 )
 from .field import FieldSpec
-from .linalg import (
-    FFMatrix,
-    diagonal_bilinear_solve,
-    has_full_column_rank_square,
-    kernel_basis,
-    rank,
-    rref_rank,
-)
+from .linalg import FFMatrix, has_full_column_rank_square, kernel_basis, rank, rref_rank
 from .rrspace import evaluate_monomial, rr_basis
 
 DEFAULT_BUDGET = 10**7
@@ -294,7 +288,10 @@ def _has_subset_sum(elements, m: int, d1: int, d2: int, target, budget: int) -> 
     An exact DP over (subset size, group element): reach[k] holds the sums
     of the k-subsets of the elements seen so far, as one d2-bit row per
     residue mod d1, and adding an element rotates each row.  The budget
-    caps the row updates the DP performs.
+    caps the row updates the DP performs.  Past a few thousand bits an
+    update's time grows in proportion to the row width d2, so each one is
+    charged 1 + d2 // 8192 steps, and a full budget takes seconds, not
+    minutes, at every width up to 2^16.
     """
     n = len(elements)
     ti, tj = target
@@ -302,10 +299,11 @@ def _has_subset_sum(elements, m: int, d1: int, d2: int, target, budget: int) -> 
     reach = [[0] * d1 for _ in range(m + 1)]
     reach[0][0] = 1
     steps = 0
+    level_steps = d1 * (1 + d2 // 8192)
     for t, (i, j) in enumerate(elements):
         # a k-subset can still grow to m elements only if k >= m - (n - t)
         for k in range(min(t, m - 1), max(0, m - n + t) - 1, -1):
-            steps += d1
+            steps += level_steps
             if steps > budget:
                 raise BudgetExceeded(
                     f"subset-sum DP over {n} elements exceeds budget {budget}"
@@ -341,10 +339,10 @@ def schur_square(code: LinearCode) -> LinearCode:
 
 
 def hull_dim(code: LinearCode) -> int:
-    """dim(C intersect C-dual) = k + (n-k) - rank of the stacked generators."""
-    dual = kernel_basis(code.gen)
-    stacked = code.gen.stack(dual)
-    return code.n - rank(stacked)
+    """dim(C intersect C-dual) = k - rank(G G^T): uG lies in C-dual iff
+    u G G^T = 0, and u -> uG is injective because G has full rank."""
+    G = code.gen
+    return code.k - rank(G.mul(G.transpose()))
 
 
 def is_self_dual(code: LinearCode) -> bool:
@@ -359,17 +357,18 @@ _FULL_WEIGHT_DRAWS = 10**5
 def self_dualize(code: LinearCode, seed: int = 0) -> LinearCode:
     """Diagonal rescaling to a self-dual code over characteristic 2.
 
-    Solves G diag(v) G^T = 0 for v, hunts an all-nonzero solution (basis
-    vectors first, then _FULL_WEIGHT_DRAWS seeded random combinations),
-    replaces each v_i by its square root (unique in characteristic 2) and
-    scales the columns.
+    G diag(v) G^T = 0 says that v is orthogonal to every product g_a * g_b
+    of generator rows, so the solutions v form the dual of the Schur
+    square.  Hunts an all-nonzero solution (basis vectors first, then
+    _FULL_WEIGHT_DRAWS seeded random combinations), replaces each v_i by
+    its square root (unique in characteristic 2) and scales the columns.
     """
     F = code.field
     if F.p != 2:
         raise CharNotTwo("self-dualization requires characteristic 2")
     if 2 * code.k != code.n:
         raise NotHalfRate(f"need n = 2k, got n={code.n}, k={code.k}")
-    basis = diagonal_bilinear_solve(code.gen)
+    basis = kernel_basis(schur_square(code).gen)
     v = _full_weight_vector(F, basis, seed)
     if v is None:
         raise NoFullWeightSolution(

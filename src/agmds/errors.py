@@ -1,12 +1,19 @@
 """Exception types raised across the package.
 
-Every domain failure has its own class so callers (and the CLI exit-code
-mapping) can distinguish bad inputs from exhausted searches.
+Every domain failure has its own class so callers can distinguish bad
+inputs from exhausted searches; the latter all derive from SearchFailure,
+which is what the CLI maps to exit code 1.
 """
 
 
 class AgmdsError(Exception):
     """Base class for all package errors."""
+
+
+class SearchFailure(AgmdsError):
+    """A search or certificate ended without the object it looked for: not
+    MDS, nothing found, or a budget used up.  The CLI exits 1 on these and
+    2 on every other AgmdsError."""
 
 
 # -- field construction and arithmetic ------------------------------------
@@ -65,7 +72,7 @@ class NotPrimePower(AgmdsError):
     """Field order is not a prime power."""
 
 
-class BudgetExhausted(AgmdsError):
+class BudgetExhausted(SearchFailure):
     """Search ran out of its step budget without a hit."""
 
 
@@ -91,7 +98,7 @@ class RankDeficient(AgmdsError):
     """Generator matrix does not have full row rank."""
 
 
-class BudgetExceeded(AgmdsError):
+class BudgetExceeded(SearchFailure):
     """Exact check would exceed its elementary-step budget."""
 
 
@@ -99,7 +106,7 @@ class NotHalfRate(AgmdsError):
     """Self-dualization requires n = 2k."""
 
 
-class NoFullWeightSolution(AgmdsError):
+class NoFullWeightSolution(SearchFailure):
     """No all-coordinates-nonzero vector found in the solution space."""
 
 
@@ -113,23 +120,23 @@ class PreconditionFailed(AgmdsError):
     """A recipe precondition does not hold; the message names the clause."""
 
 
-class NotMDS(AgmdsError):
+class NotMDS(SearchFailure):
     """Certification scan found a zero-sum subset / short-weight codeword."""
 
 
-class NoAdmissibleCurve(AgmdsError):
+class NoAdmissibleCurve(SearchFailure):
     """No curve with the required order/structure was found."""
 
 
-class SubgroupNotFound(AgmdsError):
+class SubgroupNotFound(SearchFailure):
     """No subgroup or generator with the required order exists."""
 
 
-class NoAdmissibleBeta(AgmdsError):
+class NoAdmissibleBeta(SearchFailure):
     """No trace value satisfies the pipeline congruences."""
 
 
-class NotFound(AgmdsError):
+class NotFound(SearchFailure):
     """Randomized search ended without a hit; message carries the attempts."""
 
 

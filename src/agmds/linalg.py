@@ -1,8 +1,10 @@
 """Dense exact linear algebra over a FieldSpec.
 
-Matrices store element codes (plain ints) row-major in lists.  Pivoting is
-deterministic (first nonzero entry in column order), so reduced forms,
-kernels and solution bases are reproducible across runs.
+Matrices store element codes (plain ints) row-major in lists.  rref_rank is
+the one general elimination: rank and kernel_basis are read off it.  Its
+pivoting is deterministic (first nonzero entry in column order), so reduced
+forms and kernels are reproducible across runs.  The only other elimination
+is has_full_column_rank_square, the early-exit test of one square minor.
 """
 
 from __future__ import annotations
@@ -140,42 +142,18 @@ def rref_rank(M: FFMatrix) -> tuple[FFMatrix, int, list[int]]:
 
 
 def rank(M: FFMatrix) -> int:
-    """Row echelon rank (forward elimination only; cheaper than rref_rank)."""
-    F = M.field
-    mul, sub, inv = F.mul, F.sub, F.inv
-    R = [row[:] for row in M.data]
-    nrows, ncols = M.rows, M.cols
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if R[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            R[r], R[pr] = R[pr], R[r]
-        ipv = inv(R[r][c])
-        Rr = R[r]
-        for i in range(r + 1, nrows):
-            fi = R[i][c]
-            if fi:
-                f = mul(fi, ipv)
-                Ri = R[i]
-                # rows below the pivot are already zero left of column c
-                for j in range(c, ncols):
-                    v = Rr[j]
-                    if v:
-                        Ri[j] = sub(Ri[j], mul(f, v))
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of M: the pivot count of rref_rank."""
+    return rref_rank(M)[1]
 
 
 def has_full_column_rank_square(field: FieldSpec, cols_data: list[list[int]]) -> bool:
-    """Whether a k x k matrix given as columns is invertible; early-exits."""
+    """Whether a k x k matrix given as columns is invertible.
+
+    A forward elimination that returns at the first column without a
+    pivot, kept beside rref_rank because it is the inner kernel of the
+    systematic-form certificate: on 3 x 3 to 5 x 5 minors over F_31,
+    rref_rank(...)[1] == k takes 1.6-2x as long per minor.
+    """
     k = len(cols_data)
     R = [list(col) for col in cols_data]  # work on the transpose; rank is equal
     mul, sub, inv = field.mul, field.sub, field.inv
@@ -221,25 +199,3 @@ def kernel_basis(M: FFMatrix) -> FFMatrix:
                 v[pc] = neg(coeff)
         basis.append(v)
     return FFMatrix(F, basis, M.cols)
-
-
-def diagonal_bilinear_solve(G: FFMatrix) -> FFMatrix:
-    """Basis of {v : G diag(v) G^T = 0}.
-
-    The k(k+1)/2 equations sum_i v_i G[a][i] G[b][i] = 0 (a <= b) are
-    linear in v, so the solution space is the kernel of the stacked
-    coefficient matrix.  Callers hunting for an all-nonzero v combine the
-    returned basis rows themselves.
-    """
-    F = G.field
-    mul = F.mul
-    k, n = G.rows, G.cols
-    eqs = []
-    for a in range(k):
-        ga = G.data[a]
-        for b in range(a, k):
-            gb = G.data[b]
-            eqs.append([mul(ga[i], gb[i]) for i in range(n)])
-    if not eqs:
-        return FFMatrix.identity(F, n)
-    return kernel_basis(FFMatrix(F, eqs, n))

@@ -11,12 +11,14 @@ a build option outside the chosen recipe is a usage error, so it is rarer
 still.
 """
 
+import argparse
 import contextlib
 import io
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from agmds import cli, errors
 from agmds.cli import dispatch
 
 MAX_Q = 32
@@ -172,3 +174,31 @@ def test_argv_fuzz_exit_codes(fuzz_dir, argv, as_json):
         rc = dispatch(argv)
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue(), argv
+
+
+SEARCH_FAILURES = {
+    "NotMDS", "NotFound", "BudgetExhausted", "BudgetExceeded", "NoAdmissibleCurve",
+    "NoAdmissibleBeta", "NoFullWeightSolution", "SubgroupNotFound",
+}
+
+
+def test_exit_code_follows_the_exception_hierarchy(monkeypatch):
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.AgmdsError)
+    ]
+    codes = {}
+    for exc_type in classes + [cli.UsageError]:
+        def fail(args, exc_type=exc_type):
+            raise exc_type("stub")
+
+        ap = argparse.ArgumentParser()
+        ap.set_defaults(func=fail)
+        monkeypatch.setattr(cli, "build_parser", lambda ap=ap: ap)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            codes[exc_type.__name__] = dispatch([])
+        assert err.getvalue() == f"{exc_type.__name__}: stub\n"
+    assert len(codes) == len(classes) + 1
+    # the eight search failures and their base exit 1, every other error 2
+    assert {name for name, rc in codes.items() if rc == 1} == SEARCH_FAILURES | {"SearchFailure"}
+    assert {rc for name, rc in codes.items() if rc != 1} == {2}

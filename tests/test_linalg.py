@@ -1,18 +1,17 @@
-"""Exact linear algebra: reduced forms, kernels, the diagonal solve."""
+"""Exact linear algebra: reduced forms, kernels, and the invariants read
+off them (rank, hull dimension, the diagonal solve), each against the
+independent elimination it replaced."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import agmds.code
 from agmds import field_make
-from agmds.linalg import (
-    FFMatrix,
-    diagonal_bilinear_solve,
-    kernel_basis,
-    rank,
-    rref_rank,
-)
+from agmds.code import LinearCode, dual_code, hull_dim, schur_square, self_dualize
+from agmds.errors import NoFullWeightSolution
+from agmds.linalg import FFMatrix, kernel_basis, rank, rref_rank
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -69,14 +68,19 @@ def _full_row_gauss_jordan(M):
 
 @st.composite
 def _shaped_matrices(draw):
-    """Matrices up to 6 x 10 with zero rows, repeated rows and rows that
-    combine earlier ones, so rank-deficient shapes are common."""
+    """Matrices up to 6 x 10, 0 rows and 0 columns included, with zero
+    rows, repeated rows and rows that combine earlier ones, so
+    rank-deficient shapes are common.  Half the rows are fresh, with
+    entries from a seeded Random: lists drawn entry by entry repeat their
+    values, so fresh rows would often be proportional and full ranks
+    rare."""
     F = draw(st.sampled_from([field_make(31), F16, field_make(3, 2)]))
-    cols = draw(st.integers(1, 10))
+    cols = draw(st.integers(0, 10))
     entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rng = draw(st.randoms(use_true_random=False))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination")))
+        kind = draw(st.sampled_from(("fresh", "zero", "fresh", "repeat", "fresh", "combination")))
         if kind == "zero":
             rows.append([0] * cols)
         elif kind == "repeat" and rows:
@@ -86,7 +90,7 @@ def _shaped_matrices(draw):
             u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             rows.append([F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(u, v)])
         else:
-            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+            rows.append([rng.randrange(F.q) for _ in range(cols)])
     return FFMatrix(F, rows, cols)
 
 
@@ -95,6 +99,94 @@ def _shaped_matrices(draw):
 def test_rref_equals_full_row_gauss_jordan(M):
     R, r, pivots = rref_rank(M)
     assert (R.data, r, pivots) == _full_row_gauss_jordan(M)
+
+
+def _forward_rank(M):
+    """The rank oracle: forward elimination only, no back substitution."""
+    F = M.field
+    R = [row[:] for row in M.data]
+    r = 0
+    for c in range(M.cols):
+        pr = next((i for i in range(r, M.rows) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        ipv = F.inv(R[r][c])
+        for i in range(r + 1, M.rows):
+            if R[i][c]:
+                f = F.mul(R[i][c], ipv)
+                R[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(R[i], R[r])]
+        r += 1
+        if r == M.rows:
+            break
+    return r
+
+
+def _diagonal_bilinear_solve(G):
+    """The diagonal-solve oracle: a basis of {v : G diag(v) G^T = 0} as the
+    kernel of the k(k+1)/2 equations sum_i v_i G[a][i] G[b][i] = 0."""
+    F = G.field
+    eqs = [
+        [F.mul(x, y) for x, y in zip(G.data[a], G.data[b])]
+        for a in range(G.rows)
+        for b in range(a, G.rows)
+    ]
+    if not eqs:
+        return FFMatrix.identity(F, G.cols)
+    return kernel_basis(FFMatrix(F, eqs, G.cols))
+
+
+def _diagonal_solve(G):
+    """Basis of {v : G diag(v) G^T = 0}: the dual of the Schur square."""
+    return dual_code(schur_square(LinearCode(G.field, G))).gen
+
+
+def _full_rank(M):
+    """A full-rank generator: M itself, or the nonzero rows of its RREF."""
+    R, r, _ = rref_rank(M)
+    return M if r == M.rows else FFMatrix(M.field, R.data[:r], M.cols)
+
+
+@given(_shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_equals_forward_elimination(M):
+    assert rank(M) == _forward_rank(M)
+
+
+@given(_shaped_matrices())
+@settings(max_examples=200, deadline=None)
+def test_hull_dim_equals_stacked_rank(M):
+    G = _full_rank(M)
+    code = LinearCode(G.field, G)
+    assert hull_dim(code) == G.cols - _forward_rank(G.stack(kernel_basis(G)))
+
+
+@given(_shaped_matrices())
+@settings(max_examples=200, deadline=None)
+def test_schur_square_dual_equals_diagonal_solve(M):
+    G = _full_rank(M)
+    assert _diagonal_solve(G) == _diagonal_bilinear_solve(G)
+
+
+@given(st.sampled_from([F2, F16, field_make(2, 3)]), st.integers(0, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_self_dualize_basis_equals_diagonal_solve(F, k, data):
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(0, F.q - 1), min_size=2 * k, max_size=2 * k),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    G = FFMatrix(F, rows, 2 * k)
+    assume(rank(G) == k)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        # record the solution basis and report no full-weight vector in it
+        mp.setattr(agmds.code, "_full_weight_vector", lambda field, basis, seed: seen.append(basis))
+        with pytest.raises(NoFullWeightSolution):
+            self_dualize(LinearCode(F, G))
+    assert seen == [_diagonal_bilinear_solve(G)]
 
 
 def test_kernel_examples():
@@ -158,10 +250,10 @@ def test_kernel_vectors_annihilate(rows, cols, data):
 
 
 def test_diagonal_bilinear_examples():
-    kb = diagonal_bilinear_solve(FFMatrix(F2, [[1, 1]]))
+    kb = _diagonal_solve(FFMatrix(F2, [[1, 1]]))
     assert kb.data == [[1, 1]]
 
-    kb = diagonal_bilinear_solve(FFMatrix(F5, [[1, 2]]))
+    kb = _diagonal_solve(FFMatrix(F5, [[1, 2]]))
     assert kb.data == [[1, 1]]  # v1 + 4 v2 = 0
 
 
@@ -169,7 +261,7 @@ def test_diagonal_bilinear_solution_property():
     rng = random.Random(10)
     for _ in range(50):
         G = _random_matrix(F16, 2, 4, rng)
-        basis = diagonal_bilinear_solve(G)
+        basis = _diagonal_solve(G)
         for v in basis.data:
             assert G.scale_columns(v).mul(G.transpose()).is_zero()
         # every basis combination solves too

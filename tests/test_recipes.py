@@ -475,6 +475,22 @@ def test_twisted_flag_budget_counts_row_updates(monkeypatch):
         twisted_rs_code(F19, points, 11, 3)
 
 
+def test_twisted_flag_budget_weights_wide_rows(monkeypatch):
+    import agmds.recipes as recipes
+
+    # the same 18 row updates over F_2^16, where each row is 65,535 bits and
+    # costs 1 + 65535 // 8192 = 8 steps; no 3 of the points have product
+    # 1 / eta, so the DP never reaches its target
+    F = field_make(2, 16)
+    points, eta = list(range(2, 10)), 2
+    assert twisted_flag_oracle(F, points, eta, 3)
+    monkeypatch.setattr(recipes, "DEFAULT_BUDGET", 144)
+    assert twisted_rs_code(F, points, eta, 3)[2]
+    monkeypatch.setattr(recipes, "DEFAULT_BUDGET", 143)
+    with pytest.raises(BudgetExceeded):
+        twisted_rs_code(F, points, eta, 3)
+
+
 def test_twisted_rs_validation():
     from agmds.errors import DuplicateEvaluationPoints
 
