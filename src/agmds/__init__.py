@@ -1,6 +1,6 @@
 """MDS algebraic-geometry code workbench over small finite fields."""
 
-from .field import FieldElement, FieldSpec, field_make, parse_field_text
+from .field import FieldSpec, field_make, parse_field_text
 from .linalg import FFMatrix, kernel_basis, rank, rref_rank
 from .curves import (
     Curve,

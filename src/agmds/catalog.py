@@ -42,24 +42,32 @@ def export_matrix_text(code: LinearCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _code_from_texts(field_text: str, n, k, rows) -> LinearCode:
+    """The code over the field named by field_text whose generator is rows:
+    k rows of n element texts each, as both import formats give them."""
+    F = parse_field_text(field_text)
+    if type(n) is not int or type(k) is not int:
+        raise IOFailure(f"n and k must be integers, got {n!r} and {k!r}")
+    if len(rows) != k or any(type(r) is not list or len(r) != n for r in rows):
+        raise IOFailure("row count or width disagrees with the header")
+    return LinearCode(F, FFMatrix(F, [[F.parse_element(t) for t in r] for r in rows], n))
+
+
 def parse_matrix_text(text: str) -> LinearCode:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("field "):
         raise IOFailure("matrix text must start with 'field' and 'n/k' lines")
-    F = parse_field_text(lines[0][len("field "):])
+    field_text = lines[0][len("field "):]
     header = lines[1].split()
     if (len(header) != 4 or header[0] != "n" or header[2] != "k"
             or not (header[1].isdigit() and header[3].isdigit())):
         raise IOFailure(f"malformed size line {lines[1]!r}")
-    n, k = int(header[1]), int(header[3])
     rows = []
     for ln in lines[2:]:
         if not ln.startswith("row:"):
             raise IOFailure(f"malformed row line {ln!r}")
-        rows.append([F.parse_element(t) for t in ln[len("row:"):].split()])
-    if len(rows) != k or any(len(r) != n for r in rows):
-        raise IOFailure("row count or width disagrees with the header")
-    return LinearCode(F, FFMatrix(F, rows, n))
+        rows.append(ln[len("row:"):].split())
+    return _code_from_texts(field_text, int(header[1]), int(header[3]), rows)
 
 
 def export_code_json(code: LinearCode) -> dict:
@@ -74,9 +82,7 @@ def export_code_json(code: LinearCode) -> dict:
 
 def code_from_json(doc: dict) -> LinearCode:
     try:
-        F = parse_field_text(doc["field"])
-        rows = [[F.parse_element(t) for t in row] for row in doc["matrix"]]
-        return LinearCode(F, FFMatrix(F, rows, doc["n"]))
+        return _code_from_texts(doc["field"], doc["n"], doc["k"], doc["matrix"])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise IOFailure(f"malformed code document: {exc!r}") from None
 

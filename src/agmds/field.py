@@ -1,9 +1,10 @@
 """Exact arithmetic in prime fields F_p and extension fields F_{p^s}.
 
 An element of F_{p^s} is a residue c_0 + c_1*x + ... + c_{s-1}*x^{s-1}
-modulo a monic irreducible polynomial over F_p.  Internally every element
-is a single integer code sum(c_i * p**i); codes make equality, hashing and
-table indexing cheap, and the prime subfield embeds as the codes 0..p-1.
+modulo a monic irreducible polynomial over F_p.  Every layer passes an
+element as its integer code sum(c_i * p**i), the one representation; codes
+make equality, hashing and table indexing cheap, and the prime subfield
+embeds as the codes 0..p-1.
 
 A FieldSpec builds discrete-log tables on first use, after which
 multiplication, inversion and powers are O(1) lookups.  Addition is XOR in
@@ -118,9 +119,9 @@ def _default_modulus(p: int, s: int) -> tuple:
 class FieldSpec:
     """A finite field F_{p^s} with integer-coded elements.
 
-    Elements are integers in [0, q).  All arithmetic methods take and
-    return codes; use :class:`FieldElement` (or :meth:`element`) for an
-    operator-overloaded wrapper.
+    Elements are integer codes in [0, q), the only element representation:
+    every arithmetic method takes and returns codes, and decode/encode
+    convert a code to and from its coefficient tuple.
     """
 
     __slots__ = (
@@ -201,18 +202,6 @@ class FieldSpec:
     def from_int(self, n: int) -> int:
         """Embed an integer via the prime subfield."""
         return n % self.p
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise DegreeMismatch("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            code = value % self.p if self.s == 1 else value
-            if not 0 <= code < self.q:
-                raise DegreeMismatch(f"code {value} outside [0, {self.q})")
-            return FieldElement(self, code)
-        return FieldElement(self, self.encode(value))
 
     # -- table construction -------------------------------------------------------
 
@@ -406,13 +395,11 @@ class FieldSpec:
         return self._log[a]
 
     def frobenius_sqrt(self, a: int) -> int:
-        """The unique square root in characteristic 2: a**(2**(s-1))."""
+        """The unique square root in characteristic 2: a**(2**(s-1)) = a**(q/2),
+        one table lookup like every other power."""
         if self.p != 2:
             raise CharNotTwo(f"characteristic is {self.p}, not 2")
-        b = a
-        for _ in range(self.s - 1):
-            b = self.mul(b, b)
-        return b
+        return self.pow(a, self.q >> 1)
 
     # -- square roots and quadratics -------------------------------------------------
 
@@ -501,66 +488,6 @@ class FieldSpec:
     def spec_text(self) -> str:
         mod = "" if self.s == 1 else "[" + ",".join(map(str, self.modulus)) + "]"
         return f"{self.p}^{self.s}:{mod}"
-
-
-class FieldElement:
-    """Operator-overloaded wrapper around a FieldSpec and an element code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldSpec, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> list:
-        return list(self.field.decode(self.code))
-
-    def _co(self, other) -> int:
-        if isinstance(other, FieldElement):
-            return other.code
-        return self.field.from_int(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, self._co(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, self._co(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._co(other), self.code))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self._co(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.code, self._co(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field.from_int(other) and self.field.s == 1
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.field.element_text(self.code)})"
 
 
 _FIELD_CACHE: dict = {}

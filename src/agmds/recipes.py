@@ -344,12 +344,14 @@ def supersingular_code(
     """MDS [n_sub, k] code over F_{p^ext} from a supersingular curve, with
     the evaluation set a coset of an order-n_sub cyclic subgroup.
 
-    Uses y^2 = x^3 + 1 when p = 2 mod 3, else y^2 = x^3 + x when
-    p = 3 mod 4.  The point count is p^e + 1 for odd extension degree e
-    and (p^(e/2) - (-1)^(e/2))^2 for even e, and n_sub must divide it and
-    stay below its square root (odd e) or below p^(e/2) - (-1)^(e/2)
-    (even e).
+    Needs an odd p, and uses y^2 = x^3 + 1 when p = 2 mod 3, else
+    y^2 = x^3 + x when p = 3 mod 4.  The point count is p^e + 1 for odd
+    extension degree e and (p^(e/2) - (-1)^(e/2))^2 for even e, and n_sub
+    must divide it and stay below its square root (odd e) or below
+    p^(e/2) - (-1)^(e/2) (even e).
     """
+    if p % 2 == 0:  # both models are singular in characteristic 2
+        raise PreconditionFailed("p must be odd")
     if p % 3 == 2:
         coeffs = (0, 0, 0, 0, 1)  # y^2 = x^3 + 1
     elif p % 4 == 3:

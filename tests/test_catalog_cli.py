@@ -11,7 +11,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agmds import catalog, curve_make, field_make
 from agmds.catalog import (
@@ -24,8 +24,9 @@ from agmds.catalog import (
     parse_matrix_text,
 )
 from agmds.cli import _RECIPES, dispatch
+from agmds.errors import IOFailure
 from agmds.code import build_code, invariant_report, LinearCode, min_distance, schur_square
-from agmds.linalg import FFMatrix
+from agmds.linalg import FFMatrix, rank
 from agmds.recipes import rs_code
 
 F5 = field_make(5)
@@ -71,6 +72,43 @@ def test_json_export_round_trip():
     doc = export_code_json(code)
     back = code_from_json(doc)
     assert back.gen == code.gen
+
+
+def _resized_text(text, dn, dk):
+    """Matrix text whose size line claims n + dn and k + dk."""
+    field_line, size_line, *rows = text.splitlines(keepends=True)
+    _, n, _, k = size_line.split()
+    return "".join([field_line, f"n {int(n) + dn} k {int(k) + dk}\n", *rows])
+
+
+@st.composite
+def full_rank_codes(draw):
+    F = draw(st.sampled_from((F19, F16, field_make(3, 2))))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(4, n)))
+    rows = draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    gen = FFMatrix(F, rows, n)
+    assume(rank(gen) == k)
+    return LinearCode(F, gen)
+
+
+@given(code=full_rank_codes(),
+       resize=st.sampled_from([(dn, dk) for dn in (-1, 0, 1) for dk in (-1, 0, 1) if dn or dk]))
+@settings(max_examples=150, deadline=None)
+def test_both_import_formats_agree(code, resize):
+    doc, text = export_code_json(code), export_matrix_text(code)
+    for back in (code_from_json(doc), parse_matrix_text(text)):
+        assert back.field.spec_text() == code.field.spec_text()
+        assert back.gen.data == code.gen.data
+    dn, dk = resize
+    messages = set()
+    for parse, bad in ((code_from_json, dict(doc, n=code.n + dn, k=code.k + dk)),
+                       (parse_matrix_text, _resized_text(text, dn, dk))):
+        with pytest.raises(IOFailure) as exc:
+            parse(bad)
+        messages.add(str(exc.value))
+    assert messages == {"row count or width disagrees with the header"}
 
 
 # -- catalog -------------------------------------------------------------------------
@@ -489,6 +527,9 @@ def test_cli_usage_errors(capsys):
     assert rc in (1, 2)  # inadmissible order
     rc, _, _ = run_cli("nonsense", capsys=capsys)
     assert rc == 2
+    rc, out, err = run_cli("build", "--recipe", "supersingular", "--p", "2", "--ext", "3",
+                           "--N", "3", "--k", "1", capsys=capsys)
+    assert rc == 2 and out == "" and err == "PreconditionFailed: p must be odd\n"
     # a coset size below m or below 1 is refused before any curve search
     for n in ("0", "-4"):
         rc, _, err = run_cli("build", "--recipe", "coset", "--q", "2^8", "--N", "288",
@@ -508,13 +549,32 @@ def test_cli_usage_errors(capsys):
     '{"field": "5^1:", "n": 3, "k": 2, "matrix": [[1, 1, 1], [0, 2, 4]]}',
     '{"n": 3}',
     "field 5^1:\nn three k 2\n",
-], ids=["truncated-json", "integer-entries", "missing-keys", "non-numeric-size"])
+    '{"field": "5^1:", "n": 3, "matrix": [["1", "1", "1"], ["0", "2", "4"]]}',
+    '{"field": "5^1:", "n": 3, "k": 2, "matrix": [["1", "1", "1"], ["0", "2"]]}',
+    '{"field": "5^1:", "n": 3.5, "k": 0, "matrix": []}',
+    '{"field": "5^1:", "n": 3, "k": 2, "matrix": ["111", "024"]}',
+], ids=["truncated-json", "integer-entries", "missing-keys", "non-numeric-size",
+        "missing-k", "ragged-rows", "non-integer-size", "string-rows"])
 def test_cli_malformed_code_file_is_a_usage_error(text, tmp_path, capsys):
     path = tmp_path / "code.txt"
     path.write_text(text)
     for command in ("certify", "schur", "export"):
         rc, out, err = run_cli(command, "--in", str(path), capsys=capsys)
         assert rc == 2 and out == "" and "IOFailure" in err and "Traceback" not in err
+
+
+def test_cli_json_code_size_must_match_its_matrix(tmp_path, capsys):
+    """A JSON code document is held to its n and k as matrix text is to its
+    size line: the same [3,2] rows under a [7,4] header fail alike."""
+    doc = {"field": "5^1:", "n": 7, "k": 4, "matrix": [["1", "0", "1"], ["0", "1", "2"]]}
+    (tmp_path / "code.json").write_text(json.dumps(doc))
+    (tmp_path / "code.txt").write_text("field 5^1:\nn 7 k 4\nrow: 1 0 1\nrow: 0 1 2\n")
+    errors = set()
+    for name in ("code.json", "code.txt"):
+        rc, out, err = run_cli("certify", "--in", str(tmp_path / name), capsys=capsys)
+        assert rc == 2 and out == ""
+        errors.add(err)
+    assert errors == {"IOFailure: row count or width disagrees with the header\n"}
 
 
 @pytest.mark.parametrize("budget", ["0", "-5", "x"])

@@ -1,4 +1,5 @@
-"""The README's CLI tour, run command by command through the CLI."""
+"""The README's CLI tour, run command by command through the CLI, and its
+library example, run as written."""
 
 import json
 import pathlib
@@ -56,3 +57,13 @@ def test_readme_cli_tour_runs_and_is_deterministic(tmp_path, capsys, monkeypatch
     for command, out in zip(commands, outputs):
         if "--json" in command.split():
             json.loads(out)
+
+
+def test_readme_library_example_prints_what_its_comments_claim(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    report_line, group_line = capsys.readouterr().out.splitlines()
+    for claim in ("n=6", "k=3", "d=4", "is_mds=True", "schur_dim=6"):
+        assert claim in report_line
+    assert group_line == "(2, 12)"

@@ -373,6 +373,8 @@ def test_supersingular_counts_and_codes():
         supersingular_code(7, 1, 3, 1)  # 3 does not divide 8
     with pytest.raises(PreconditionFailed):
         supersingular_code(13, 1, 2, 1)  # 13 = 1 mod 3 and mod 4
+    with pytest.raises(PreconditionFailed, match="p must be odd"):
+        supersingular_code(2, 3, 3, 1)  # 2 = 2 mod 3, but y^2 = x^3 + 1 is singular
 
     # even extension degree: F_25 count (5+1)^2 = 36, exponent 6
     code, report, meta = supersingular_code(5, 2, 3, 2)
