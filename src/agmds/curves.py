@@ -9,12 +9,12 @@ Two models are supported:
   ``y^2 + h(x)*y = f(x)`` with deg f = 5 and deg h <= 2, which has exactly
   one point at infinity and Weierstrass gap structure {1, 3} there.
 
-The module provides point enumeration, the chord-tangent group law,
-integer labels for the point group (every group question past the
-labelling is integer arithmetic), group-shape computation, subgroup/coset
-machinery, curve search by point count, and the classification tables of
-attainable orders and group shapes over F_q (cross-checked empirically by
-the test suite).
+The module provides point enumeration in (x, y) order, the chord-tangent
+group law from one slope, integer labels for the point group (every group
+question past the labelling is integer arithmetic), group-shape
+computation, subgroup/coset machinery, curve search by point count, and
+the classification tables of attainable orders and group shapes over F_q
+(cross-checked empirically by the test suite).
 
 A point count N of a genus-1 curve always satisfies |N - (q+1)| <= 2*sqrt(q).
 Note the window endpoints are computed with integer flooring,
@@ -53,10 +53,6 @@ class CurvePoint:
     x: int | None = None
     y: int | None = None
 
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -67,7 +63,12 @@ class CurvePoint:
         return (1, self.x, self.y)
 
 
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint()
+
+
+def _point(xy) -> CurvePoint:
+    """The CurvePoint of a group-law pair, INFINITY for None."""
+    return INFINITY if xy is None else CurvePoint(*xy)
 
 
 class Curve:
@@ -142,30 +143,27 @@ class Curve:
 
     # -- enumeration ------------------------------------------------------------
 
+    def _require_enumerable(self, what: str):
+        cap = MAX_GENUS1_ORDER if self.genus == 1 else MAX_GENUS2_ORDER
+        if self.field.q > cap:
+            raise TooLarge(f"{what} over q={self.field.q} exceeds cap {cap}")
+
     def points(self) -> tuple:
         """All rational points, infinity first, affine sorted by (x, y)."""
         if self._points is None:
-            cap = MAX_GENUS1_ORDER if self.genus == 1 else MAX_GENUS2_ORDER
-            if self.field.q > cap:
-                raise TooLarge(
-                    f"enumeration over q={self.field.q} exceeds cap {cap}"
-                )
+            self._require_enumerable("enumeration")
             pts = [INFINITY]
             solve = self.field.solve_quadratic
-            for x in range(self.field.q):
-                b, c = self._rhs_quadratic(x)
-                for y in solve(b, c):
+            for x in range(self.field.q):  # x rises, so only each x's roots need sorting
+                for y in sorted(solve(*self._rhs_quadratic(x))):
                     pts.append(CurvePoint(x, y))
-            pts.sort(key=CurvePoint.sort_key)
             self._points = tuple(pts)
         return self._points
 
     def point_count(self) -> int:
         if self._points is not None:
             return len(self._points)
-        cap = MAX_GENUS1_ORDER if self.genus == 1 else MAX_GENUS2_ORDER
-        if self.field.q > cap:
-            raise TooLarge(f"count over q={self.field.q} exceeds cap {cap}")
+        self._require_enumerable("count")
         F = self.field
         n = 1
         if F.p == 2:
@@ -191,7 +189,7 @@ class Curve:
         return n
 
     def affine_points(self) -> list:
-        return [p for p in self.points() if not p.is_infinity]
+        return list(self.points()[1:])
 
     # -- genus-1 group law --------------------------------------------------------
 
@@ -204,44 +202,35 @@ class Curve:
         return (x, F.sub(F.sub(F.neg(y), F.mul(a1, x)), a3))
 
     def _add_xy(self, P, Q):
+        """P + Q on (x, y) pairs, None for the point at infinity, as
+        x3 = lam^2 + a1*lam - a2 - x1 - x2, y3 = lam*(x1 - x3) - y1 - a1*x3 - a3
+        with lam the slope of the chord PQ (of the tangent at P if P == Q).
+        The line passes through P, so its intercept is y1 - lam*x1 either way
+        and lam is the one quotient (Silverman, AEC, III.2.3).
+        """
         if P is None:
             return Q
         if Q is None:
             return P
         F = self.field
-        a1, a3, a2, a4, a6 = self.coeffs
+        add, sub, mul = F.add, F.sub, F.mul
+        a1, a3, a2, a4, _ = self.coeffs
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2:
             if y1 != y2:
                 return None  # the two y-values over one x are inverses
-            denom = F.add(F.add(F.mul(F.from_int(2), y1), F.mul(a1, x1)), a3)
+            denom = add(add(add(y1, y1), mul(a1, x1)), a3)  # 2y1 + a1x1 + a3
             if denom == 0:
                 return None  # 2-torsion
-            x1sq = F.mul(x1, x1)
-            num_l = F.sub(
-                F.add(
-                    F.add(F.mul(F.from_int(3), x1sq), F.mul(F.mul(F.from_int(2), a2), x1)),
-                    a4,
-                ),
-                F.mul(a1, y1),
-            )
-            num_n = F.sub(
-                F.add(
-                    F.add(F.neg(F.mul(x1sq, x1)), F.mul(a4, x1)),
-                    F.mul(F.from_int(2), a6),
-                ),
-                F.mul(a3, y1),
-            )
-            idenom = F.inv(denom)
-            lam = F.mul(num_l, idenom)
-            nu = F.mul(num_n, idenom)
+            x1sq, a2x1 = mul(x1, x1), mul(a2, x1)
+            # 3x1^2 + 2a2x1 + a4 - a1y1
+            num = sub(add(add(add(add(x1sq, x1sq), x1sq), add(a2x1, a2x1)), a4), mul(a1, y1))
+            lam = F.div(num, denom)
         else:
-            idx = F.inv(F.sub(x2, x1))
-            lam = F.mul(F.sub(y2, y1), idx)
-            nu = F.mul(F.sub(F.mul(y1, x2), F.mul(y2, x1)), idx)
-        x3 = F.sub(F.sub(F.sub(F.add(F.mul(lam, lam), F.mul(a1, lam)), a2), x1), x2)
-        y3 = F.sub(F.sub(F.neg(F.mul(F.add(lam, a1), x3)), nu), a3)
+            lam = F.div(sub(y2, y1), sub(x2, x1))
+        x3 = sub(sub(sub(mul(lam, add(lam, a1)), a2), x1), x2)
+        y3 = sub(sub(sub(mul(lam, sub(x1, x3)), y1), mul(a1, x3)), a3)
         return (x3, y3)
 
     def _scalar_xy(self, k: int, P):
@@ -262,37 +251,29 @@ class Curve:
             return None
         return (point.x, point.y)
 
-    def _require_group(self):
+    def _require_group(self, *points: CurvePoint):
+        """The one check of the point API: a genus-1 curve, points on it."""
         if self.genus != 1:
             raise BadModel("the group law is defined for genus-1 curves only")
-
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        self._require_group()
-        for pt in (P, Q):
+        for pt in points:
             if not self.contains(pt):
                 raise PointNotOnCurve(f"{pt} not on {self.text()}")
-        r = self._add_xy(self._as_xy(P), self._as_xy(Q))
-        return INFINITY if r is None else CurvePoint(*r)
+
+    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        self._require_group(P, Q)
+        return _point(self._add_xy(self._as_xy(P), self._as_xy(Q)))
 
     def neg(self, P: CurvePoint) -> CurvePoint:
-        self._require_group()
-        if not self.contains(P):
-            raise PointNotOnCurve(f"{P} not on {self.text()}")
-        r = self._neg_xy(self._as_xy(P))
-        return INFINITY if r is None else CurvePoint(*r)
+        self._require_group(P)
+        return _point(self._neg_xy(self._as_xy(P)))
 
     def scalar_mul(self, k: int, P: CurvePoint) -> CurvePoint:
-        self._require_group()
-        if not self.contains(P):
-            raise PointNotOnCurve(f"{P} not on {self.text()}")
-        r = self._scalar_xy(k, self._as_xy(P))
-        return INFINITY if r is None else CurvePoint(*r)
+        self._require_group(P)
+        return _point(self._scalar_xy(k, self._as_xy(P)))
 
     def point_order(self, P: CurvePoint) -> int:
         """Least t >= 1 with t*P = infinity (divides the group order)."""
-        self._require_group()
-        if not self.contains(P):
-            raise PointNotOnCurve(f"{P} not on {self.text()}")
+        self._require_group(P)
         n = len(self.points())
         t = n
         xy = self._as_xy(P)
@@ -513,7 +494,7 @@ def point_labels(curve: Curve) -> PointLabels:
         for i in range(d1):
             xy = row
             for j in range(d2):
-                pt = INFINITY if xy is None else CurvePoint(*xy)
+                pt = _point(xy)
                 label[pt] = (i, j)
                 point[(i, j)] = pt
                 xy = add(xy, p2)

@@ -370,6 +370,8 @@ def supersingular_code(
         too_big = n_sub >= root
     if count != expected:  # pragma: no cover - model consistency
         raise AssertionError(f"supersingular count {count} != {expected}")
+    if n_sub < 2:  # k needs 1 <= k <= N - 1, and 0 divides nothing
+        raise PreconditionFailed(f"need N >= 2, got N={n_sub}")
     if count % n_sub != 0:
         raise PreconditionFailed(f"N={n_sub} does not divide the point count {count}")
     if too_big:

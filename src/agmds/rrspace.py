@@ -32,7 +32,9 @@ class RRBasis:
 
 
 def y_pole_order(curve: Curve) -> int:
-    return 3 if curve.genus == 1 else 5
+    """The pole order 2g + 1 of y at P0 on the odd-degree model
+    y^2 + h(x)*y = f(x), deg f = 2g + 1: 3 for genus 1 and 5 for genus 2."""
+    return 2 * curve.genus + 1
 
 
 def rr_basis(curve: Curve, m: int) -> RRBasis:

@@ -530,6 +530,11 @@ def test_cli_usage_errors(capsys):
     rc, out, err = run_cli("build", "--recipe", "supersingular", "--p", "2", "--ext", "3",
                            "--N", "3", "--k", "1", capsys=capsys)
     assert rc == 2 and out == "" and err == "PreconditionFailed: p must be odd\n"
+    for n_sub in ("0", "-3"):
+        rc, out, err = run_cli("build", "--recipe", "supersingular", "--p", "5", "--ext", "1",
+                               "--N", n_sub, "--k", "1", capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"PreconditionFailed: need N >= 2, got N={n_sub}\n"
     # a coset size below m or below 1 is refused before any curve search
     for n in ("0", "-4"):
         rc, _, err = run_cli("build", "--recipe", "coset", "--q", "2^8", "--N", "288",

@@ -164,6 +164,8 @@ def fuzz_dir(tmp_path_factory):
 @given(argv=_argv(PATHS, CATALOGS), as_json=st.booleans())
 @example(argv=["build", "--recipe", "coset", "--q", "2^3", "--N", "12", "--n", "0", "--m", "3"],
          as_json=False)
+@example(argv=["build", "--recipe", "supersingular", "--p", "5", "--ext", "1", "--N", "0",
+               "--k", "1"], as_json=False)
 @settings(max_examples=250, deadline=None)
 def test_argv_fuzz_exit_codes(fuzz_dir, argv, as_json):
     argv = [str(fuzz_dir / t[1:]) if t.startswith("@") else t for t in argv]

@@ -185,6 +185,40 @@ def test_point_enumeration_frozen_examples():
     }
 
 
+def brute_affine_points(curve):
+    """Oracle: every affine (x, y) the model contains, sorted by sort_key."""
+    q = curve.field.q
+    found = (CurvePoint(x, y) for x in range(q) for y in range(q))
+    return sorted((p for p in found if curve.contains(p)), key=CurvePoint.sort_key)
+
+
+def genus2_curves_with_h(F, count, rng):
+    """The first `count` smooth genus-2 models with h != 0 among seeded draws."""
+    found = []
+    while len(found) < count:
+        coeffs = [rng.randrange(F.q) for _ in range(5)] + [1]
+        h = [rng.randrange(F.q) for _ in range(3)]
+        if any(h):
+            try:
+                found.append(curve_make(F, 2, coeffs + h))
+            except Singular:
+                pass
+    return found
+
+
+def test_points_come_in_sort_key_order():
+    # recipes.genus2_mds_search picks points by sorted position in
+    # affine_points(), so the order is part of the contract
+    rng = random.Random(16)
+    curves = [c for F in (field_make(2, 2), field_make(3, 2), field_make(7))
+              for c in curve_family(F)]
+    curves += [c for F in (F31, field_make(2, 5), field_make(3, 3))
+               for c in genus2_curves_with_h(F, 2, rng)]
+    for c in curves:
+        assert c.points() == (INFINITY, *brute_affine_points(c)), c.text()
+        assert tuple(c.affine_points()) == c.points()[1:]
+
+
 def test_point_count_matches_enumeration_and_hasse():
     rng = random.Random(21)
     for F in (F5, F13, F16, field_make(5, 2)):
@@ -206,8 +240,10 @@ def test_genus2_point_count_within_weil_bound():
 def test_enumeration_cap():
     big = field_make(2, 13)
     c = curve_make(big, 2, [0, 0, 0, 0, 0, 1, 1, 0, 0])  # y^2 + y = x^5
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="enumeration over q=8192 exceeds cap 4096"):
         c.points()
+    with pytest.raises(TooLarge, match="count over q=8192 exceeds cap 4096"):
+        c.point_count()
 
 
 # -- group law -------------------------------------------------------------------------
@@ -252,6 +288,71 @@ def test_scalar_mul_matches_repeated_addition():
             acc = c.add(acc, pt)
             assert c.scalar_mul(k, pt) == acc
         assert c.scalar_mul(-3, pt) == c.neg(c.scalar_mul(3, pt))
+
+
+def chord_tangent_oracle(curve, P, Q):
+    """The group law on (x, y) pairs as Silverman, AEC III.2.3 states it:
+    the line y = lam*x + nu with its own chord and tangent formulas for
+    both lam and nu."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    F = curve.field
+    add, sub, mul, neg, c = F.add, F.sub, F.mul, F.neg, F.from_int
+    a1, a3, a2, a4, a6 = curve.coeffs
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if y1 != y2:
+            return None
+        denom = add(add(mul(c(2), y1), mul(a1, x1)), a3)
+        if denom == 0:
+            return None
+        x1sq = mul(x1, x1)
+        num_l = sub(add(add(mul(c(3), x1sq), mul(mul(c(2), a2), x1)), a4), mul(a1, y1))
+        num_n = sub(add(add(neg(mul(x1sq, x1)), mul(a4, x1)), mul(c(2), a6)), mul(a3, y1))
+        lam, nu = F.div(num_l, denom), F.div(num_n, denom)
+    else:
+        idx = F.inv(sub(x2, x1))
+        lam = mul(sub(y2, y1), idx)
+        nu = mul(sub(mul(y1, x2), mul(y2, x1)), idx)
+    x3 = sub(sub(sub(add(mul(lam, lam), mul(a1, lam)), a2), x1), x2)
+    y3 = sub(sub(neg(mul(add(lam, a1), x3)), nu), a3)
+    return (x3, y3)
+
+
+def scalar_oracle(curve, k, P):
+    """k*P by |k| oracle additions, of -P = (x, -y - a1*x - a3) for k < 0."""
+    F = curve.field
+    a1, a3 = curve.coeffs[:2]
+    if k < 0 and P is not None:
+        x, y = P
+        P = (x, F.sub(F.sub(F.neg(y), F.mul(a1, x)), a3))
+    acc = None
+    for _ in range(abs(k)):
+        acc = chord_tangent_oracle(curve, acc, P)
+    return acc
+
+
+GROUP_LAW_FIELDS = [field_make(p, s) for p, s in (
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+    (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1),
+)]
+
+
+@pytest.mark.parametrize("F", GROUP_LAW_FIELDS, ids=lambda F: f"q{F.q}")
+def test_group_law_matches_the_two_intercept_oracle(F):
+    # random five-coefficient curves: curve_family has a1 = a3 = 0 in odd
+    # characteristic, which would hide a wrong a1 or a3 term
+    rng = random.Random(F.q)
+    for _ in range(3):
+        c = random_curve(F, rng)
+        xys = [c._as_xy(p) for p in c.points()]
+        for P in xys:
+            for Q in xys:
+                assert c._add_xy(P, Q) == chord_tangent_oracle(c, P, Q), (c.text(), P, Q)
+            for k in (-5, -1, 0, 1, 2, 7, len(xys)):
+                assert c._scalar_xy(k, P) == scalar_oracle(c, k, P), (c.text(), k, P)
 
 
 # -- group structure ---------------------------------------------------------------------

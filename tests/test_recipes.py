@@ -375,6 +375,9 @@ def test_supersingular_counts_and_codes():
         supersingular_code(13, 1, 2, 1)  # 13 = 1 mod 3 and mod 4
     with pytest.raises(PreconditionFailed, match="p must be odd"):
         supersingular_code(2, 3, 3, 1)  # 2 = 2 mod 3, but y^2 = x^3 + 1 is singular
+    for n_sub in (0, 1, -3):  # no subgroup length below 2, and 0 divides nothing
+        with pytest.raises(PreconditionFailed, match=f"need N >= 2, got N={n_sub}"):
+            supersingular_code(5, 1, n_sub, 1)
 
     # even extension degree: F_25 count (5+1)^2 = 36, exponent 6
     code, report, meta = supersingular_code(5, 2, 3, 2)
