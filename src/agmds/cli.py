@@ -24,8 +24,8 @@ import os
 import sys
 
 from . import catalog as cat
-from .code import DEFAULT_BUDGET, invariant_report, min_distance, schur_square
-from .code import _report_from_distance
+from .code import DEFAULT_BUDGET, invariant_report, schur_square
+from .code import _distance_or_none, _report_from_distance
 from .curves import (
     group_structure,
     hasse_window,
@@ -34,7 +34,7 @@ from .curves import (
     admissible_curve_orders,
     admissible_group_structures,
 )
-from .errors import AgmdsError, BudgetExceeded, IOFailure, SearchFailure
+from .errors import AgmdsError, IOFailure, SearchFailure
 from .field import parse_field_text
 from .recipes import (
     coprime_split_code,
@@ -276,10 +276,7 @@ def _cmd_certify(args) -> int:
 def _cmd_schur(args) -> int:
     code = _load_code_arg(args)
     sq = schur_square(code)
-    try:
-        sd = min_distance(sq, args.budget) if sq.k else None
-    except BudgetExceeded:
-        sd = None
+    sd = _distance_or_none(sq, args.budget)
     doc = {
         "field": code.field.spec_text(),
         "n": code.n,

@@ -170,6 +170,17 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     return _distance_by_enumeration(code)
 
 
+def _distance_or_none(code: LinearCode, budget: int) -> int | None:
+    """The exact minimum distance, or None for the zero code (which has
+    none) and for a code whose distance exceeds the budget."""
+    if code.k == 0:
+        return None
+    try:
+        return min_distance(code, budget)
+    except BudgetExceeded:
+        return None
+
+
 def _distance_by_enumeration(code: LinearCode) -> int:
     best = code.n
     for word in code.codewords():
@@ -419,21 +430,16 @@ def invariant_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CodeRepo
     """Fill a CodeReport; never raises.  d or schur_d stay None when their
     exact computation would exceed the budget."""
     n, k = code.n, code.k
-    if k == 0:
-        d: int | None = None
-        mds: bool | None = False
+    d = _distance_or_none(code, budget)
+    if d is not None:
+        mds = d == n - k + 1
+    elif k == 0:
+        mds = False
     else:
         try:
-            d = min_distance(code, budget)
+            mds = is_mds_by_systematic_minors(code, budget)
         except BudgetExceeded:
-            d = None
-        if d is not None:
-            mds = d == n - k + 1
-        else:
-            try:
-                mds = is_mds_by_systematic_minors(code, budget)
-            except BudgetExceeded:
-                mds = None
+            mds = None
     return _report_from_distance(code, d, mds, budget)
 
 
@@ -450,11 +456,8 @@ def _report_from_distance(
     otherwise it is computed, and stays None over budget."""
     n, k = code.n, code.k
     schur = schur_square(code)
-    if schur_d is None and schur.k:
-        try:
-            schur_d = min_distance(schur, budget)
-        except BudgetExceeded:
-            pass
+    if schur_d is None:
+        schur_d = _distance_or_none(schur, budget)
     hull = hull_dim(code)
     return CodeReport(
         n=n,

@@ -16,6 +16,10 @@ computation, subgroup/coset machinery, curve search by point count, and
 the classification tables of attainable orders and group shapes over F_q
 (cross-checked empirically by the test suite).
 
+A point is its tuple, (x, y) or () for the point at infinity, so tuple
+order is point order and the group law and the labels take plain tuples
+(`not P` tests for infinity); CurvePoint is the tuple subclass of the API.
+
 A point count N of a genus-1 curve always satisfies |N - (q+1)| <= 2*sqrt(q).
 Note the window endpoints are computed with integer flooring,
 q + 1 +/- isqrt(4q).
@@ -23,7 +27,6 @@ q + 1 +/- isqrt(4q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt
 from random import Random
@@ -46,29 +49,34 @@ MAX_GENUS1_ORDER = 1 << 16
 MAX_GENUS2_ORDER = 1 << 12
 
 
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
-    """A rational point; x == y == None encodes the point at infinity."""
+class CurvePoint(tuple):
+    """A rational point: the tuple (x, y), or () for the point at infinity."""
 
-    x: int | None = None
-    y: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, x: int | None = None, y: int | None = None):
+        return tuple.__new__(cls, () if x is None else (x, y))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    @property
+    def x(self) -> int | None:
+        return self[0] if self else None
+
+    @property
+    def y(self) -> int | None:
+        return self[1] if self else None
 
     @property
     def is_infinity(self) -> bool:
-        return self.x is None
+        return not self
 
-    def sort_key(self) -> tuple:
-        if self.x is None:
-            return (0, 0, 0)
-        return (1, self.x, self.y)
+    def __repr__(self):
+        return f"CurvePoint(x={self.x!r}, y={self.y!r})"
 
 
 INFINITY = CurvePoint()
-
-
-def _point(xy) -> CurvePoint:
-    """The CurvePoint of a group-law pair, INFINITY for None."""
-    return INFINITY if xy is None else CurvePoint(*xy)
 
 
 class Curve:
@@ -128,12 +136,12 @@ class Curve:
         return b, c
 
     def contains(self, point: CurvePoint) -> bool:
-        if point.is_infinity:
+        if not point:
             return True
         F = self.field
-        b, c = self._rhs_quadratic(point.x)
-        lhs = F.add(F.mul(point.y, point.y), F.mul(b, point.y))
-        return lhs == c
+        x, y = point
+        b, c = self._rhs_quadratic(x)
+        return F.add(F.mul(y, y), F.mul(b, y)) == c
 
     def point(self, x, y) -> CurvePoint:
         p = CurvePoint(x, y)
@@ -194,23 +202,23 @@ class Curve:
     # -- genus-1 group law --------------------------------------------------------
 
     def _neg_xy(self, pt):
-        if pt is None:
-            return None
+        if not pt:
+            return pt
         F = self.field
         a1, a3 = self.coeffs[0], self.coeffs[1]
         x, y = pt
         return (x, F.sub(F.sub(F.neg(y), F.mul(a1, x)), a3))
 
     def _add_xy(self, P, Q):
-        """P + Q on (x, y) pairs, None for the point at infinity, as
+        """P + Q on point tuples (the empty tuple for infinity), as
         x3 = lam^2 + a1*lam - a2 - x1 - x2, y3 = lam*(x1 - x3) - y1 - a1*x3 - a3
         with lam the slope of the chord PQ (of the tangent at P if P == Q).
         The line passes through P, so its intercept is y1 - lam*x1 either way
         and lam is the one quotient (Silverman, AEC, III.2.3).
         """
-        if P is None:
+        if not P:
             return Q
-        if Q is None:
+        if not Q:
             return P
         F = self.field
         add, sub, mul = F.add, F.sub, F.mul
@@ -219,10 +227,10 @@ class Curve:
         x2, y2 = Q
         if x1 == x2:
             if y1 != y2:
-                return None  # the two y-values over one x are inverses
+                return ()  # the two y-values over one x are inverses
             denom = add(add(add(y1, y1), mul(a1, x1)), a3)  # 2y1 + a1x1 + a3
             if denom == 0:
-                return None  # 2-torsion
+                return ()  # 2-torsion
             x1sq, a2x1 = mul(x1, x1), mul(a2, x1)
             # 3x1^2 + 2a2x1 + a4 - a1y1
             num = sub(add(add(add(add(x1sq, x1sq), x1sq), add(a2x1, a2x1)), a4), mul(a1, y1))
@@ -236,7 +244,7 @@ class Curve:
     def _scalar_xy(self, k: int, P):
         if k < 0:
             return self._scalar_xy(-k, self._neg_xy(P))
-        acc = None
+        acc = ()
         base = P
         while k:
             if k & 1:
@@ -245,11 +253,6 @@ class Curve:
             if k:  # no doubling after the top bit
                 base = self._add_xy(base, base)
         return acc
-
-    def _as_xy(self, point: CurvePoint):
-        if point.is_infinity:
-            return None
-        return (point.x, point.y)
 
     def _require_group(self, *points: CurvePoint):
         """The one check of the point API: a genus-1 curve, points on it."""
@@ -261,24 +264,23 @@ class Curve:
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         self._require_group(P, Q)
-        return _point(self._add_xy(self._as_xy(P), self._as_xy(Q)))
+        return tuple.__new__(CurvePoint, self._add_xy(P, Q))
 
     def neg(self, P: CurvePoint) -> CurvePoint:
         self._require_group(P)
-        return _point(self._neg_xy(self._as_xy(P)))
+        return tuple.__new__(CurvePoint, self._neg_xy(P))
 
     def scalar_mul(self, k: int, P: CurvePoint) -> CurvePoint:
         self._require_group(P)
-        return _point(self._scalar_xy(k, self._as_xy(P)))
+        return tuple.__new__(CurvePoint, self._scalar_xy(k, P))
 
     def point_order(self, P: CurvePoint) -> int:
         """Least t >= 1 with t*P = infinity (divides the group order)."""
         self._require_group(P)
         n = len(self.points())
         t = n
-        xy = self._as_xy(P)
         for l in prime_factors(n):
-            while t % l == 0 and self._scalar_xy(t // l, xy) is None:
+            while t % l == 0 and not self._scalar_xy(t // l, P):
                 t //= l
         return t
 
@@ -328,9 +330,10 @@ def curve_make(field: FieldSpec, genus: int, coefficients) -> Curve:
         coeffs = tuple(int(c) for c in coefficients)
         if len(coeffs) != 5:
             raise BadModel("genus-1 model needs 5 coefficients (a1,a3,a2,a4,a6)")
+        curve = Curve(field, 1, coeffs)
         if discriminant_genus1(field, coeffs) == 0:
-            raise Singular(f"zero discriminant for g1:{coeffs}")
-        return Curve(field, 1, coeffs)
+            raise Singular(f"zero discriminant for {curve.text()}")
+        return curve
     if genus == 2:
         coeffs = [int(c) for c in coefficients]
         if len(coeffs) == 6:
@@ -446,7 +449,7 @@ class PointLabels:
         return self._point[a]
 
     def sorted_points(self, labels) -> list:
-        return sorted((self._point[a] for a in labels), key=CurvePoint.sort_key)
+        return sorted(self._point[a] for a in labels)
 
     def add(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (a[0] + b[0]) % self.d1, (a[1] + b[1]) % self.d2
@@ -480,7 +483,7 @@ def point_labels(curve: Curve) -> PointLabels:
     if curve._labels is None:
         n = len(curve.points())
         add = curve._add_xy
-        p1 = p2 = None
+        p1 = p2 = ()
         d1 = 1
         for l, h in factorint(n).items():
             g_max, g_other, a = _sylow_basis(curve, n, l, h)
@@ -490,11 +493,11 @@ def point_labels(curve: Curve) -> PointLabels:
         d2 = n // d1
         label: dict = {}
         point: dict = {}
-        row = None
+        row = ()
         for i in range(d1):
             xy = row
             for j in range(d2):
-                pt = _point(xy)
+                pt = tuple.__new__(CurvePoint, xy)
                 label[pt] = (i, j)
                 point[(i, j)] = pt
                 xy = add(xy, p2)
@@ -506,14 +509,10 @@ def point_labels(curve: Curve) -> PointLabels:
     return curve._labels
 
 
-def _xy_key(xy) -> tuple:
-    return (0,) if xy is None else (1, *xy)
-
-
 def _sylow_basis(curve: Curve, n: int, l: int, h: int):
     """A basis (G, H, a) of the l-Sylow subgroup Z/l^a x Z/l^(h-a), a <= h-a:
     G of maximal order l^(h-a), H of order l^a with <G> + <H> the whole
-    l-part (H is None when a = 0).  Group elements are xy pairs.
+    l-part (H is infinity when a = 0).  Group elements are point tuples.
 
     Points, walked in sorted order, are mapped into the l-part by the
     cofactor n / l^h.  When the l-part must be cyclic (h = 1, or l does not
@@ -525,18 +524,18 @@ def _sylow_basis(curve: Curve, n: int, l: int, h: int):
     scalar, add = curve._scalar_xy, curve._add_xy
     size = l**h
     cofactor = n // size
-    images = (scalar(cofactor, curve._as_xy(pt)) for pt in curve.points())
+    images = (scalar(cofactor, pt) for pt in curve.points())
     if h == 1 or (curve.field.q - 1) % l:
         for g in images:
-            if scalar(size // l, g) is not None:
-                return g, None, 0
+            if scalar(size // l, g):
+                return g, (), 0
         raise AssertionError(f"no element of order {size}")  # pragma: no cover
-    elements = sorted(_closure(add, None, images, size), key=_xy_key)
+    elements = sorted(_closure(add, (), images, size))
     times_l = {x: scalar(l, x) for x in elements}
 
     def log_order(x) -> int:  # log_l of the order of x
         e = 0
-        while x is not None:
+        while x:
             x = times_l[x]
             e += 1
         return e
@@ -546,8 +545,8 @@ def _sylow_basis(curve: Curve, n: int, l: int, h: int):
     g_max = next(x for x in elements if order[x] == top)
     a = h - top
     if a == 0:
-        return g_max, None, 0
-    cyclic = _closure(add, None, [g_max])
+        return g_max, (), 0
+    cyclic = _closure(add, (), [g_max])
     for x in elements:
         if order[x] == a:
             y = x
@@ -826,8 +825,7 @@ def _refutes_count(curve: Curve, n_points: int) -> bool:
     solve, rhs = curve.field.solve_quadratic, curve._rhs_quadratic
     points = ((x, ys[0]) for x in range(curve.field.q) if (ys := solve(*rhs(x))))
     return any(
-        curve._scalar_xy(n_points, P) is not None
-        for P in islice(points, _REFUTING_POINTS)
+        curve._scalar_xy(n_points, P) for P in islice(points, _REFUTING_POINTS)
     )
 
 

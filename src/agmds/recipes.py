@@ -146,8 +146,7 @@ def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
     for a, b in combinations(cyclic, 2):
         if len(a) * len(b) == order * len(a & b):
             found.add(frozenset(labels.add(x, y) for x in a for y in b))
-    subgroups = [tuple(labels.sorted_points(s)) for s in found]
-    return sorted(subgroups, key=lambda s: [pt.sort_key() for pt in s])
+    return sorted(tuple(labels.sorted_points(s)) for s in found)
 
 
 # search_coset_code tries at most 40 curves, with 200 random draws per curve,
@@ -615,7 +614,7 @@ def genus2_mds_search(
     positions = range(len(affine))
     rng = Random(seed)
     for attempt in range(1, budget + 1):
-        # affine is in sort_key order, so sorted positions give sorted points
+        # affine is in (x, y) order, so sorted positions give sorted points
         idx = sorted(rng.sample(positions, n))
         columns = itemgetter(*idx)
         if _systematic_form_is_mds(FFMatrix(F, [columns(row) for row in table], n)):

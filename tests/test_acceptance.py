@@ -144,7 +144,7 @@ def test_criterion_3_genus2_schur_law():
     details = []
     for m in (9, 10):
         for n in (2 * m + 1, min(2 * m + 3, len(affine))):
-            pts = sorted(rng.sample(affine, n), key=lambda p: p.sort_key())
+            pts = sorted(rng.sample(affine, n))
             code = build_code(X, pts, m)
             sq = schur_square(code)
             details.append(f"m={m},n={n}:k={code.k},schur={sq.k}")

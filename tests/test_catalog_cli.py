@@ -465,6 +465,33 @@ def test_cli_search_over_the_minor_budget_exits_1(capsys):
     assert err.strip() == "BudgetExceeded: C(27,14) column subsets exceed budget 10000000"
 
 
+def test_cli_distance_is_unknown_over_budget_and_for_the_zero_code(tmp_path, capsys):
+    # certify and schur print ? (null in JSON) for a distance over budget and
+    # for the zero code, which has none; certify still decides the zero code
+    hand, zero = tmp_path / "hand.txt", tmp_path / "zero.txt"
+    hand.write_text(export_matrix_text(_hand_code()))
+    zero.write_text("field 5^1:\nn 3 k 0\n")
+    expected = {
+        ("certify", hand, "1"): "[n,k,d] = [3,2,?]\nis_mds: None  self_dual: False\n"
+                                "schur_dim: 3  schur_d: None\n"
+                                "hull_dim: 0  non_rs_certified: False\n",
+        ("certify", hand, "100"): "[n,k,d] = [3,2,2]\nis_mds: True  self_dual: False\n"
+                                 "schur_dim: 3  schur_d: 1\n"
+                                 "hull_dim: 0  non_rs_certified: False\n",
+        ("certify", zero, "1"): "[n,k,d] = [3,0,?]\nis_mds: False  self_dual: False\n"
+                                "schur_dim: 0  schur_d: None\n"
+                                "hull_dim: 0  non_rs_certified: True\n",
+        ("schur", hand, "1"): "schur_dim: 3\nschur_d: ?\n",
+        ("schur", hand, "100"): "schur_dim: 3\nschur_d: 1\n",
+        ("schur", zero, "100"): "schur_dim: 0\nschur_d: ?\n",
+    }
+    for (command, path, budget), text in expected.items():
+        rc, out, err = run_cli(command, "--in", str(path), "--budget", budget, capsys=capsys)
+        assert (rc, out, err) == (0, text, ""), (command, path.name, budget)
+    rc, out, _ = run_cli("schur", "--in", str(hand), "--budget", "1", "--json", capsys=capsys)
+    assert out == '{"field": "5^1:", "k": 2, "n": 3, "schur_d": null, "schur_dim": 3}\n'
+
+
 def test_cli_export_round_trip_bytes(tmp_path, capsys):
     text = export_matrix_text(_hand_code())
     f = tmp_path / "c.txt"
@@ -535,6 +562,12 @@ def test_cli_usage_errors(capsys):
                                "--N", n_sub, "--k", "1", capsys=capsys)
         assert (rc, out) == (2, "")
         assert err == f"PreconditionFailed: need N >= 2, got N={n_sub}\n"
+    # a singular genus-1 model is named by its curve text, as a genus-2 one is
+    for field, text in (("31", "g1:0,0,0,28,2"), ("31", "g1:0,0,0,0,0"),
+                        ("2^2", "g1:[0,0],[0,0],[0,0],[0,0],[1,1]")):
+        rc, out, err = run_cli("curve-info", "--field", field, "--curve", text, capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"Singular: zero discriminant for {text}\n"
     # a coset size below m or below 1 is refused before any curve search
     for n in ("0", "-4"):
         rc, _, err = run_cli("build", "--recipe", "coset", "--q", "2^8", "--N", "288",

@@ -1,7 +1,9 @@
 """Curves: models, enumeration, group law, shapes, search, tables."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -91,7 +93,7 @@ def brute_structure(curve):
 
 def test_curve_make_examples():
     assert E_F5.genus == 1
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match=r"^zero discriminant for g1:0,0,0,0,0$"):
         curve_make(F5, 1, (0, 0, 0, 0, 0))  # y^2 = x^3, cusp
     g2 = curve_make(field_make(11), 2, [1, 0, 0, 0, 0, 1])  # y^2 = x^5 + 1
     assert g2.genus == 2
@@ -186,10 +188,10 @@ def test_point_enumeration_frozen_examples():
 
 
 def brute_affine_points(curve):
-    """Oracle: every affine (x, y) the model contains, sorted by sort_key."""
+    """Oracle: every affine (x, y) the model contains, in tuple order."""
     q = curve.field.q
     found = (CurvePoint(x, y) for x in range(q) for y in range(q))
-    return sorted((p for p in found if curve.contains(p)), key=CurvePoint.sort_key)
+    return sorted(p for p in found if curve.contains(p))
 
 
 def genus2_curves_with_h(F, count, rng):
@@ -217,6 +219,47 @@ def test_points_come_in_sort_key_order():
     for c in curves:
         assert c.points() == (INFINITY, *brute_affine_points(c)), c.text()
         assert tuple(c.affine_points()) == c.points()[1:]
+
+
+def test_points_sort_natively_by_an_explicit_key():
+    # a point is its tuple, () at infinity, so native order must be the
+    # order of the key (0,) at infinity and (1, x, y) at an affine point
+    def key(p):
+        return (0,) if p.is_infinity else (1, p.x, p.y)
+
+    for F in (field_make(2, 2), field_make(7), field_make(3, 2)):
+        rng = random.Random(F.q)
+        for c in curve_family(F):
+            pts = list(c.points())
+            assert pts[0] is INFINITY and all(type(p) is CurvePoint for p in pts)
+            shuffled = rng.sample(pts, len(pts))
+            assert sorted(shuffled) == sorted(shuffled, key=key) == pts, c.text()
+            assert all((a < b) == (key(a) < key(b)) for a in pts for b in pts)
+
+
+def test_point_copies_pickles_repr_and_label_lookup():
+    for p in (CurvePoint(3, 4), INFINITY, E_F5.point(2, 3)):
+        twins = [copy.copy(p), copy.deepcopy(p)]
+        twins += [pickle.loads(pickle.dumps(p, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == p and type(twin) is CurvePoint
+            assert (twin.x, twin.y, twin.is_infinity) == (p.x, p.y, p.is_infinity)
+    assert repr(CurvePoint(3, 4)) == "CurvePoint(x=3, y=4)"
+    assert repr(INFINITY) == "CurvePoint(x=None, y=None)"
+    assert CurvePoint() == INFINITY == () and CurvePoint(3, 4) == (3, 4)
+    p = E_F5.point(2, 3)
+    labels = point_labels(E_F5)
+    for result in (E_F5.add(p, p), E_F5.neg(p), E_F5.scalar_mul(6, p),
+                   labels.point(labels.of(p)), E_F5.add(p, E_F5.neg(p))):
+        assert type(result) is CurvePoint
+    assert labels.of((2, 3)) == labels.of(p)
+    with pytest.raises(PointNotOnCurve) as exc:
+        labels.of((1, 1))
+    assert str(exc.value) == "(1, 1) is not a rational point of the curve"
+    with pytest.raises(PointNotOnCurve) as exc:
+        E_F5.add(p, CurvePoint(1, 1))
+    assert str(exc.value) == "CurvePoint(x=1, y=1) not on g1:0,0,0,0,1"
 
 
 def test_point_count_matches_enumeration_and_hasse():
@@ -291,12 +334,12 @@ def test_scalar_mul_matches_repeated_addition():
 
 
 def chord_tangent_oracle(curve, P, Q):
-    """The group law on (x, y) pairs as Silverman, AEC III.2.3 states it:
-    the line y = lam*x + nu with its own chord and tangent formulas for
-    both lam and nu."""
-    if P is None:
+    """The group law on point tuples (() for infinity) as Silverman, AEC
+    III.2.3 states it: the line y = lam*x + nu with its own chord and
+    tangent formulas for both lam and nu."""
+    if not P:
         return Q
-    if Q is None:
+    if not Q:
         return P
     F = curve.field
     add, sub, mul, neg, c = F.add, F.sub, F.mul, F.neg, F.from_int
@@ -304,10 +347,10 @@ def chord_tangent_oracle(curve, P, Q):
     (x1, y1), (x2, y2) = P, Q
     if x1 == x2:
         if y1 != y2:
-            return None
+            return ()
         denom = add(add(mul(c(2), y1), mul(a1, x1)), a3)
         if denom == 0:
-            return None
+            return ()
         x1sq = mul(x1, x1)
         num_l = sub(add(add(mul(c(3), x1sq), mul(mul(c(2), a2), x1)), a4), mul(a1, y1))
         num_n = sub(add(add(neg(mul(x1sq, x1)), mul(a4, x1)), mul(c(2), a6)), mul(a3, y1))
@@ -325,10 +368,10 @@ def scalar_oracle(curve, k, P):
     """k*P by |k| oracle additions, of -P = (x, -y - a1*x - a3) for k < 0."""
     F = curve.field
     a1, a3 = curve.coeffs[:2]
-    if k < 0 and P is not None:
+    if k < 0 and P:
         x, y = P
         P = (x, F.sub(F.sub(F.neg(y), F.mul(a1, x)), a3))
-    acc = None
+    acc = ()
     for _ in range(abs(k)):
         acc = chord_tangent_oracle(curve, acc, P)
     return acc
@@ -347,11 +390,11 @@ def test_group_law_matches_the_two_intercept_oracle(F):
     rng = random.Random(F.q)
     for _ in range(3):
         c = random_curve(F, rng)
-        xys = [c._as_xy(p) for p in c.points()]
-        for P in xys:
-            for Q in xys:
+        pts = c.points()
+        for P in pts:
+            for Q in pts:
                 assert c._add_xy(P, Q) == chord_tangent_oracle(c, P, Q), (c.text(), P, Q)
-            for k in (-5, -1, 0, 1, 2, 7, len(xys)):
+            for k in (-5, -1, 0, 1, 2, 7, len(pts)):
                 assert c._scalar_xy(k, P) == scalar_oracle(c, k, P), (c.text(), k, P)
 
 

@@ -24,7 +24,6 @@ from agmds.code import (
 from agmds.curves import (
     INFINITY,
     Curve,
-    CurvePoint,
     _class_key,
     coset,
     curve_family,
@@ -128,7 +127,7 @@ def closure_oracle(curve, generators):
         grown = {curve.add(s, g) for s in frontier for g in generators} - span
         span |= grown
         frontier = list(grown)
-    return tuple(sorted(span, key=CurvePoint.sort_key))
+    return tuple(sorted(span))
 
 
 def subgroups_of_order_oracle(curve, order):
@@ -143,7 +142,7 @@ def subgroups_of_order_oracle(curve, order):
             sub = closure_oracle(curve, [p, q_pt])
             if len(sub) == order:
                 found.add(sub)
-    return sorted(found, key=lambda s: [pt.sort_key() for pt in s])
+    return sorted(found)
 
 
 def test_subgroups_of_order_match_pairwise_closure_oracle():
@@ -198,7 +197,7 @@ def coset_code_oracle(curve, generators, reps, m):
             if seen & cs:
                 raise PreconditionFailed("cosets are not pairwise disjoint")
             seen |= cs
-        points = sorted(seen, key=CurvePoint.sort_key)
+        points = sorted(seen)
     if not is_mds_by_group_sums(curve, points, m):
         raise NotMDS("an m-subset sums to the identity")
     return points
@@ -611,7 +610,7 @@ def _reference_hunt(curve, n, m, seed, budget=2000):
     affine = curve.affine_points()
     rng = Random(seed)
     for attempt in range(1, budget + 1):
-        pts = sorted(rng.sample(affine, n), key=CurvePoint.sort_key)
+        pts = sorted(rng.sample(affine, n))
         code = build_code(curve, pts, m)
         if is_mds_by_systematic_minors(code):
             return code.gen, pts, attempt
@@ -677,7 +676,7 @@ def test_genus2_schur_dimension():
     import random
 
     rng = random.Random(12)
-    pts = sorted(rng.sample(X.affine_points(), 20), key=lambda p: p.sort_key())
+    pts = sorted(rng.sample(X.affine_points(), 20))
     from agmds.code import build_code
 
     code = build_code(X, pts, 9)
