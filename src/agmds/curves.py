@@ -16,6 +16,9 @@ computation, subgroup/coset machinery, curve search by point count, and
 the classification tables of attainable orders and group shapes over F_q
 (cross-checked empirically by the test suite).
 
+Enumeration reduces to x alone: at x the model is y^2 + b*y = c.  A genus-1
+curve in characteristic 2 solves it from the log and Artin-Schreier tables.
+
 A point is its tuple, (x, y) or () for the point at infinity, so tuple
 order is point order and the group law and the labels take plain tuples
 (`not P` tests for infinity); CurvePoint is the tuple subclass of the API.
@@ -146,7 +149,7 @@ class Curve:
     def point(self, x, y) -> CurvePoint:
         p = CurvePoint(x, y)
         if not self.contains(p):
-            raise PointNotOnCurve(f"({x},{y}) not on {self.text()}")
+            raise PointNotOnCurve(f"{point_text(self.field, p)} not on {self.text()}")
         return p
 
     # -- enumeration ------------------------------------------------------------
@@ -156,44 +159,61 @@ class Curve:
         if self.field.q > cap:
             raise TooLarge(f"{what} over q={self.field.q} exceeds cap {cap}")
 
+    def _char2_points(self):
+        """The affine points of a genus-1 curve in characteristic 2, in order: at x,
+        y^2 + b*y = c has the root sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2."""
+        F = self.field
+        F._ensure_as()
+        exp, log, as_get = F._exp, F._log, F._as_tab.get
+        # exp has period q - 1 and length 2(q - 1): every index in [-2(q - 1), 2(q - 1))
+        # is valid as it stands, and adding 2(q - 1) to a negative one would overflow.
+        a1, a3, a2, a4, a6 = self.coeffs
+        la1 = log[a1]
+        for x in range(F.q):
+            lx = log[x]
+            b = exp[la1 + lx] ^ a3 if a1 and x else a3
+            t = exp[log[x ^ a2] + lx] ^ a4 if x and x != a2 else a4
+            c = exp[log[t] + lx] ^ a6 if x and t else a6
+            if b == 0:
+                yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(c)))
+                continue
+            z = as_get(exp[log[c] - 2 * log[b]]) if c else 0
+            if z is not None:
+                y = exp[log[b] + log[z]] if z else 0
+                y, y1 = (y, y ^ b) if y < y ^ b else (y ^ b, y)
+                yield tuple.__new__(CurvePoint, (x, y))
+                yield tuple.__new__(CurvePoint, (x, y1))
+
     def points(self) -> tuple:
         """All rational points, infinity first, affine sorted by (x, y)."""
         if self._points is None:
             self._require_enumerable("enumeration")
-            pts = [INFINITY]
-            solve = self.field.solve_quadratic
-            for x in range(self.field.q):  # x rises, so only each x's roots need sorting
-                for y in sorted(solve(*self._rhs_quadratic(x))):
-                    pts.append(CurvePoint(x, y))
-            self._points = tuple(pts)
+            self._points = (INFINITY, *self._affine_points())
         return self._points
+
+    def _affine_points(self):
+        if self.genus == 1 and self.field.p == 2:
+            return self._char2_points()
+        solve, rhs = self.field.solve_quadratic, self._rhs_quadratic
+        # x rises, so only each x's roots need sorting
+        return (CurvePoint(x, y) for x in range(self.field.q) for y in sorted(solve(*rhs(x))))
 
     def point_count(self) -> int:
         if self._points is not None:
             return len(self._points)
         self._require_enumerable("count")
         F = self.field
-        n = 1
         if F.p == 2:
-            F._ensure_as()
-            as_tab = F._as_tab
-            for x in range(F.q):
-                b, c = self._rhs_quadratic(x)
-                if b == 0:
-                    n += 1
-                else:
-                    w = F.mul(c, F.pow(F.inv(b), 2))
-                    if w in as_tab:
-                        n += 2
-        else:
-            chi = F.chi
-            half = F.inv(F.from_int(2))
-            for x in range(F.q):
-                b, c = self._rhs_quadratic(x)
-                if b:
-                    sh = F.mul(b, half)
-                    c = F.add(c, F.mul(sh, sh))
-                n += 1 + chi(c)
+            return 1 + sum(1 for _ in self._affine_points())
+        n = 1
+        chi = F.chi
+        half = F.inv(F.from_int(2))
+        for x in range(F.q):
+            b, c = self._rhs_quadratic(x)
+            if b:
+                sh = F.mul(b, half)
+                c = F.add(c, F.mul(sh, sh))
+            n += 1 + chi(c)
         return n
 
     def affine_points(self) -> list:
@@ -260,7 +280,7 @@ class Curve:
             raise BadModel("the group law is defined for genus-1 curves only")
         for pt in points:
             if not self.contains(pt):
-                raise PointNotOnCurve(f"{pt} not on {self.text()}")
+                raise PointNotOnCurve(f"{point_text(self.field, pt)} not on {self.text()}")
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         self._require_group(P, Q)
@@ -431,9 +451,10 @@ class PointLabels:
     arithmetic.
     """
 
-    __slots__ = ("d1", "d2", "_label", "_point")
+    __slots__ = ("field", "d1", "d2", "_label", "_point")
 
-    def __init__(self, d1: int, d2: int, label: dict, point: dict):
+    def __init__(self, field: FieldSpec, d1: int, d2: int, label: dict, point: dict):
+        self.field = field
         self.d1 = d1
         self.d2 = d2
         self._label = label
@@ -443,7 +464,8 @@ class PointLabels:
         try:
             return self._label[pt]
         except KeyError:
-            raise PointNotOnCurve(f"{pt} is not a rational point of the curve") from None
+            text = point_text(self.field, pt)
+            raise PointNotOnCurve(f"{text} is not a rational point of the curve") from None
 
     def point(self, a: tuple[int, int]) -> CurvePoint:
         return self._point[a]
@@ -504,7 +526,7 @@ def point_labels(curve: Curve) -> PointLabels:
             row = add(row, p1)
         if len(label) != n:  # pragma: no cover - consistency guard
             raise AssertionError(f"basis of {curve.text()} does not span {n} points")
-        curve._labels = PointLabels(d1, d2, label, point)
+        curve._labels = PointLabels(curve.field, d1, d2, label, point)
         curve._structure = (d1, d2)
     return curve._labels
 
@@ -955,10 +977,10 @@ def _split_elements(body: str) -> list[str]:
     return [p for p in (s.strip() for s in parts) if p]
 
 
-def point_text(field: FieldSpec, point: CurvePoint) -> str:
-    if point.is_infinity:
+def point_text(field: FieldSpec, point) -> str:
+    if not point:  # a CurvePoint or a plain tuple
         return "inf"
-    return f"({field.element_text(point.x)},{field.element_text(point.y)})"
+    return f"({field.element_text(point[0])},{field.element_text(point[1])})"
 
 
 def parse_point_text(field: FieldSpec, text: str) -> CurvePoint:

@@ -414,13 +414,13 @@ class FieldSpec:
 
     def _ensure_as(self):
         # Solutions of z**2 + z = w in characteristic 2; half the w values
-        # are reachable, each with the pair {z, z+1}.
+        # are reachable, each with the pair {z, z+1}.  The table keeps the
+        # smaller root, which is the even code of the pair, so only even z
+        # are squared (through the log table; z = 0 gives w = 0).
         if self._as_tab is None:
-            tab: dict[int, int] = {}
-            for z in range(self.q):
-                w = self.add(self.mul(z, z), z)
-                tab.setdefault(w, z)
-            self._as_tab = tab
+            self._ensure_tables()
+            exp, log = self._exp, self._log
+            self._as_tab = {0: 0, **{exp[2 * log[z]] ^ z: z for z in range(2, self.q, 2)}}
 
     def sqrt_or_none(self, a: int):
         """A square root of a, or None (odd characteristic)."""

@@ -196,11 +196,13 @@ def search_coset_code(
     fallback = None
     draws = 200 * _SEARCH_CURVES
     keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
+    taken: dict = {}  # coefficients -> the pass-1 curve, whose labels pass 2 reuses
     for sufficient_only in (True, False):
         curves = _matching_curves(field, n_points, None, seed, draws, _SEARCH_FAMILY_CAP)
         curve = None
         failed = set()  # class keys of this pass's curves that returned nothing
         for curve in islice(curves, _SEARCH_CURVES):
+            curve = taken.setdefault(curve.coeffs, curve)
             key = _class_key(field, curve.coeffs) if keyed else None
             if key in failed:
                 continue

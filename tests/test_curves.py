@@ -7,6 +7,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agmds import field_make
 import agmds.curves as curves_module
@@ -221,6 +222,49 @@ def test_points_come_in_sort_key_order():
         assert tuple(c.affine_points()) == c.points()[1:]
 
 
+def quadratic_points(curve):
+    """Oracle: the points from solve_quadratic at every abscissa, in order."""
+    F = curve.field
+    solve, rhs = F.solve_quadratic, curve._rhs_quadratic
+    affine = (CurvePoint(x, y) for x in range(F.q) for y in sorted(solve(*rhs(x))))
+    return (INFINITY, *affine)
+
+
+def assert_char2_enumeration(coeffs, F):
+    """points() and point_count() of fresh curves agree with the oracle."""
+    expected = quadratic_points(Curve(F, 1, coeffs))
+    assert Curve(F, 1, coeffs).point_count() == len(expected), coeffs
+    assert Curve(F, 1, coeffs).points() == expected, coeffs
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_char2_enumeration_matches_the_quadratic_oracle_over_families(s):
+    F = field_make(2, s)
+    for c in curve_family(F):
+        assert_char2_enumeration(c.coeffs, F)
+
+
+@pytest.mark.parametrize("a1_zero", [True, False])
+@pytest.mark.parametrize("a3_zero", [True, False])
+@given(coeffs=st.tuples(*[st.integers(0, 255)] * 5))
+@settings(max_examples=60, deadline=None)
+def test_char2_enumeration_matches_the_quadratic_oracle_on_random_models(
+    a1_zero, a3_zero, coeffs
+):
+    # any five coefficients, singular models included: the enumeration
+    # reads the equation, not the curve's smoothness
+    a1, a3, a2, a4, a6 = coeffs
+    a1 = 0 if a1_zero else a1 or 1
+    a3 = 0 if a3_zero else a3 or 1
+    assert_char2_enumeration((a1, a3, a2, a4, a6), field_make(2, 8))
+
+
+@pytest.mark.parametrize("seed", [18, 19])
+def test_char2_enumeration_matches_the_quadratic_oracle_over_f_2_16(seed):
+    F = field_make(2, 16)
+    assert_char2_enumeration(random_curve(F, random.Random(seed)).coeffs, F)
+
+
 def test_points_sort_natively_by_an_explicit_key():
     # a point is its tuple, () at infinity, so native order must be the
     # order of the key (0,) at infinity and (1, x, y) at an affine point
@@ -256,10 +300,25 @@ def test_point_copies_pickles_repr_and_label_lookup():
     assert labels.of((2, 3)) == labels.of(p)
     with pytest.raises(PointNotOnCurve) as exc:
         labels.of((1, 1))
-    assert str(exc.value) == "(1, 1) is not a rational point of the curve"
+    assert str(exc.value) == "(1,1) is not a rational point of the curve"
     with pytest.raises(PointNotOnCurve) as exc:
         E_F5.add(p, CurvePoint(1, 1))
-    assert str(exc.value) == "CurvePoint(x=1, y=1) not on g1:0,0,0,0,1"
+    assert str(exc.value) == "(1,1) not on g1:0,0,0,0,1"
+
+
+def test_point_errors_print_element_text():
+    # over F_4 the code 2 is the element [0,1] and 3 is [1,1]
+    E = curve_make(field_make(2, 2), 1, (1, 0, 0, 0, 1))
+    on, off = E.points()[1], CurvePoint(2, 3)
+    curve = "g1:[1,0],[0,0],[0,0],[0,0],[1,0]"
+    for call, message in [
+        (lambda: E.point(2, 3), f"([0,1],[1,1]) not on {curve}"),
+        (lambda: E.add(on, off), f"([0,1],[1,1]) not on {curve}"),
+        (lambda: point_labels(E).of((2, 3)), "([0,1],[1,1]) is not a rational point of the curve"),
+    ]:
+        with pytest.raises(PointNotOnCurve) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_point_count_matches_enumeration_and_hasse():

@@ -184,6 +184,22 @@ def test_solve_quadratic_consistency():
             assert sum(len(F.solve_quadratic(b, c)) for c in range(F.q)) == F.q
 
 
+def artin_schreier_oracle(F):
+    """Oracle: the first z, in code order, with z**2 + z = w, for every w."""
+    tab = {}
+    for z in range(F.q):
+        tab.setdefault(F.add(F.mul(z, z), z), z)
+    return tab
+
+
+@pytest.mark.parametrize("s", range(1, 17))
+def test_artin_schreier_table_matches_the_setdefault_oracle(s):
+    F = FieldSpec(2, s)  # a fresh spec, so the table is built here
+    F._ensure_as()
+    assert F._as_tab == artin_schreier_oracle(F)
+    assert len(F._as_tab) == F.q // 2
+
+
 def test_code_arithmetic_matches_residues():
     a, b = 7, 15
     assert F19.add(a, b) == 3

@@ -303,6 +303,25 @@ def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
     assert [len(curves) for curves in passes] == labelled
 
 
+@pytest.mark.parametrize("q, N, n, m, labellings", [
+    ((2, 8), 288, 16, 8, 1),
+    ((2, 6), 72, 12, 6, 2),
+], ids=["f256-n288", "f64-n72-fails"])
+def test_search_coset_code_reuses_pass_one_labels(q, N, n, m, labellings, monkeypatch):
+    # pass 2 takes pass 1's curve objects, so a curve is labelled at most once
+    fresh = []
+    point_labels = recipes_module.point_labels
+
+    def labelling(curve):
+        if curve._labels is None:
+            fresh.append(curve.coeffs)
+        return point_labels(curve)
+
+    monkeypatch.setattr(recipes_module, "point_labels", labelling)
+    _search_outcome(field_make(*q), N, n, m)
+    assert len(fresh) == len(set(fresh)) == labellings
+
+
 def test_search_coset_code_keeps_the_family_cap_failure():
     # The first 40 N = 72 tuples over F_64 fall into 2 of the 9 ordinary
     # classes; neither has an MDS size-12 coset, and the cap stops the walk.
