@@ -30,8 +30,9 @@ q + 1 +/- isqrt(4q).
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import groupby, islice
 from math import gcd, isqrt
+from operator import itemgetter
 from random import Random
 
 from .errors import (
@@ -143,13 +144,21 @@ class Curve:
             return True
         F = self.field
         x, y = point
+        if not (0 <= x < F.q and 0 <= y < F.q):
+            return False
         b, c = self._rhs_quadratic(x)
         return F.add(F.mul(y, y), F.mul(b, y)) == c
 
+    def _require_on(self, point: CurvePoint):
+        if not self.contains(point):
+            q = self.field.q
+            text = (point_text(self.field, point) if all(0 <= c < q for c in point)
+                    else f"codes {tuple(point)} outside [0, {q})")
+            raise PointNotOnCurve(f"{text} not on {self.text()}")
+
     def point(self, x, y) -> CurvePoint:
         p = CurvePoint(x, y)
-        if not self.contains(p):
-            raise PointNotOnCurve(f"{point_text(self.field, p)} not on {self.text()}")
+        self._require_on(p)
         return p
 
     # -- enumeration ------------------------------------------------------------
@@ -163,7 +172,6 @@ class Curve:
         """The affine points of a genus-1 curve in characteristic 2, in order: at x,
         y^2 + b*y = c has the root sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2."""
         F = self.field
-        F._ensure_as()
         exp, log, as_get = F._exp, F._log, F._as_tab.get
         # exp has period q - 1 and length 2(q - 1): every index in [-2(q - 1), 2(q - 1))
         # is valid as it stands, and adding 2(q - 1) to a negative one would overflow.
@@ -279,8 +287,7 @@ class Curve:
         if self.genus != 1:
             raise BadModel("the group law is defined for genus-1 curves only")
         for pt in points:
-            if not self.contains(pt):
-                raise PointNotOnCurve(f"{point_text(self.field, pt)} not on {self.text()}")
+            self._require_on(pt)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         self._require_group(P, Q)
@@ -796,7 +803,6 @@ def _char2_class_key(F: FieldSpec, coeffs: tuple):
     a1, _, a2, _, a6 = coeffs
     if a1 == 0:
         return None
-    F._ensure_as()
     return a6, a2 in F._as_tab
 
 
@@ -838,16 +844,15 @@ _REFUTING_POINTS = 3
 
 def _refutes_count(curve: Curve, n_points: int) -> bool:
     """Whether a rational point P with [n_points]P != O exists among the
-    curve's first few: (x, y) for the first abscissas x, in order, that
-    carry a point, y the first root over x.
+    curve's first few: the first point over each of its first abscissas
+    (the other point over x is -P, and [N](-P) = -[N]P).
 
     The order of every point divides #E (Lagrange), so True proves
     #E != n_points; False decides nothing.
     """
-    solve, rhs = curve.field.solve_quadratic, curve._rhs_quadratic
-    points = ((x, ys[0]) for x in range(curve.field.q) if (ys := solve(*rhs(x))))
+    firsts = (next(pts) for _, pts in groupby(curve._affine_points(), itemgetter(0)))
     return any(
-        curve._scalar_xy(n_points, P) for P in islice(points, _REFUTING_POINTS)
+        curve._scalar_xy(n_points, P) for P in islice(firsts, _REFUTING_POINTS)
     )
 
 

@@ -6,8 +6,10 @@ element as its integer code sum(c_i * p**i), the one representation; codes
 make equality, hashing and table indexing cheap, and the prime subfield
 embeds as the codes 0..p-1.
 
-A FieldSpec builds discrete-log tables on first use, after which
-multiplication, inversion and powers are O(1) lookups.  Addition is XOR in
+A FieldSpec builds all of its tables when it is constructed: the
+discrete-log tables, after which multiplication, inversion and powers are
+O(1) lookups, and the root table of its characteristic (square roots for
+odd p, Artin-Schreier roots for p = 2).  Addition is XOR in
 characteristic 2 and residue arithmetic in prime fields; in an odd-
 characteristic extension it is a lookup too, through Zech logarithms
 Z(k) = log(1 + g^k), since a + b = a * (1 + b/a).  Characteristic-2 tables
@@ -157,11 +159,12 @@ class FieldSpec:
         self.modulus = modulus
         # characteristic 2: the modulus as a bit mask, for carry-less products
         self._clmul_mod = self.encode(modulus) if p == 2 and s > 1 else None
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._sqrt_tab = None
-        self._as_tab = None
+        self._zech = self._sqrt_tab = self._as_tab = None
+        self._ensure_tables()
+        if p == 2:
+            self._ensure_as()
+        else:
+            self._ensure_sqrt()
 
     # -- identity ------------------------------------------------------------
 
@@ -280,8 +283,6 @@ class FieldSpec:
         return powers
 
     def _ensure_tables(self):
-        if self._exp is not None:
-            return
         q = self.q
         order = q - 1
         gen = 1
@@ -324,8 +325,6 @@ class FieldSpec:
             return b
         if b == 0:
             return a
-        if self._zech is None:
-            self._ensure_tables()
         # a + b = g^la * (1 + g^(lb - la))
         la = self._log[a]
         z = self._zech[self._log[b] - la]
@@ -336,8 +335,6 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2 or a == 0:
             return a
-        if self._exp is None:
-            self._ensure_tables()
         # -1 = g^((q-1)/2), and (q-1)/2 == q >> 1 for odd q
         return self._exp[self._log[a] + (self.q >> 1)]
 
@@ -350,8 +347,6 @@ class FieldSpec:
             return a
         if a == 0:
             return self.neg(b)
-        if self._zech is None:
-            self._ensure_tables()
         # a - b = g^la * (1 + g^(lb + (q-1)/2 - la))
         la = self._log[a]
         z = self._zech[self._log[b] + (self.q >> 1) - la]
@@ -360,15 +355,11 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
-            self._ensure_tables()
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._exp is None:
-            self._ensure_tables()
         return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
@@ -379,19 +370,12 @@ class FieldSpec:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is None:
-            self._ensure_tables()
-        order = self.q - 1
-        if order == 0:
-            return 1
-        return self._exp[(self._log[a] * e) % order]
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def log(self, a: int) -> int:
         """The discrete log of nonzero a to the tables' generator, in [0, q-1)."""
         if a == 0:
             raise DivisionByZero("logarithm of zero")
-        if self._log is None:
-            self._ensure_tables()
         return self._log[a]
 
     def frobenius_sqrt(self, a: int) -> int:
@@ -404,27 +388,23 @@ class FieldSpec:
     # -- square roots and quadratics -------------------------------------------------
 
     def _ensure_sqrt(self):
-        if self._sqrt_tab is None:
-            tab = [None] * self.q
-            for y in range(self.q):
-                c = self.mul(y, y)
-                if tab[c] is None:
-                    tab[c] = y
-            self._sqrt_tab = tab
+        tab = [None] * self.q
+        for y in range(self.q):
+            c = self.mul(y, y)
+            if tab[c] is None:
+                tab[c] = y
+        self._sqrt_tab = tab
 
     def _ensure_as(self):
         # Solutions of z**2 + z = w in characteristic 2; half the w values
         # are reachable, each with the pair {z, z+1}.  The table keeps the
         # smaller root, which is the even code of the pair, so only even z
         # are squared (through the log table; z = 0 gives w = 0).
-        if self._as_tab is None:
-            self._ensure_tables()
-            exp, log = self._exp, self._log
-            self._as_tab = {0: 0, **{exp[2 * log[z]] ^ z: z for z in range(2, self.q, 2)}}
+        exp, log = self._exp, self._log
+        self._as_tab = {0: 0, **{exp[2 * log[z]] ^ z: z for z in range(2, self.q, 2)}}
 
     def sqrt_or_none(self, a: int):
         """A square root of a, or None (odd characteristic)."""
-        self._ensure_sqrt()
         return self._sqrt_tab[a]
 
     def chi(self, a: int) -> int:
@@ -433,7 +413,6 @@ class FieldSpec:
             return 0
         if self.p == 2:
             return 1
-        self._ensure_sqrt()
         return 1 if self._sqrt_tab[a] is not None else -1
 
     def solve_quadratic(self, b: int, c: int) -> tuple:
@@ -441,7 +420,6 @@ class FieldSpec:
         if self.p == 2:
             if b == 0:
                 return (self.frobenius_sqrt(c),)
-            self._ensure_as()
             w = self.mul(c, self.pow(self.inv(b), 2))
             z = self._as_tab.get(w)
             if z is None:

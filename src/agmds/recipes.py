@@ -89,6 +89,16 @@ def _certified_coset_code(
     return code, _report_from_distance(code, code.n - m + 1, True)
 
 
+def _coset_result(curve: Curve, subgroup, b: CurvePoint, points, m: int):
+    """The certified degree-m code on the coset b + subgroup, its report and meta."""
+    code, report = _certified_coset_code(
+        curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}
+    )
+    meta = {"curve": curve, "group": group_structure(curve), "N": len(curve.points()),
+            "subgroup": subgroup, "rep": b, "points": points}
+    return code, report, meta
+
+
 def coset_code(
     curve: Curve, subgroup_generators, coset_reps, m: int
 ) -> tuple[LinearCode, CodeReport]:
@@ -149,7 +159,7 @@ def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
     return sorted(tuple(labels.sorted_points(s)) for s in found)
 
 
-# search_coset_code tries at most 40 curves, with 200 random draws per curve,
+# search_coset_code walks at most 40 curves, with 200 random draws per curve,
 # and walks the curve family only up to q = 300: above that, seeded draws find
 # curves of one order far sooner, and they keep the codes it always returned.
 _SEARCH_CURVES = 40
@@ -168,11 +178,12 @@ def search_coset_code(
     group-sum certificate decides every candidate and is the code's only MDS
     certificate.
 
+    The curves are walked once: pass 1 tries independent reps on each
+    curve as it comes, pass 2 every rep on the curves pass 1 labelled.
     Whether a curve yields a candidate depends only on its group, so a
     family tuple whose isomorphism class (_class_key) already returned
-    nothing in this pass is skipped unlabelled; it still counts toward
-    the cap of _SEARCH_CURVES curves, which keeps every output the same as
-    trying it.
+    nothing is skipped unlabelled; it still counts toward the cap of
+    _SEARCH_CURVES curves, which keeps every output the same as trying it.
     """
     if not 1 <= m <= n:
         raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
@@ -185,53 +196,48 @@ def search_coset_code(
             f"a size-{n} subgroup needs n | N, got N={n_points}"
         )
 
-    def finish(curve, subgroup, b, points):
-        code, report = _certified_coset_code(
-            curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}
-        )
-        meta = {"curve": curve, "group": group_structure(curve), "N": n_points,
-                "subgroup": subgroup, "rep": b, "points": points}
-        return code, report, meta
+    def cosets(curve, subgroups, independent_only):
+        return ((curve, subgroup, b, points) for subgroup in subgroups
+                for b, points in _mds_cosets(curve, subgroup, m, independent_only))
 
-    fallback = None
-    draws = 200 * _SEARCH_CURVES
-    keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
-    taken: dict = {}  # coefficients -> the pass-1 curve, whose labels pass 2 reuses
-    for sufficient_only in (True, False):
-        curves = _matching_curves(field, n_points, None, seed, draws, _SEARCH_FAMILY_CAP)
-        curve = None
-        failed = set()  # class keys of this pass's curves that returned nothing
+    def candidates():
+        keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
+        curves = _matching_curves(
+            field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
+        )
+        tried = []  # (curve, its size-n subgroups) for every curve pass 1 labels
+        failed = set()  # class keys of those curves, none of which returned
         for curve in islice(curves, _SEARCH_CURVES):
-            curve = taken.setdefault(curve.coeffs, curve)
             key = _class_key(field, curve.coeffs) if keyed else None
             if key in failed:
                 continue
-            labels = point_labels(curve)
-            for subgroup in _subgroups_of_order(curve, n):
-                sub_labels = [labels.of(p) for p in subgroup]
-                for b, points in _mds_cosets(curve, sub_labels, m, sufficient_only):
-                    candidate = (curve, subgroup, b, points)
-                    if 2 * m == n and _group_sum(curve, points).is_infinity:
-                        fallback = fallback or candidate
-                        continue
-                    return finish(*candidate)
+            subgroups = _subgroups_of_order(curve, n)
+            tried.append((curve, subgroups))
+            yield from cosets(curve, subgroups, True)
             if key is not None:
                 failed.add(key)
-        if curve is None:
-            raise NoAdmissibleCurve(
-                f"no curve with N={n_points} found over q={field.q}"
-            )
+        if not tried:
+            raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
+        for curve, subgroups in tried:
+            yield from cosets(curve, subgroups, False)
+
+    fallback = None
+    for candidate in candidates():
+        if 2 * m == n and _group_sum(candidate[0], candidate[3]).is_infinity:
+            fallback = fallback or candidate
+            continue
+        return _coset_result(*candidate, m)
     if fallback is not None:
-        return finish(*fallback)
+        return _coset_result(*fallback, m)
     raise NoAdmissibleCurve(
         f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
         f"giving an MDS degree-{m} code"
     )
 
 
-def _mds_cosets(curve: Curve, sub_labels: list, m: int, independent_only: bool):
+def _mds_cosets(curve: Curve, subgroup, m: int, independent_only: bool):
     """Yield (b, sorted points of b + S) for every coset of the subgroup S
-    (given by its labels) on which no m points sum to the identity.
+    (given by its points) on which no m points sum to the identity.
 
     Reps b are walked in sorted point order and each coset is tried once,
     from its first rep; with independent_only, only reps b with order(b) > m
@@ -239,12 +245,13 @@ def _mds_cosets(curve: Curve, sub_labels: list, m: int, independent_only: bool):
     pass: every m-subset sums to m*b plus an element of S).
     """
     labels = point_labels(curve)
+    sub_labels = [labels.of(p) for p in subgroup]
     sub_set = set(sub_labels)
     covered = set(sub_set)  # the subgroup and every coset tried so far
     for b in curve.points():
         lb = labels.of(b)
-        if lb in covered or (
-            independent_only and not _rep_is_independent(labels, lb, sub_set, m)
+        if lb in covered or independent_only and (
+            labels.order(lb) <= m or not _meets_only_at_identity(labels, lb, sub_set)
         ):
             continue
         coset_labels = [labels.add(lb, s) for s in sub_labels]
@@ -252,12 +259,6 @@ def _mds_cosets(curve: Curve, sub_labels: list, m: int, independent_only: bool):
         points = labels.sorted_points(coset_labels)
         if is_mds_by_group_sums(curve, points, m):
             yield b, points
-
-
-def _rep_is_independent(labels: PointLabels, b, sub_set: set, m: int) -> bool:
-    """Whether order(b) > m and <b> meets the subgroup only at the identity
-    (b and the subgroup as labels)."""
-    return labels.order(b) > m and _meets_only_at_identity(labels, b, sub_set)
 
 
 def _meets_only_at_identity(labels: PointLabels, b, sub_set: set) -> bool:
@@ -386,20 +387,15 @@ def supersingular_code(
     )
     if generator is None:
         raise SubgroupNotFound(f"no point of order {n_sub} on {curve.text()}")
-    sub_labels = list(labels.span([generator]))
-    found = next(_mds_cosets(curve, sub_labels, k, True), None)
+    subgroup = labels.sorted_points(labels.span([generator]))
+    found = next(_mds_cosets(curve, subgroup, k, True), None)
     if found is None:
         raise SubgroupNotFound(
             f"no coset representative of order > {k} independent of the "
             f"order-{n_sub} subgroup"
         )
     b, points = found
-    code, report = _certified_coset_code(
-        curve, points, k, {"subgroup_order": n_sub, "cosets": 1}
-    )
-    meta = {"curve": curve, "group": group_structure(curve), "N": count,
-            "subgroup": labels.sorted_points(sub_labels), "rep": b, "points": points}
-    return code, report, meta
+    return _coset_result(curve, subgroup, b, points, k)
 
 
 # -- polynomial-code baselines -----------------------------------------------------------

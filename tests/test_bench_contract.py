@@ -12,6 +12,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
+from agmds.curves import Curve  # noqa: E402
+from agmds.field import FieldSpec  # noqa: E402
+from perfbench.tracer import CURVE_METHODS, FIELD_COUNTED, FIELD_TABLES  # noqa: E402
 from perfbench.workloads import WORKLOADS, build_tables  # noqa: E402
 
 
@@ -28,3 +31,9 @@ def test_workload_batch_passes_its_checks(name, tmp_path):
     ]
     assert failures == []
     assert any(step.is_op for step in steps)
+
+
+def test_tracer_names_are_library_attributes():
+    # the tracer patches these by name; a rename must fail here, not in a traced run
+    for owner, names in ((Curve, CURVE_METHODS), (FieldSpec, FIELD_COUNTED + FIELD_TABLES)):
+        assert [name for name in names if not callable(getattr(owner, name, None))] == []

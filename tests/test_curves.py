@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agmds import field_make
+from agmds.code import build_code
 import agmds.curves as curves_module
 from agmds.curves import (
     Curve,
@@ -319,6 +320,23 @@ def test_point_errors_print_element_text():
         with pytest.raises(PointNotOnCurve) as exc:
             call()
         assert str(exc.value) == message
+
+
+def test_codes_outside_the_field_are_not_on_the_curve():
+    # over F_4 a negative code would index the log table from its end, and
+    # a code of 4 or more past it
+    E = curve_make(field_make(2, 2), 1, (1, 0, 0, 0, 1))
+    curve = "g1:[1,0],[0,0],[0,0],[0,0],[1,0]"
+    affine = list(E.points()[1:3])
+    for x, y in [(-1, 0), (5, 1), (1, 9), (0, -1)]:
+        assert not E.contains(CurvePoint(x, y))
+        for call in (lambda: E.point(x, y),
+                     lambda: E.scalar_mul(2, CurvePoint(x, y))):
+            with pytest.raises(PointNotOnCurve) as exc:
+                call()
+            assert str(exc.value) == f"codes {(x, y)} outside [0, 4) not on {curve}"
+        with pytest.raises(PointNotOnCurve):
+            build_code(E, [CurvePoint(x, y), *affine], 2)
 
 
 def test_point_count_matches_enumeration_and_hasse():

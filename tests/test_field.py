@@ -194,10 +194,30 @@ def artin_schreier_oracle(F):
 
 @pytest.mark.parametrize("s", range(1, 17))
 def test_artin_schreier_table_matches_the_setdefault_oracle(s):
-    F = FieldSpec(2, s)  # a fresh spec, so the table is built here
-    F._ensure_as()
+    F = FieldSpec(2, s)  # a fresh spec: its constructor built the table
     assert F._as_tab == artin_schreier_oracle(F)
     assert len(F._as_tab) == F.q // 2
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (2, 8), (31, 1), (5, 3)])
+def test_a_fresh_field_holds_every_table(p, s, monkeypatch):
+    F = FieldSpec(p, s)
+    q = F.q
+    assert len(F._exp) == 2 * (q - 1) and len(F._log) == q
+    assert (F._zech is not None) == (p != 2 and s > 1)
+    if p == 2:
+        assert F._sqrt_tab is None and len(F._as_tab) == q // 2
+    else:
+        assert F._as_tab is None and len(F._sqrt_tab) == q
+
+    def no_rebuild(self):
+        raise AssertionError("a table was built after construction")
+
+    for name in ("_ensure_tables", "_ensure_sqrt", "_ensure_as"):
+        monkeypatch.setattr(FieldSpec, name, no_rebuild)
+    a, b = q - 1, q // 2
+    F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.inv(a), F.pow(a, 3), F.log(a)
+    F.chi(a), F.solve_quadratic(b, a)
 
 
 def test_code_arithmetic_matches_residues():
@@ -294,7 +314,6 @@ def test_char2_carryless_mul_matches_polynomial_product(s):
 )
 def test_odd_extension_tables_equal_the_polynomial_product_walk(p, s):
     F = FieldSpec(p, s)
-    F._ensure_tables()
     order = F.q - 1
     gen = F._exp[1]
     # gen is the smallest primitive code, as the generator search defines it

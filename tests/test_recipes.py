@@ -270,10 +270,10 @@ def _search_outcome(field, N, n, m):
 
 
 @pytest.mark.parametrize("q, N, n, m, labelled", [
-    ((2, 8), 288, 16, 8, [1, 1]),
-    ((2, 6), 72, 12, 6, [2, 2]),
-    ((5, 3), 110, 10, 5, [1]),
-    ((19, 1), 24, 6, 3, [1]),
+    ((2, 8), 288, 16, 8, 1),
+    ((2, 6), 72, 12, 6, 2),
+    ((5, 3), 110, 10, 5, 1),
+    ((19, 1), 24, 6, 3, 1),
 ], ids=["f256-n288", "f64-n72-fails", "f125-n110", "f19-n24"])
 def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
                                                           monkeypatch):
@@ -282,25 +282,36 @@ def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
     with monkeypatch.context() as patch:
         patch.setattr(recipes_module, "_class_key", lambda F, coeffs: None)
         expected = _search_outcome(field, N, n, m)
-    passes = []  # the distinct curves each pass labels, in order
-    matching, point_labels = recipes_module._matching_curves, recipes_module.point_labels
-
-    def new_pass(*args):
-        passes.append([])
-        return matching(*args)
+    curves = []  # the distinct curves the search labels, in order
+    point_labels = recipes_module.point_labels
 
     def labelling(curve):
-        if curve not in passes[-1]:
-            passes[-1].append(curve)
+        if curve not in curves:
+            curves.append(curve)
         return point_labels(curve)
 
-    monkeypatch.setattr(recipes_module, "_matching_curves", new_pass)
     monkeypatch.setattr(recipes_module, "point_labels", labelling)
     assert _search_outcome(field, N, n, m) == expected
-    for curves in passes:
-        keys = [_class_key(field, c.coeffs) for c in curves]
-        assert len(keys) == len(set(keys))
-    assert [len(curves) for curves in passes] == labelled
+    keys = [_class_key(field, c.coeffs) for c in curves]
+    assert len(keys) == len(set(keys)) == labelled
+
+
+@pytest.mark.parametrize("q, N, n, m", [
+    ((2, 8), 288, 16, 8),
+    ((2, 6), 72, 12, 6),
+], ids=["f256-n288", "f64-n72-fails"])
+def test_search_coset_code_counts_each_tuple_once(q, N, n, m, monkeypatch):
+    # both passes take their curves from one walk of the family
+    counted = []
+    point_count = Curve.point_count
+
+    def counting(curve):
+        counted.append(curve.coeffs)
+        return point_count(curve)
+
+    monkeypatch.setattr(Curve, "point_count", counting)
+    _search_outcome(field_make(*q), N, n, m)
+    assert counted and len(counted) == len(set(counted))
 
 
 @pytest.mark.parametrize("q, N, n, m, labellings", [
