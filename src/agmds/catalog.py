@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
 from .code import CodeReport, LinearCode
@@ -113,23 +113,15 @@ class CatalogEntry:
     created: str | None = None
 
     def to_json_dict(self, with_created: bool = True) -> dict:
-        doc = {
-            "id": self.id,
-            "field": self.field,
-            "curve": self.curve,
-            "N": self.N,
-            "group": list(self.group) if self.group else None,
-            "construction": self.construction,
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "report": self.report,
-            "points": self.points,
-            "matrix": self.matrix,
-        }
+        """The entry's document, keyed by field name; created only if asked."""
+        doc = {name: getattr(self, name) for name in _DOC_KEYS}
+        doc["group"] = list(self.group) if self.group else None
         if with_created and self.created:
             doc["created"] = self.created
         return doc
+
+
+_DOC_KEYS = tuple(f.name for f in fields(CatalogEntry) if f.name != "created")
 
 
 def content_id(doc: dict) -> str:
@@ -149,25 +141,19 @@ def make_entry(
     m: int | None = None,
     points_text: list | None = None,
 ) -> CatalogEntry:
-    F = code.field
-    doc = {
-        "field": F.spec_text(),
-        "curve": curve_text,
-        "N": n_points,
-        "group": list(group) if group else None,
-        "construction": construction,
-        "n": code.n,
-        "k": code.k,
-        "m": m,
-        "report": report_to_dict(report),
-        "points": points_text,
-        "matrix": [[F.element_text(v) for v in row] for row in code.gen.data],
-    }
-    return CatalogEntry(
-        **dict(doc, group=group),
-        id=content_id(doc),
+    entry = CatalogEntry(
+        id="",
+        curve=curve_text,
+        N=n_points,
+        group=group,
+        construction=construction,
+        m=m,
+        report=report_to_dict(report),
+        points=points_text,
         created=datetime.now(timezone.utc).isoformat(),
+        **export_code_json(code),
     )
+    return replace(entry, id=content_id(entry.to_json_dict()))
 
 
 def _interned(matrix):

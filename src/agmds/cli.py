@@ -243,7 +243,6 @@ def _cmd_search(args) -> int:
     code, report, meta = genus2_mds_search(
         curve, args.n, args.m, seed=seed, budget=args.budget
     )
-    meta["N"] = len(curve.points())
     params = {"field": field.spec_text(), "curve": curve.text(), "n": args.n, "m": args.m}
     head = [
         f"found after {meta['attempts']} samples "

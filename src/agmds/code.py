@@ -29,7 +29,6 @@ from .errors import (
     InfinityEvaluation,
     NoFullWeightSolution,
     NotHalfRate,
-    PointNotOnCurve,
     RangeViolation,
     RankDeficient,
 )
@@ -111,8 +110,7 @@ def build_code(
     for p in pts:
         if p.is_infinity:
             raise InfinityEvaluation("evaluation points must be affine")
-        if not curve.contains(p):
-            raise PointNotOnCurve(f"{p} not on {curve.text()}")
+        curve._require_on(p)
     basis = rr_basis(curve, m)
     rows = [
         [evaluate_monomial(F, mono, p) for p in pts] for mono in basis.monomials

@@ -212,7 +212,7 @@ class Curve:
         self._require_enumerable("count")
         F = self.field
         if F.p == 2:
-            return 1 + sum(1 for _ in self._affine_points())
+            return len(self.points())
         n = 1
         chi = F.chi
         half = F.inv(F.from_int(2))

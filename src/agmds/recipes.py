@@ -583,14 +583,14 @@ def genus2_mds_search(
     Evaluates the basis of L(m*P0) at every affine rational point once,
     into a k x N table (k = m - 1).  Each attempt samples n columns of
     that table and keeps the first sample that is MDS by the minors of
-    its systematic form (code._systematic_form_is_mds); only that winner
-    goes through build_code.  A losing sample needs none of build_code's
-    checks: its points are distinct rational points, and its generator
-    has full rank because a nonzero function of L(m*P0) has at most m < n
-    zeros.  The minor budget is checked once, before any sample.  The
-    counting bound m * C(n, m-2) < N is recorded as an advisory flag; the
-    search runs either way.  Raises NotFound with the attempt count when
-    the budget runs out.
+    its systematic form (code._systematic_form_is_mds); the winner's code
+    is built from that sample, not by build_code.  No sample needs
+    build_code's checks: its points are distinct affine rational points,
+    2 < m < n holds, and its generator has full rank because a nonzero
+    function of L(m*P0) has at most m < n zeros.  The minor budget is
+    checked once, before any sample.  The counting bound m * C(n, m-2) < N
+    is recorded as an advisory flag; the search runs either way.  Raises
+    NotFound with the attempt count when the budget runs out.
     """
     if curve.genus != 2:
         raise PreconditionFailed("search expects a genus-2 curve")
@@ -615,17 +615,14 @@ def genus2_mds_search(
         # affine is in (x, y) order, so sorted positions give sorted points
         idx = sorted(rng.sample(positions, n))
         columns = itemgetter(*idx)
-        if _systematic_form_is_mds(FFMatrix(F, [columns(row) for row in table], n)):
-            pts = [affine[i] for i in idx]
-            code = build_code(
-                curve,
-                pts,
-                m,
-                {"construction": "genus2-search", "curve": curve.text(), "m": m},
-            )
+        sample = FFMatrix(F, [columns(row) for row in table], n)
+        if _systematic_form_is_mds(sample):
+            provenance = {"construction": "genus2-search", "curve": curve.text(), "m": m}
+            code = LinearCode(F, sample, provenance)
             meta = {
                 "curve": curve,
-                "points": pts,
+                "N": total,
+                "points": [affine[i] for i in idx],
                 "attempts": attempt,
                 "counting_bound_ok": bound_ok,
             }

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from agmds import catalog, curve_make, field_make
 from agmds.catalog import (
     append_entry,
     code_from_json,
+    content_id,
     export_code_json,
     export_matrix_text,
     load_entries,
@@ -26,6 +28,7 @@ from agmds.catalog import (
 from agmds.cli import _RECIPES, dispatch
 from agmds.errors import IOFailure
 from agmds.code import build_code, invariant_report, LinearCode, min_distance, schur_square
+from agmds.curves import point_text
 from agmds.linalg import FFMatrix, rank
 from agmds.recipes import rs_code
 
@@ -124,6 +127,7 @@ def _entry():
         n_points=6,
         group=(1, 6),
         m=2,
+        points_text=[point_text(F5, p) for p in PTS],
     )
 
 
@@ -175,7 +179,11 @@ def test_catalog_round_trip_preserves_entry(tmp_path):
     e = _entry()
     append_entry(path, e)
     loaded = load_entries(path)[0]
+    # the helper's entry sets every field, so each one makes the round trip
+    assert all(getattr(e, f.name) is not None for f in fields(e))
+    assert loaded == e
     assert loaded.to_json_dict() == e.to_json_dict()
+    assert e.id == content_id(e.to_json_dict())
 
 
 def _line(entry, **dumps):

@@ -322,6 +322,21 @@ def test_point_errors_print_element_text():
         assert str(exc.value) == message
 
 
+def test_build_code_names_a_bad_point_like_curve_point():
+    # over F_4 the code 2 is the element [0,1]; -1 is no code at all
+    E = curve_make(field_make(2, 2), 1, (1, 0, 0, 0, 1))
+    affine = list(E.points()[1:3])
+    for x, y in [(2, 3), (-1, 0)]:
+        messages = []
+        for call in (lambda: E.point(x, y),
+                     lambda: build_code(E, [CurvePoint(x, y), *affine], 2)):
+            with pytest.raises(PointNotOnCurve) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    assert messages[0].startswith("codes (-1, 0) outside [0, 4) not on ")
+
+
 def test_codes_outside_the_field_are_not_on_the_curve():
     # over F_4 a negative code would index the log table from its end, and
     # a code of 4 or more past it

@@ -333,6 +333,31 @@ def test_search_coset_code_reuses_pass_one_labels(q, N, n, m, labellings, monkey
     assert len(fresh) == len(set(fresh)) == labellings
 
 
+def test_search_coset_code_enumerates_a_counted_char2_curve_once(monkeypatch):
+    # A characteristic-2 count keeps the points it enumerates, so labelling
+    # the accepted curve reuses them: one call is the refutation prefix and
+    # one is the full run of the count.
+    E = (1, 0, 0, 0, 1)
+    runs = []
+    char2_points = Curve._char2_points
+
+    def recorded(run, points):
+        for p in points:
+            run.append(p)
+            yield p
+
+    def recording(curve):
+        if curve.coeffs != E:
+            return char2_points(curve)
+        runs.append([])
+        return recorded(runs[-1], char2_points(curve))
+
+    monkeypatch.setattr(Curve, "_char2_points", recording)
+    search_coset_code(field_make(2, 8), 288, 16, 8, seed=0)
+    assert len(runs) == 2
+    assert [len(run) for run in runs].count(287) == 1
+
+
 def test_search_coset_code_keeps_the_family_cap_failure():
     # The first 40 N = 72 tuples over F_64 fall into 2 of the 9 ordinary
     # classes; neither has an MDS size-12 coset, and the cap stops the walk.
@@ -670,8 +695,9 @@ def test_genus2_hunt_refuses_an_over_budget_code_before_sampling(monkeypatch):
 
 
 def test_genus2_hunt_builds_and_checks_only_the_winner(monkeypatch):
-    # a losing sample is read from the evaluation table, so the checks of
-    # build_code and LinearCode run once, on the returned code
+    # every sample is read from the evaluation table, and the winner's code
+    # is built from its sample: no point is checked or evaluated again, and
+    # LinearCode's rank check runs once, on the returned code
     n, m = 9, 6
     k, affine = m - 1, len(X31.affine_points())
     calls = {"contains": 0, "evaluate": 0, "rank_checks": 0}
@@ -696,9 +722,9 @@ def test_genus2_hunt_builds_and_checks_only_the_winner(monkeypatch):
     monkeypatch.setattr(recipes_module, "evaluate_monomial", counting_evaluate)
     code, _, meta = genus2_mds_search(X31, n, m, seed=0)
     assert meta["attempts"] > 1
-    assert calls["contains"] <= n
+    assert calls["contains"] == 0
     assert calls["rank_checks"] == 1
-    assert calls["evaluate"] == k * affine + k * n
+    assert calls["evaluate"] == k * affine
 
 
 def test_genus2_schur_dimension():
