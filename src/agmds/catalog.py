@@ -17,7 +17,6 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -26,10 +25,6 @@ from .code import CodeReport, LinearCode
 from .errors import IOFailure
 from .field import parse_field_text
 from .linalg import FFMatrix
-
-# Appends scan the catalog for a duplicate id in blocks of this many bytes.
-_SCAN_BLOCK = 1 << 16
-
 
 # -- generator matrix export ---------------------------------------------------
 
@@ -170,12 +165,15 @@ def _interned(matrix):
 
 def _parse_line(raw: bytes, lineno: int) -> CatalogEntry | None:
     """The entry on one catalog line; None for a blank line, and None with
-    a warning for a corrupt one (bad UTF-8, bad JSON, a missing field)."""
+    a warning for a corrupt one (bad UTF-8, bad JSON, a missing field, a
+    mistyped id or construction)."""
     try:
         line = raw.decode("utf-8").strip()
         if not line:
             return None
         doc = json.loads(line)
+        if type(doc["id"]) is not str or type(doc.get("construction", {})) is not dict:
+            raise TypeError("the id must be a string and the construction an object")
         return CatalogEntry(
             id=doc["id"],
             field=doc["field"],
@@ -196,76 +194,62 @@ def _parse_line(raw: bytes, lineno: int) -> CatalogEntry | None:
         return None
 
 
+def _entries(data: bytes, needle: bytes = b""):
+    """The entries on the catalog's lines, in file order.  Lines end at
+    b"\\n" (a CRLF line keeps its CR, which parsing strips).  Only lines
+    holding needle or a backslash are decoded, every line for the empty
+    needle; a decoded corrupt line is skipped with a warning naming it."""
+    for lineno, raw in enumerate(data.split(b"\n"), 1):
+        if needle in raw or b"\\" in raw:
+            entry = _parse_line(raw, lineno)
+            if entry is not None:
+                yield entry
+
+
 def load_entries(path) -> list[CatalogEntry]:
     """Read a JSON-lines catalog, skipping corrupt lines with a warning.
 
-    Lines end at b"\\n" (a CRLF line keeps its CR, which parsing strips),
-    and the file is read one line at a time under a shared lock."""
-    entries = []
+    The file's bytes are read once under a shared lock, so a write in
+    progress is never seen half done, and every line is decoded."""
     try:
         with open(path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
-            for lineno, raw in enumerate(fh, 1):
-                entry = _parse_line(raw, lineno)
-                if entry is not None:
-                    entries.append(entry)
+            data = fh.read()
     except FileNotFoundError:
         return []
     except OSError as exc:
         raise IOFailure(f"cannot read catalog {path}: {exc}") from exc
-    return entries
+    return list(_entries(data))
 
 
-def _may_hold(fh, needle: bytes) -> bool:
-    """Whether the rest of the file holds needle or a backslash.  It is read
-    in blocks into one buffer, so a large catalog never sits in memory
-    whole; the last len(needle) - 1 bytes of a block stay in front of the
-    next, so a needle across two blocks is found too."""
-    keep = len(needle) - 1
-    buf = bytearray(keep + _SCAN_BLOCK)
-    view = memoryview(buf)
-    start = 0
-    while n := fh.readinto(view[start:]):
-        end = start + n
-        if buf.find(b"\\", start, end) >= 0 or buf.find(needle, 0, end) >= 0:
-            return True
-        start = min(keep, end)
-        buf[:start] = buf[end - start:end]
-    return False
-
-
-def _holds_id(fh, entry_id: str) -> bool:
-    """Whether a line of the file parses to an entry with this id.
+def _holds_id(data: bytes, entry_id: str) -> bool:
+    """Whether a line of the catalog's bytes parses to an entry with this id.
 
     Only a line holding the id's UTF-8 bytes or a backslash can: a JSON
     string decodes to the id either from its literal text or through an
-    escape.  Other lines are not decoded."""
+    escape.  Other lines are not decoded, and bytes holding neither are
+    not split into lines at all."""
     needle = entry_id.encode()
-    for lineno, raw in enumerate(fh, 1):
-        if needle in raw or b"\\" in raw:
-            e = _parse_line(raw, lineno)
-            if e is not None and e.id == entry_id:
-                return True
-    return False
+    if needle not in data and b"\\" not in data:
+        return False
+    return any(e.id == entry_id for e in _entries(data, needle))
 
 
 def append_entry(path, entry: CatalogEntry) -> bool:
     """Append one entry unless a line already holds its id; returns whether
-    the file changed.  The check and the write run under one exclusive
-    lock, so concurrent writers store each id once.  A last line left
-    unterminated (a crashed write) is ended first, so the new entry gets a
-    line of its own."""
+    the file changed.  The file's bytes are read once, and the check and
+    the write run under one exclusive lock, so concurrent writers store
+    each id once.  A last line left unterminated (a crashed write) is
+    ended first, so the new entry gets a line of its own."""
     try:
         with open(path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             fh.seek(0)
-            if _may_hold(fh, entry.id.encode()):
-                fh.seek(0)
-                if _holds_id(fh, entry.id):
-                    return False
-            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            data = fh.read()
+            if _holds_id(data, entry.id):
+                return False
             line = json.dumps(entry.to_json_dict(), sort_keys=True).encode() + b"\n"
-            fh.write(line if fh.read(1) in (b"", b"\n") else b"\n" + line)
+            fh.write(line if data[-1:] in (b"", b"\n") else b"\n" + line)
     except OSError as exc:
         raise IOFailure(f"cannot write catalog {path}: {exc}") from exc
     return True

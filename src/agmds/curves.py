@@ -671,12 +671,20 @@ def _is_supersingular_extreme(beta: int, n: int, q: int) -> bool:
     return n % 2 == 0 and beta * beta == 4 * q
 
 
-def admissible_curve_orders(q: int) -> list[int]:
-    """All point counts realized by genus-1 curves over F_q, sorted."""
+def _table_order(q: int) -> tuple[int, int]:
+    """(p, n) with q = p^n, for the order tables; q must lie below 2^32,
+    the range that trial division in intmath serves."""
+    if q >= 1 << 32:
+        raise TooLarge(f"the order tables need q < 2^32, got q={q}")
     try:
-        p, n = prime_power_split(q)
+        return prime_power_split(q)
     except ValueError as exc:
         raise NotPrimePower(str(exc)) from None
+
+
+def admissible_curve_orders(q: int) -> list[int]:
+    """All point counts realized by genus-1 curves over F_q, sorted."""
+    p, n = _table_order(q)
     w = isqrt(4 * q)
     return sorted(
         q + 1 - beta for beta in range(-w, w + 1) if _beta_admissible(beta, p, n, q)
@@ -692,10 +700,7 @@ def admissible_group_structures(q: int, n_points: int) -> list[tuple[int, int]]:
     split exponent a ranges over 0..min(v_l(q-1), h//2), except in the
     forced case (even extension degree, extreme trace) where a = h/2.
     """
-    try:
-        p, n = prime_power_split(q)
-    except ValueError as exc:
-        raise NotPrimePower(str(exc)) from None
+    p, n = _table_order(q)
     beta = q + 1 - n_points
     if not _beta_admissible(beta, p, n, q):
         return []

@@ -132,13 +132,15 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, s: int = 1, modulus=None):
-        if not is_prime(p):
-            raise NotPrime(f"characteristic {p} is not prime")
         if s < 1:
             raise DegreeMismatch(f"extension degree must be >= 1, got {s}")
+        # Size before primality, which trial-divides p; a degree past the
+        # cap's bit length is refused without building p**s.
+        if p > 1 and (s > MAX_ORDER.bit_length() or p**s > MAX_ORDER):
+            raise TooLarge(f"field order {p}^{s} exceeds the cap {MAX_ORDER}")
+        if not is_prime(p):
+            raise NotPrime(f"characteristic {p} is not prime")
         q = p**s
-        if q > MAX_ORDER:
-            raise TooLarge(f"field order {q} exceeds the cap {MAX_ORDER}")
         if s == 1:
             modulus = None
         else:

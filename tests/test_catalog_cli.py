@@ -1,9 +1,12 @@
 """Catalog persistence, exports, and the command-line front end."""
 
+import contextlib
 import fcntl
+import io
 import json
 import multiprocessing
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -205,8 +208,8 @@ _POOL.append(make_entry(_CODE, _REPORT, {"recipe": "coset", "note": "a\u2028b"})
 @st.composite
 def _catalog_lines(draw, target):
     """One catalog line (without its end) built around the target's id."""
-    kind = draw(st.sampled_from(
-        ("entry", "raw-utf8", "quoted", "escaped", "corrupt", "bad-utf8", "blank")))
+    kind = draw(st.sampled_from(("entry", "raw-utf8", "quoted", "escaped", "corrupt",
+                                 "mistyped", "bad-utf8", "blank")))
     other = draw(st.sampled_from(_POOL))
     if kind == "entry":
         return _line(other)
@@ -225,30 +228,87 @@ def _catalog_lines(draw, target):
             f'["{target.id}"]'.encode(),
             whole + b" x",
         )))
+    if kind == "mistyped":  # a whole entry but for the type of its id or construction
+        retyped = draw(st.sampled_from((
+            {"id": 7}, {"id": [target.id]}, {"construction": [target.id]},
+            {"construction": target.id}, {"construction": None},
+        )))
+        return json.dumps(dict(target.to_json_dict(), **retyped), sort_keys=True).encode()
     if kind == "bad-utf8":
         return b"\xff\xfe " + target.id.encode()
     return draw(st.sampled_from((b"", b"   ", b"\t", b" \x0c ")))
 
 
+def _draw_catalog(data, target) -> bytes:
+    """A catalog of lines around the target's id, each ended by LF or CRLF,
+    the last one possibly unterminated."""
+    lines = data.draw(st.lists(_catalog_lines(target), max_size=6))
+    ends = [data.draw(st.sampled_from((b"\n", b"\r\n"))) for _ in lines]
+    if lines:
+        ends[-1] = data.draw(st.sampled_from((b"\n", b"\r\n", b"")))
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+_REQUIRED_KEYS = {"id", "field", "n", "k", "matrix"}
+
+
+def _oracle_load(data: bytes):
+    """The documents a catalog holds and the numbers of its corrupt lines,
+    read one io.BytesIO line at a time and decoded with json.loads."""
+    docs, corrupt = [], []
+    for lineno, raw in enumerate(io.BytesIO(data), 1):
+        try:
+            text = raw.decode("utf-8").strip()
+            doc = json.loads(text) if text else None
+        except ValueError:  # bad UTF-8 or bad JSON
+            corrupt.append(lineno)
+            continue
+        if doc is None:
+            continue
+        if (type(doc) is dict and _REQUIRED_KEYS <= doc.keys() and type(doc["id"]) is str
+                and type(doc.get("construction", {})) is dict):
+            docs.append(doc)
+        else:
+            corrupt.append(lineno)
+    return docs, corrupt
+
+
+def test_load_entries_matches_a_per_line_oracle():
+    kinds = set()
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def check(data):
+        before = _draw_catalog(data, data.draw(st.sampled_from(_POOL)))
+        path.write_bytes(before)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            entries = load_entries(path)
+        docs, corrupt = _oracle_load(before)
+        assert [e.to_json_dict() for e in entries] == docs
+        warned = re.findall(r"^warning: skipping corrupt catalog line (\d+): ", err.getvalue(), re.M)
+        assert list(map(int, warned)) == corrupt
+        kinds.add((bool(docs), bool(corrupt)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cat.jsonl"
+        check()
+    assert kinds >= {(True, True), (True, False), (False, True)}
+
+
 def test_append_duplicate_decision_matches_load_entries():
-    """append_entry's byte scan against the oracle that decodes every line;
-    small scan blocks put block boundaries inside the lines."""
+    """append_entry's byte search against the oracle that decodes every line."""
     verdicts = set()
 
-    @given(data=st.data(), block=st.sampled_from((64, 100, 257, catalog._SCAN_BLOCK)))
+    @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def check(data, block):
+    def check(data):
         target = data.draw(st.sampled_from(_POOL))
-        lines = data.draw(st.lists(_catalog_lines(target), max_size=6))
-        ends = [data.draw(st.sampled_from((b"\n", b"\r\n"))) for _ in lines]
-        if lines:
-            ends[-1] = data.draw(st.sampled_from((b"\n", b"\r\n", b"")))
-        before = b"".join(line + end for line, end in zip(lines, ends))
+        before = _draw_catalog(data, target)
         path.write_bytes(before)
         duplicate = target.id in {e.id for e in load_entries(path)}
         verdicts.add(duplicate)
-        with mock.patch.object(catalog, "_SCAN_BLOCK", block):
-            assert append_entry(path, target) is not duplicate
+        assert append_entry(path, target) is not duplicate
         if duplicate:
             assert path.read_bytes() == before
         else:
@@ -308,17 +368,35 @@ def test_cli_catalog_skips_invalid_utf8(tmp_path, capsys):
     assert first.id[:16] in out and second.id[:16] in out
 
 
-def _append_all(path, shared, own, barrier):
-    # A pause after the duplicate scan widens the window between check and
-    # write, and all workers meet before each shared id, so they race on it.
-    scan = catalog._may_hold
+@pytest.mark.parametrize("retyped", [{"id": 7}, {"construction": ["coset"]}],
+                         ids=["id", "construction"])
+def test_cli_mistyped_catalog_line_is_skipped(retyped, tmp_path, capsys):
+    # a mistyped line is corrupt, so listing, --show and export never see it
+    path = tmp_path / "cat.jsonl"
+    bad, good = _POOL[:2]
+    path.write_bytes(json.dumps(dict(bad.to_json_dict(), **retyped)).encode() + b"\n")
+    assert append_entry(path, good)
+    rc, out, err = run_cli("catalog", "--catalog", str(path), capsys=capsys)
+    assert rc == 0 and out.splitlines() == ["1 entries", f"{good.id[:16]}  [3,2] over 5^1:  (coset)"]
+    assert "skipping corrupt catalog line 1" in err and "Traceback" not in err
+    for command in (("catalog", "--show"), ("export", "--id")):
+        rc, out, err = run_cli(*command, good.id[:12], "--catalog", str(path), capsys=capsys)
+        assert rc == 0 and out and "Traceback" not in err
+        rc, out, err = run_cli(*command, bad.id[:12], "--catalog", str(path), capsys=capsys)
+        assert (rc, out) == (1, "") and f"no entry with id prefix {bad.id[:12]}" in err
 
-    def slow_scan(fh, needle):
-        found = scan(fh, needle)
+
+def _append_all(path, shared, own, barrier):
+    # A pause after the duplicate check widens the window between check and
+    # write, and all workers meet before each shared id, so they race on it.
+    holds = catalog._holds_id
+
+    def slow_check(data, entry_id):
+        found = holds(data, entry_id)
         time.sleep(0.005)
         return found
 
-    with mock.patch.object(catalog, "_may_hold", slow_scan):
+    with mock.patch.object(catalog, "_holds_id", slow_check):
         for entry in shared:
             barrier.wait()
             append_entry(path, entry)
@@ -868,6 +946,19 @@ def test_cli_entry_reproduces_matrix(tmp_path, capsys):
     )
     rebuilt = [[code.field.element_text(v) for v in row] for row in code.gen.data]
     assert rebuilt == entry.matrix
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve-info", "--field", "100000000000000000039", "--curve", "g1:0,0,0,1,1"),
+    ("curve-info", "--field", "3^10000000", "--curve", "g1:0,0,0,1,1"),
+    ("tables", "--q", "100000000000000000039"),
+], ids=["prime-field", "huge-degree", "tables"])
+def test_cli_orders_past_the_caps_exit_2_at_once(argv, capsys):
+    # the size is refused before trial division, and q's 4.7M digits are never printed
+    start = time.perf_counter()
+    rc, out, err = run_cli(*argv, capsys=capsys)
+    assert time.perf_counter() - start < 5
+    assert (rc, out) == (2, "") and err.startswith("TooLarge: ") and len(err) < 100
 
 
 def test_cli_module_entry_point():

@@ -597,6 +597,18 @@ def test_admissible_structures_examples():
     assert admissible_group_structures(8, 7) == []
 
 
+def test_order_tables_refuse_q_from_2_to_the_32():
+    # past intmath's range: trial division and the trace loop would not end
+    for q in (1 << 32, 100000000000000000039):
+        with pytest.raises(TooLarge, match=r"the order tables need q < 2\^32"):
+            admissible_curve_orders(q)
+        with pytest.raises(TooLarge, match=r"the order tables need q < 2\^32"):
+            admissible_group_structures(q, q + 1)
+    # the largest prime below 2^32 is still served
+    q = 4294967291
+    assert (1, q + 1) in admissible_group_structures(q, q + 1)
+
+
 # -- curve search ------------------------------------------------------------------------------
 
 

@@ -90,6 +90,26 @@ def test_field_make_errors():
         field_make(2, 17)
 
 
+def test_field_order_is_checked_before_primality():
+    # trial division of p = 10^20 + 39 would run to 10^10
+    with pytest.raises(TooLarge, match=r"^field order 100000000000000000039\^1 exceeds the cap 65536$"):
+        field_make(100000000000000000039)
+    # a composite p above the cap is refused for its size first
+    with pytest.raises(TooLarge, match=r"100000000000000000038\^1"):
+        field_make(100000000000000000038)
+    # a degree alone past the cap is named, not raised to its power
+    with pytest.raises(TooLarge, match=r"^field order 3\^10000000 exceeds the cap 65536$"):
+        field_make(3, 10_000_000)
+    with pytest.raises(TooLarge, match=r"^field order 257\^2 exceeds"):
+        parse_field_text("257^2")
+    # at or below the cap p is tested for primality
+    with pytest.raises(NotPrime):
+        field_make(256, 2)
+    # a degree below 1 is refused before p is tested at all
+    with pytest.raises(DegreeMismatch):
+        field_make(100000000000000000039, 0)
+
+
 def test_arith_examples():
     assert F19.inv(2) == 10
     assert F19.pow(2, 18) == 1
