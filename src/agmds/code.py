@@ -258,12 +258,16 @@ def _systematic_form_is_mds(gen: FFMatrix) -> bool:
     if any(0 in row for row in A):
         return False
     F = gen.field
-    mul = F.mul
     cols = range(n - k)
-    for a, b in combinations(A, 2):
-        for j1, j2 in combinations(cols, 2):
-            if mul(a[j1], b[j2]) == mul(a[j2], b[j1]):
-                return False
+    # A has no zero entry, so the 2 x 2 minor on rows a, b and columns j1, j2
+    # vanishes iff a[j1]/a[j2] == b[j1]/b[j2]: the k rows' ratios, as log
+    # differences mod q - 1, must be distinct
+    order = F.q - 1
+    log = F._log
+    L = [[log[v] for v in row] for row in A]
+    for j1, j2 in combinations(cols, 2):
+        if len({(r[j1] - r[j2]) % order for r in L}) < k:
+            return False
     for size in range(3, min(k, n - k) + 1):
         for rows in combinations(A, size):
             for sub in combinations(cols, size):

@@ -21,6 +21,7 @@ sample count).
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, islice
 from math import comb, gcd, isqrt
 from operator import itemgetter
@@ -587,10 +588,15 @@ def genus2_mds_search(
     is built from that sample, not by build_code.  No sample needs
     build_code's checks: its points are distinct affine rational points,
     2 < m < n holds, and its generator has full rank because a nonzero
-    function of L(m*P0) has at most m < n zeros.  The minor budget is
-    checked once, before any sample.  The counting bound m * C(n, m-2) < N
-    is recorded as an advisory flag; the search runs either way.  Raises
-    NotFound with the attempt count when the budget runs out.
+    function of L(m*P0) has at most m < n zeros.  Two exact tests skip the
+    certificate: a sample with k of its points over some m // 2 abscissas
+    is refuted by the product of (x - a) over them, a function of L(m*P0);
+    and a sample the certificate already refuted in this search is not
+    certified again.  Neither changes the attempt count, the draws or the
+    winner.  The minor budget is checked once, before any sample.  The
+    counting bound m * C(n, m-2) < N is recorded as an advisory flag; the
+    search runs either way.  Raises NotFound with the attempt count when
+    the budget runs out.
     """
     if curve.genus != 2:
         raise PreconditionFailed("search expects a genus-2 curve")
@@ -608,13 +614,25 @@ def genus2_mds_search(
         [evaluate_monomial(F, mono, p) for p in affine]
         for mono in rr_basis(curve, m).monomials
     ]
-    _require_minor_budget(n, len(table), DEFAULT_BUDGET)
+    k = len(table)
+    _require_minor_budget(n, k, DEFAULT_BUDGET)
     positions = range(len(affine))
+    xs = [pt[0] for pt in affine]
+    h = m // 2
+    refuted = set()
     rng = Random(seed)
     for attempt in range(1, budget + 1):
         # affine is in (x, y) order, so sorted positions give sorted points
         idx = sorted(rng.sample(positions, n))
         columns = itemgetter(*idx)
+        # x has pole order 2 at P0, so the product of (x - a) over any h
+        # abscissas a lies in L(m*P0) and vanishes at every sample point over
+        # them: k such points give a codeword of weight <= n - k
+        if sum(sorted(Counter(columns(xs)).values(), reverse=True)[:h]) >= k:
+            continue
+        key = tuple(idx)
+        if key in refuted:
+            continue
         sample = FFMatrix(F, [columns(row) for row in table], n)
         if _systematic_form_is_mds(sample):
             provenance = {"construction": "genus2-search", "curve": curve.text(), "m": m}
@@ -628,4 +646,5 @@ def genus2_mds_search(
             }
             report = _report_from_distance(code, n - code.k + 1, True)
             return code, report, meta
+        refuted.add(key)
     raise NotFound(f"no MDS sample within {budget} attempts (bound_ok={bound_ok})")

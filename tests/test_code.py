@@ -171,7 +171,9 @@ def test_systematic_minors_edge_cases():
             fn(LinearCode(F31, FFMatrix(F31, [[0, 0, 1]])), budget=2)
 
 
-MINOR_FIELDS = [F31, F16, field_make(3, 2)]
+# F_2 has q - 1 = 1, where every ratio of nonzero entries is 1, and F_3^3
+# is an odd extension, whose sub goes through its Zech table
+MINOR_FIELDS = [F31, F16, field_make(3, 2), F2, field_make(3, 3)]
 
 
 def _random_matrix(data, F, rows, cols):
@@ -190,6 +192,7 @@ def test_systematic_minors_agree_with_column_minors(data):
     if shape == "mixed-rs":
         # an MDS code in no systematic form: a Vandermonde generator with
         # its rows mixed and its columns scaled
+        assume(n <= F.q)
         alphas = data.draw(
             st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n, unique=True)
         )

@@ -11,15 +11,23 @@ import agmds.code
 from agmds import field_make
 from agmds.code import LinearCode, dual_code, hull_dim, schur_square, self_dualize
 from agmds.errors import NoFullWeightSolution
-from agmds.linalg import FFMatrix, kernel_basis, rank, rref_rank
+from agmds.linalg import (
+    FFMatrix,
+    has_full_column_rank_square,
+    kernel_basis,
+    rank,
+    rref_rank,
+)
 
 F2 = field_make(2)
 F5 = field_make(5)
 F7 = field_make(7)
 F19 = field_make(19)
 F16 = field_make(2, 4)
+F27 = field_make(3, 3)
 
-FIELDS = [F2, F5, F7, F19, F16]
+# F_2 has q - 1 = 1, and an odd extension's sub goes through its Zech table
+FIELDS = [F2, F5, F7, F19, F16, F27]
 
 
 def _random_matrix(F, rows, cols, rng):
@@ -67,19 +75,19 @@ def _full_row_gauss_jordan(M):
 
 
 @st.composite
-def _shaped_matrices(draw):
-    """Matrices up to 6 x 10, 0 rows and 0 columns included, with zero
-    rows, repeated rows and rows that combine earlier ones, so
-    rank-deficient shapes are common.  Half the rows are fresh, with
-    entries from a seeded Random: lists drawn entry by entry repeat their
-    values, so fresh rows would often be proportional and full ranks
+def _shaped_matrices(draw, fields=(field_make(31), F16, field_make(3, 2)), square=False):
+    """Matrices up to 6 x 10 (up to 6 x 6 if square), 0 rows and 0 columns
+    included, with zero rows, repeated rows and rows that combine earlier
+    ones, so rank-deficient shapes are common.  Half the rows are fresh,
+    with entries from a seeded Random: lists drawn entry by entry repeat
+    their values, so fresh rows would often be proportional and full ranks
     rare."""
-    F = draw(st.sampled_from([field_make(31), F16, field_make(3, 2)]))
-    cols = draw(st.integers(0, 10))
+    F = draw(st.sampled_from(fields))
+    cols = draw(st.integers(0, 6 if square else 10))
     entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
     rng = draw(st.randoms(use_true_random=False))
     rows = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(cols if square else draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("fresh", "zero", "fresh", "repeat", "fresh", "combination")))
         if kind == "zero":
             rows.append([0] * cols)
@@ -99,6 +107,14 @@ def _shaped_matrices(draw):
 def test_rref_equals_full_row_gauss_jordan(M):
     R, r, pivots = rref_rank(M)
     assert (R.data, r, pivots) == _full_row_gauss_jordan(M)
+
+
+@given(_shaped_matrices(FIELDS, square=True))
+@settings(max_examples=300, deadline=None)
+def test_square_minor_test_equals_rank(M):
+    # the rows of M are passed as the columns of a k x k minor
+    F, cols = M.field, M.data
+    assert has_full_column_rank_square(F, cols) == (rank(FFMatrix(F, cols, M.cols)) == M.rows)
 
 
 def _forward_rank(M):

@@ -634,9 +634,9 @@ def test_genus2_search_validation_and_budget():
     assert "3 attempts" in str(exc.value)
 
 
-def _hunt(curve, n, m, seed):
+def _hunt(curve, n, m, seed, budget=2000):
     try:
-        code, _, meta = genus2_mds_search(curve, n, m, seed=seed)
+        code, _, meta = genus2_mds_search(curve, n, m, seed=seed, budget=budget)
     except NotFound as exc:
         return str(exc)
     return code.gen, meta["points"], meta["attempts"]
@@ -660,8 +660,9 @@ def test_genus2_hunt_is_unchanged_under_the_minor_oracle(n, m, monkeypatch):
 
 
 def _reference_hunt(curve, n, m, seed, budget=2000):
-    """The hunt before its evaluation table: sample points, build the whole
-    code and certify it, once per attempt."""
+    """The hunt before its evaluation table, its abscissa test and its memo:
+    sample points, build the whole code and certify it, once per attempt.
+    None when the budget runs out."""
     affine = curve.affine_points()
     rng = Random(seed)
     for attempt in range(1, budget + 1):
@@ -672,16 +673,53 @@ def _reference_hunt(curve, n, m, seed, budget=2000):
     return None
 
 
-@pytest.mark.parametrize("field, text", [
-    ((2, 5), "g2:1,0,0,0,0,1;0,1,0"),
-    ((3, 3), "g2:1,0,0,0,0,1;0,0,0"),
-], ids=["f32", "f27"])
-def test_genus2_hunt_equals_the_rebuilding_reference_loop(field, text):
+@pytest.mark.parametrize("field, text, n, m, budget, wins", [
+    ((2, 5), "g2:1,0,0,0,0,1;0,1,0", 8, 5, 2000, 10),
+    ((3, 3), "g2:1,0,0,0,0,1;0,0,0", 8, 5, 2000, 10),
+    ((31,), "g2:1,0,0,0,0,1;0,0,0", 9, 6, 2000, 10),
+    ((31,), "g2:1,0,0,0,0,1;0,0,0", 10, 6, 2000, 7),
+    # any 20 of this curve's 27 points lie over 16 abscissas, so no sample
+    # is MDS and every one is refuted by the abscissa test; a shorter budget
+    # keeps the reference loop's rebuilt codes cheap
+    ((31,), "g2:1,0,0,0,0,1;0,0,0", 20, 10, 200, 0),
+], ids=["f32", "f27", "f31-9-6", "f31-10-6", "f31-20-10"])
+def test_genus2_hunt_equals_the_rebuilding_reference_loop(field, text, n, m, budget, wins):
     X = parse_curve_text(field_make(*field), text)
-    for seed in range(10):
-        expected = _reference_hunt(X, 8, 5, seed)
-        assert expected is not None
-        assert _hunt(X, 8, 5, seed) == expected
+    expected = [_reference_hunt(X, n, m, seed, budget) for seed in range(10)]
+    assert sum(e is not None for e in expected) == wins
+    for seed, reference in enumerate(expected):
+        found = _hunt(X, n, m, seed, budget)
+        if reference is None:
+            assert found.startswith(f"no MDS sample within {budget} attempts")
+        else:
+            assert found == reference
+
+
+def _counting_certificate(monkeypatch):
+    calls = [0]
+    certify = recipes_module._systematic_form_is_mds
+
+    def counting(gen):
+        calls[0] += 1
+        return certify(gen)
+
+    monkeypatch.setattr(recipes_module, "_systematic_form_is_mds", counting)
+    return calls
+
+
+def test_genus2_hunt_refutes_samples_by_their_abscissas(monkeypatch):
+    calls = _counting_certificate(monkeypatch)
+    _, _, meta = genus2_mds_search(X31, 9, 6, seed=0)
+    assert calls[0] < meta["attempts"]
+
+
+def test_genus2_hunt_certifies_a_refuted_sample_once(monkeypatch):
+    # n is the number of affine points, so every draw is the same sample
+    calls = _counting_certificate(monkeypatch)
+    with pytest.raises(NotFound) as exc:
+        genus2_mds_search(X31, 27, 26)
+    assert str(exc.value) == "no MDS sample within 2000 attempts (bound_ok=False)"
+    assert calls[0] == 1
 
 
 def test_genus2_hunt_refuses_an_over_budget_code_before_sampling(monkeypatch):
