@@ -879,11 +879,13 @@ def _matching_curves(
     most family_cap walk curve_family in its deterministic order.
     Isomorphic curves share point count and shape, so the verdict is
     computed once per isomorphism-class key (_class_key) and reused for
-    every later tuple of that class; tuples without a key (p = 3 and the
-    characteristic-2 j = 0 branch) are refuted or counted one by one.
-    The walk yields exactly the curves, in the order, that counting every
-    tuple would.  Larger fields draw `draws` seeded random
-    five-coefficient models, skipping repeats.
+    every later tuple of that class, and each later tuple takes the
+    shape of the class's first curve, if that curve's shape is known by
+    then; tuples without a key (p = 3 and the characteristic-2 j = 0
+    branch) are refuted, counted and shaped one by one.  The walk yields
+    exactly the curves, in the order, that counting every tuple would.
+    Larger fields draw `draws` seeded random five-coefficient models,
+    skipping repeats.
     """
 
     def matches(curve: Curve) -> bool:
@@ -894,16 +896,17 @@ def _matching_curves(
         )
 
     if field.q <= family_cap:
-        verdicts: dict = {}
+        firsts: dict = {}  # class key -> the class's first curve, or None if it fails
         for curve in curve_family(field):
             key = _class_key(field, curve.coeffs)
-            if key is None:
-                hit = matches(curve)
-            else:
-                hit = verdicts.get(key)
-                if hit is None:
-                    hit = verdicts[key] = matches(curve)
-            if hit:
+            first = firsts.get(key, curve)
+            if first is curve:
+                first = curve if matches(curve) else None
+                if key is not None:
+                    firsts[key] = first
+            elif first is not None:
+                curve._structure = first._structure  # isomorphic, so the same group
+            if first is not None:
                 yield curve
         return
     rng = Random(seed)

@@ -14,9 +14,11 @@ certificate.
 The elliptic recipes share one group representation, the point labels of
 curves.point_labels: subgroups are spans of labels, a coset b + S is S
 shifted by b's label, and one scan (_mds_cosets) walks the cosets of a
-subgroup for search_coset_code and supersingular_code.  Step budgets are
-code.DEFAULT_BUDGET throughout; only the genus-2 hunt takes a budget (its
-sample count).
+subgroup for search_coset_code and supersingular_code.  search_coset_code
+walks its curves once and ranks each group shape once, on the first curve
+of that shape: whether a coset code exists is a property of the group,
+not of the curve.  Step budgets are code.DEFAULT_BUDGET throughout; only
+the genus-2 hunt takes a budget (its sample count).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .curves import (
     Curve,
     CurvePoint,
     PointLabels,
-    _class_key,
     _matching_curves,
     admissible_curve_orders,
     curve_make,
@@ -179,15 +180,14 @@ def search_coset_code(
     group-sum certificate decides every candidate and is the code's only MDS
     certificate.
 
-    The curves are walked once: pass 1 tries independent reps on each
-    curve as it comes, pass 2 every rep on the curves pass 1 labelled.
-    Whether a curve yields a candidate depends only on its group, so a
-    family tuple whose isomorphism class (_class_key) already returned
-    nothing is skipped unlabelled; it still counts toward the cap of
-    _SEARCH_CURVES curves, which keeps every output the same as trying it.
+    The curves are walked once, at most _SEARCH_CURVES of them, and each
+    gets the rank of its best coset (_best_coset); the first curve of the
+    lowest rank wins, and the walk stops at rank 0.  The rank depends only
+    on the group Z/d1 x Z/d2, so only the first curve of each shape is
+    ranked; the others still count toward the cap.
     """
-    if not 1 <= m <= n:
-        raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
+    if not 1 <= m < n:
+        raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
     if n_points not in admissible_curve_orders(field.q):
         raise NoAdmissibleCurve(
             f"N={n_points} is not an attainable point count over q={field.q}"
@@ -196,44 +196,51 @@ def search_coset_code(
         raise NoAdmissibleCurve(
             f"a size-{n} subgroup needs n | N, got N={n_points}"
         )
-
-    def cosets(curve, subgroups, independent_only):
-        return ((curve, subgroup, b, points) for subgroup in subgroups
-                for b, points in _mds_cosets(curve, subgroup, m, independent_only))
-
-    def candidates():
-        keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
-        curves = _matching_curves(
-            field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
-        )
-        tried = []  # (curve, its size-n subgroups) for every curve pass 1 labels
-        failed = set()  # class keys of those curves, none of which returned
-        for curve in islice(curves, _SEARCH_CURVES):
-            key = _class_key(field, curve.coeffs) if keyed else None
-            if key in failed:
-                continue
-            subgroups = _subgroups_of_order(curve, n)
-            tried.append((curve, subgroups))
-            yield from cosets(curve, subgroups, True)
-            if key is not None:
-                failed.add(key)
-        if not tried:
-            raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
-        for curve, subgroups in tried:
-            yield from cosets(curve, subgroups, False)
-
-    fallback = None
-    for candidate in candidates():
-        if 2 * m == n and _group_sum(candidate[0], candidate[3]).is_infinity:
-            fallback = fallback or candidate
-            continue
-        return _coset_result(*candidate, m)
-    if fallback is not None:
-        return _coset_result(*fallback, m)
-    raise NoAdmissibleCurve(
-        f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
-        f"giving an MDS degree-{m} code"
+    curves = _matching_curves(
+        field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
     )
+    ranked = {}  # shape -> (rank, curve, candidate) of its first curve
+    for curve in islice(curves, _SEARCH_CURVES):
+        # the first curve is ranked before its shape is asked: labelling it
+        # records the shape without building its Sylow bases twice
+        if ranked and group_structure(curve) in ranked:
+            continue
+        rank, candidate = _best_coset(curve, n, m)
+        ranked[group_structure(curve)] = rank, curve, candidate
+        if rank == 0:
+            break
+    if not ranked:
+        raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
+    # min keeps the first curve of the lowest rank
+    _, curve, candidate = min(ranked.values(), key=itemgetter(0))
+    if candidate is None:
+        raise NoAdmissibleCurve(
+            f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
+            f"giving an MDS degree-{m} code"
+        )
+    return _coset_result(curve, *candidate, m)
+
+
+def _best_coset(curve: Curve, n: int, m: int):
+    """(rank, (subgroup, rep, points)) of the size-n coset the search
+    prefers on this curve, the first of the lowest rank in scan order.
+
+    Rank 0 is a coset from an independent rep (the first scan), rank 1
+    one from any rep (the second); a coset whose points sum to the
+    identity when 2m = n ranks 2 higher.  Rank 4, with candidate None, means no size-n coset
+    gives an MDS degree-m code.
+    """
+    subgroups = _subgroups_of_order(curve, n)
+    best = 4, None
+    for rank in (0, 1):
+        for subgroup in subgroups:
+            for b, points in _mds_cosets(curve, subgroup, m, rank == 0):
+                if 2 * m == n and _group_sum(curve, points).is_infinity:
+                    if best[1] is None:
+                        best = rank + 2, (subgroup, b, points)
+                    continue
+                return rank, (subgroup, b, points)
+    return best
 
 
 def _mds_cosets(curve: Curve, subgroup, m: int, independent_only: bool):

@@ -655,7 +655,7 @@ def test_cli_usage_errors(capsys):
         assert (rc, out) == (2, "")
         assert err == f"Singular: zero discriminant for {text}\n"
     # a coset size below m or below 1 is refused before any curve search
-    for n in ("0", "-4"):
+    for n in ("0", "-4", "8"):
         rc, _, err = run_cli("build", "--recipe", "coset", "--q", "2^8", "--N", "288",
                              "--n", n, "--m", "8", capsys=capsys)
         assert rc == 2 and "RangeViolation" in err and "Traceback" not in err

@@ -2,6 +2,7 @@
 pipeline, twisted evaluation codes, genus-2 search."""
 
 import time
+from collections import Counter
 from itertools import combinations, islice
 from math import comb
 from random import Random
@@ -25,6 +26,8 @@ from agmds.curves import (
     INFINITY,
     Curve,
     _class_key,
+    _matching_curves,
+    admissible_curve_orders,
     coset,
     curve_family,
     group_structure,
@@ -44,7 +47,13 @@ from agmds.errors import (
 )
 import agmds.recipes as recipes_module
 from agmds.recipes import (
+    _SEARCH_CURVES,
+    _SEARCH_FAMILY_CAP,
     DEFAULT_BUDGET,
+    _best_coset,
+    _coset_result,
+    _group_sum,
+    _mds_cosets,
     _subgroups_of_order,
     admissible_pipeline_traces,
     coprime_split_code,
@@ -261,9 +270,67 @@ def test_search_coset_code_f19(N, n, m, d):
     assert meta["group"][0] * meta["group"][1] == N
 
 
-def _search_outcome(field, N, n, m):
+def _reference_coset_search(
+    field, n_points: int, n: int, m: int, seed: int = 0
+):
+    """The two-pass search that the one-walk search replaced, kept verbatim
+    as the oracle: pass 1 tries independent reps curve by curve, pass 2 every
+    rep on the curves pass 1 labelled, and a failed isomorphism class is
+    skipped by its key."""
+    if not 1 <= m <= n:
+        raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
+    if n_points not in admissible_curve_orders(field.q):
+        raise NoAdmissibleCurve(
+            f"N={n_points} is not an attainable point count over q={field.q}"
+        )
+    if n_points % n != 0:
+        raise NoAdmissibleCurve(
+            f"a size-{n} subgroup needs n | N, got N={n_points}"
+        )
+
+    def cosets(curve, subgroups, independent_only):
+        return ((curve, subgroup, b, points) for subgroup in subgroups
+                for b, points in _mds_cosets(curve, subgroup, m, independent_only))
+
+    def candidates():
+        keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
+        curves = _matching_curves(
+            field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
+        )
+        tried = []  # (curve, its size-n subgroups) for every curve pass 1 labels
+        failed = set()  # class keys of those curves, none of which returned
+        for curve in islice(curves, _SEARCH_CURVES):
+            key = _class_key(field, curve.coeffs) if keyed else None
+            if key in failed:
+                continue
+            subgroups = _subgroups_of_order(curve, n)
+            tried.append((curve, subgroups))
+            yield from cosets(curve, subgroups, True)
+            if key is not None:
+                failed.add(key)
+        if not tried:
+            raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
+        for curve, subgroups in tried:
+            yield from cosets(curve, subgroups, False)
+
+    fallback = None
+    for candidate in candidates():
+        if 2 * m == n and _group_sum(candidate[0], candidate[3]).is_infinity:
+            fallback = fallback or candidate
+            continue
+        return _coset_result(*candidate, m)
+    if fallback is not None:
+        return _coset_result(*fallback, m)
+    raise NoAdmissibleCurve(
+        f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
+        f"giving an MDS degree-{m} code"
+    )
+
+
+def _search_outcome(field, N, n, m, search=search_coset_code, seed=0):
+    """The search's generator matrix, report and meta, or its failure text."""
     try:
-        code, report, meta = search_coset_code(field, N, n, m)
+        code, report, meta = search(field, N, n, m, seed=seed)
     except NoAdmissibleCurve as exc:
         return f"NoAdmissibleCurve: {exc}"
     return code.gen, report, meta
@@ -271,17 +338,16 @@ def _search_outcome(field, N, n, m):
 
 @pytest.mark.parametrize("q, N, n, m, labelled", [
     ((2, 8), 288, 16, 8, 1),
-    ((2, 6), 72, 12, 6, 2),
+    ((2, 6), 72, 12, 6, 1),
     ((5, 3), 110, 10, 5, 1),
     ((19, 1), 24, 6, 3, 1),
 ], ids=["f256-n288", "f64-n72-fails", "f125-n110", "f19-n24"])
 def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
                                                           monkeypatch):
+    # Each group shape is labelled once, so each class is too: both classes
+    # among F_64's first 40 N = 72 tuples have shape (1, 72).
     field = field_make(*q)
-    # Oracle: the same search with no class keys labels every tuple it takes.
-    with monkeypatch.context() as patch:
-        patch.setattr(recipes_module, "_class_key", lambda F, coeffs: None)
-        expected = _search_outcome(field, N, n, m)
+    expected = _search_outcome(field, N, n, m, _reference_coset_search)
     curves = []  # the distinct curves the search labels, in order
     point_labels = recipes_module.point_labels
 
@@ -292,8 +358,31 @@ def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
 
     monkeypatch.setattr(recipes_module, "point_labels", labelling)
     assert _search_outcome(field, N, n, m) == expected
-    keys = [_class_key(field, c.coeffs) for c in curves]
-    assert len(keys) == len(set(keys)) == labelled
+    shapes = [group_structure(c) for c in curves]
+    assert len(shapes) == len(set(shapes)) == labelled
+
+
+def _sweep_cases(fields):
+    """(field, N, n, m): up to 6 evenly spaced attainable N per field, every
+    coset size 3 <= n <= 24 with n | N and n < N, and m in {2, n//2, n-2}."""
+    for spec in fields:
+        field = field_make(*spec)
+        orders = sorted(admissible_curve_orders(field.q))
+        for N in orders[::max(1, len(orders) // 6)][:6]:
+            for n in range(3, min(N, 25)):
+                if N % n == 0:
+                    for m in sorted({2, n // 2, n - 2}):
+                        yield field, N, n, m
+
+
+def test_search_coset_code_equals_the_two_pass_reference_search():
+    fields = [(2, 3), (3, 2), (11,), (13,), (2, 4), (17,), (19,), (5, 2), (3, 3), (2, 5)]
+    outcomes = Counter()
+    for field, N, n, m in _sweep_cases(fields):
+        expected = _search_outcome(field, N, n, m, _reference_coset_search, seed=1)
+        assert _search_outcome(field, N, n, m, seed=1) == expected, (field.q, N, n, m)
+        outcomes[isinstance(expected, str)] += 1
+    assert outcomes[False] and outcomes[True]  # codes and failures both occur
 
 
 @pytest.mark.parametrize("q, N, n, m", [
@@ -316,10 +405,10 @@ def test_search_coset_code_counts_each_tuple_once(q, N, n, m, monkeypatch):
 
 @pytest.mark.parametrize("q, N, n, m, labellings", [
     ((2, 8), 288, 16, 8, 1),
-    ((2, 6), 72, 12, 6, 2),
+    ((2, 6), 72, 12, 6, 1),
 ], ids=["f256-n288", "f64-n72-fails"])
 def test_search_coset_code_reuses_pass_one_labels(q, N, n, m, labellings, monkeypatch):
-    # pass 2 takes pass 1's curve objects, so a curve is labelled at most once
+    # the search ranks each group shape on one curve object, labelled once
     fresh = []
     point_labels = recipes_module.point_labels
 
@@ -372,6 +461,55 @@ def test_search_coset_code_rejects_bad_order():
         search_coset_code(F19, 24, 5, 2)  # 5 does not divide 24
     with pytest.raises(NoAdmissibleCurve):
         search_coset_code(field_make(2, 3), 11, 4, 2)  # 11 not attainable
+
+
+def test_search_coset_code_refuses_m_equal_to_n_before_counting(monkeypatch):
+    # a degree-m code on n points needs m < n
+    def counting(curve):
+        raise AssertionError(f"counted {curve.text()}")
+
+    monkeypatch.setattr(Curve, "point_count", counting)
+    with pytest.raises(RangeViolation, match=r"need 1 <= m < n \(m=6, n=6\)"):
+        search_coset_code(F19, 24, 6, 6)
+
+
+def test_best_coset_rank_is_a_property_of_the_group_shape():
+    # the premise of the search's shape memo, on up to 3 curves per (N, shape)
+    ranks = Counter()
+    for spec in [(5,), (7,), (2, 3), (3, 2), (11,), (13,), (2, 4), (19,)]:
+        by_shape = {}
+        for curve in curve_family(field_make(*spec)):
+            same = by_shape.setdefault((len(curve.points()), group_structure(curve)), [])
+            if len(same) < 3:
+                same.append(curve)
+        for (N, _), curves in by_shape.items():
+            for n in range(2, N):
+                if N % n:
+                    continue
+                for m in {1, 2, n // 2, n - 1} & set(range(1, n)):
+                    (rank,) = {_best_coset(c, n, m)[0] for c in curves}
+                    ranks[rank] += 1
+    # no curve here has rank 2 (an identity-sum coset from an independent
+    # rep, and nothing better)
+    assert ranks == {0: 272, 1: 176, 3: 14, 4: 152}
+
+
+@pytest.mark.parametrize("spec", [(2, 4), (5, 2), (3, 2)], ids=["f16", "f25", "f9"])
+def test_matching_curves_gives_a_class_copy_its_first_curve_shape(spec):
+    # Asked in walk order, as the search asks, each curve's shape is that of
+    # a fresh object.  A copy of a keyed class comes with its shape; p = 3
+    # and characteristic-2 j = 0 tuples have no key and inherit nothing.
+    field = field_make(*spec)
+    inherited = 0
+    for N in admissible_curve_orders(field.q):
+        seen = set()
+        for curve in _matching_curves(field, N, None, 0, 0):
+            key = _class_key(field, curve.coeffs)
+            assert (curve._structure is not None) == (key is not None and key in seen)
+            inherited += curve._structure is not None
+            seen.add(key)
+            assert group_structure(curve) == group_structure(Curve(field, 1, curve.coeffs))
+    assert inherited if field.p != 3 else not inherited
 
 
 # -- length recipes --------------------------------------------------------------------
