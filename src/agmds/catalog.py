@@ -85,10 +85,6 @@ def code_from_json(doc: dict) -> LinearCode:
 # -- catalog entries ----------------------------------------------------------------
 
 
-def report_to_dict(report: CodeReport) -> dict:
-    return asdict(report)
-
-
 @dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One discovered code: construction inputs, invariants, exact matrix."""
@@ -143,7 +139,7 @@ def make_entry(
         group=group,
         construction=construction,
         m=m,
-        report=report_to_dict(report),
+        report=asdict(report),
         points=points_text,
         created=datetime.now(timezone.utc).isoformat(),
         **export_code_json(code),

@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import catalog as cat
 from .code import DEFAULT_BUDGET, invariant_report, schur_square
@@ -267,7 +268,7 @@ def _load_code_arg(args):
 def _cmd_certify(args) -> int:
     code = _load_code_arg(args)
     report = invariant_report(code, args.budget)
-    doc = {"field": code.field.spec_text(), "report": cat.report_to_dict(report)}
+    doc = {"field": code.field.spec_text(), "report": asdict(report)}
     _emit(args, doc, _report_lines(report))
     return 0
 

@@ -47,8 +47,6 @@ class LinearCode:
     def __init__(self, field: FieldSpec, gen: FFMatrix, provenance: dict | None = None):
         if gen.rows and rank(gen) != gen.rows:
             raise RankDeficient(f"generator has rank < {gen.rows}")
-        if gen.rows > gen.cols:
-            raise RankDeficient("more rows than columns")
         self.field = field
         self.n = gen.cols
         self.k = gen.rows
@@ -386,7 +384,8 @@ def self_dualize(code: LinearCode, seed: int = 0) -> LinearCode:
     if v is None:
         raise NoFullWeightSolution(
             f"no all-nonzero solution among {basis.rows} basis vectors "
-            f"within {_FULL_WEIGHT_DRAWS} combinations"
+            f"within {_FULL_WEIGHT_DRAWS} combinations" if basis.rows else
+            f"no nonzero solution: the Schur square has dimension n = {code.n}"
         )
     sqrt_v = [F.frobenius_sqrt(c) for c in v]
     scaled = code.gen.scale_columns(sqrt_v)

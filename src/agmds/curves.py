@@ -49,7 +49,6 @@ from .errors import (
 from .field import FieldSpec
 from .intmath import factorint, prime_factors, prime_power_split
 
-MAX_GENUS1_ORDER = 1 << 16
 MAX_GENUS2_ORDER = 1 << 12
 
 
@@ -86,13 +85,14 @@ INFINITY = CurvePoint()
 class Curve:
     """A validated nonsingular curve model over a FieldSpec."""
 
-    __slots__ = ("field", "genus", "coeffs", "_points", "_structure", "_labels")
+    __slots__ = ("field", "genus", "coeffs", "_points", "_sylow", "_structure", "_labels")
 
     def __init__(self, field: FieldSpec, genus: int, coeffs: tuple):
         self.field = field
         self.genus = genus
         self.coeffs = coeffs
         self._points = None
+        self._sylow = {}  # l -> the l-Sylow basis, built once (_sylow_basis)
         self._structure = None
         self._labels = None
 
@@ -164,9 +164,9 @@ class Curve:
     # -- enumeration ------------------------------------------------------------
 
     def _require_enumerable(self, what: str):
-        cap = MAX_GENUS1_ORDER if self.genus == 1 else MAX_GENUS2_ORDER
-        if self.field.q > cap:
-            raise TooLarge(f"{what} over q={self.field.q} exceeds cap {cap}")
+        # FieldSpec caps q at 2^16, which is the genus-1 cap
+        if self.genus == 2 and self.field.q > MAX_GENUS2_ORDER:
+            raise TooLarge(f"{what} over q={self.field.q} exceeds cap {MAX_GENUS2_ORDER}")
 
     def _char2_points(self):
         """The affine points of a genus-1 curve in characteristic 2, in order: at x,
@@ -534,7 +534,6 @@ def point_labels(curve: Curve) -> PointLabels:
         if len(label) != n:  # pragma: no cover - consistency guard
             raise AssertionError(f"basis of {curve.text()} does not span {n} points")
         curve._labels = PointLabels(curve.field, d1, d2, label, point)
-        curve._structure = (d1, d2)
     return curve._labels
 
 
@@ -548,8 +547,16 @@ def _sylow_basis(curve: Curve, n: int, l: int, h: int):
     divide q - 1, by the Weil pairing) the first image of order l^h is G.
     Otherwise the images' span is closed until it has l^h elements; G is
     its first element of maximal order and H the first of order l^a whose
-    order-l multiple lies outside <G>.
+    order-l multiple lies outside <G>.  Each basis is built once per curve
+    and kept in curve._sylow, so group_structure and point_labels share it.
     """
+    if l not in curve._sylow:
+        curve._sylow[l] = _build_sylow_basis(curve, n, l, h)
+    return curve._sylow[l]
+
+
+def _build_sylow_basis(curve: Curve, n: int, l: int, h: int):
+    """The basis of _sylow_basis, built afresh."""
     scalar, add = curve._scalar_xy, curve._add_xy
     size = l**h
     cofactor = n // size
@@ -626,8 +633,8 @@ def group_structure(curve: Curve) -> tuple[int, int]:
     """The pair (d1, d2), d1 | d2, with the point group = Z/d1 x Z/d2.
 
     Only an l-part with l | q - 1 and l^2 | N can be non-cyclic (Weil
-    pairing), so d1 is assembled from the Sylow bases of those primes
-    alone; the rest of the group is never labelled.
+    pairing), so d1 is read off the kept Sylow bases of those primes
+    alone (_sylow_basis); the rest of the group is never labelled.
     """
     curve._require_group()
     if curve._structure is None:
@@ -869,8 +876,9 @@ def _matching_curves(
     draws: int,
     family_cap: int = _EXHAUSTIVE_FAMILY_CAP,
 ):
-    """Distinct curves with exactly n_points rational points (and the
-    requested (d1, d2) shape, if given), in a seeded order.
+    """For each model with exactly n_points rational points (and the
+    requested (d1, d2) shape, if given), in a seeded order, a curve of its
+    isomorphism class.
 
     Each candidate is refuted before it is counted: if one of its first
     few rational points has [n_points]P != O, it cannot have n_points
@@ -878,14 +886,13 @@ def _matching_curves(
     point_count and, for a shape, group_structure.  Fields of order at
     most family_cap walk curve_family in its deterministic order.
     Isomorphic curves share point count and shape, so the verdict is
-    computed once per isomorphism-class key (_class_key) and reused for
-    every later tuple of that class, and each later tuple takes the
-    shape of the class's first curve, if that curve's shape is known by
-    then; tuples without a key (p = 3 and the characteristic-2 j = 0
-    branch) are refuted, counted and shaped one by one.  The walk yields
-    exactly the curves, in the order, that counting every tuple would.
-    Larger fields draw `draws` seeded random five-coefficient models,
-    skipping repeats.
+    computed once per isomorphism-class key (_class_key), and each
+    matching tuple yields its class's first curve: one object, which
+    keeps what it has computed.  Tuples without a key (p = 3 and the
+    characteristic-2 j = 0 branch) are decided one by one and stand for
+    themselves.  The walk yields once for each tuple, in the order, that
+    counting every tuple would match.  Larger fields draw `draws` seeded
+    random five-coefficient models, skipping repeats.
     """
 
     def matches(curve: Curve) -> bool:
@@ -904,10 +911,8 @@ def _matching_curves(
                 first = curve if matches(curve) else None
                 if key is not None:
                     firsts[key] = first
-            elif first is not None:
-                curve._structure = first._structure  # isomorphic, so the same group
             if first is not None:
-                yield curve
+                yield first
         return
     rng = Random(seed)
     seen = set()
@@ -931,10 +936,11 @@ def find_curve_with_order(
 
     The family is scanned exhaustively in deterministic order when the
     field is small, deciding each isomorphism class once (see
-    _matching_curves); above the cap, seeded random five-coefficient
-    models are drawn until the budget runs out.  Either way a candidate
-    is first refuted by [n_points]P != O at a few of its points, and only
-    a survivor's points are counted.
+    _matching_curves), so the curve is its class's first model; above
+    the cap, seeded random five-coefficient models are drawn until the
+    budget runs out.  Either way a candidate is first refuted by
+    [n_points]P != O at a few of its points, and only a survivor's points
+    are counted.
     """
     lo, hi = hasse_window(field.q)
     if not lo <= n_points <= hi:

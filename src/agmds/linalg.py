@@ -21,15 +21,12 @@ class FFMatrix:
 
     def __init__(self, field: FieldSpec, data, cols: int | None = None):
         data = [list(row) for row in data]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
+        width = len(data[0]) if data else cols or 0
+        if any(len(row) != width for row in data):
+            raise ValueError("ragged rows")
         self.field = field
         self.rows = len(data)
-        self.cols = width if data else (cols or 0)
+        self.cols = width
         self.data = data
 
     @classmethod

@@ -184,7 +184,8 @@ def search_coset_code(
     gets the rank of its best coset (_best_coset); the first curve of the
     lowest rank wins, and the walk stops at rank 0.  The rank depends only
     on the group Z/d1 x Z/d2, so only the first curve of each shape is
-    ranked; the others still count toward the cap.
+    ranked; the others still count toward the cap.  A curve keeps its
+    Sylow bases, so ranking it after asking its shape builds none twice.
     """
     if not 1 <= m < n:
         raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
@@ -201,12 +202,11 @@ def search_coset_code(
     )
     ranked = {}  # shape -> (rank, curve, candidate) of its first curve
     for curve in islice(curves, _SEARCH_CURVES):
-        # the first curve is ranked before its shape is asked: labelling it
-        # records the shape without building its Sylow bases twice
-        if ranked and group_structure(curve) in ranked:
+        shape = group_structure(curve)
+        if shape in ranked:
             continue
         rank, candidate = _best_coset(curve, n, m)
-        ranked[group_structure(curve)] = rank, curve, candidate
+        ranked[shape] = rank, curve, candidate
         if rank == 0:
             break
     if not ranked:
@@ -534,7 +534,7 @@ def self_dual_pipeline(
             last = NoAdmissibleCurve(str(exc))
             continue
         return _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta)
-    raise last if last is not None else NoAdmissibleBeta(f"no usable trace over q={q}")
+    raise last
 
 
 def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):

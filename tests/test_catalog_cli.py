@@ -511,6 +511,14 @@ def test_cli_selfdual(capsys):
     assert rc == 1 and "NotMDS" in err
 
 
+def test_cli_selfdual_refuses_a_low_two_adic_valuation(capsys):
+    # over F_4 the only trace = 1 mod 8 is beta = 1, so N = 4 = 2^2
+    rc, out, err = run_cli("selfdual", "--s1", "1", "--s2", "2", "--t", "1", "--Lp", "1",
+                           capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == "PreconditionFailed: curve order 4 has 2-adic valuation 2 < 3\n"
+
+
 def test_cli_search_store_export_certify(tmp_path, capsys):
     cat_path = str(tmp_path / "cat.jsonl")
     rc, out, _ = run_cli(
@@ -584,6 +592,38 @@ def test_cli_export_round_trip_bytes(tmp_path, capsys):
     f.write_text(text)
     rc, out, _ = run_cli("export", "--in", str(f), capsys=capsys)
     assert rc == 0 and out == text
+
+
+def test_cli_json_export_certifies_like_the_matrix_text(tmp_path, capsys):
+    cat_path = str(tmp_path / "cat.jsonl")
+    rc, out, _ = run_cli("build", "--recipe", "coset", "--q", "19", "--N", "12", "--n", "4",
+                         "--m", "2", "--catalog", cat_path, "--json", capsys=capsys)
+    assert rc == 0
+    entry_id = json.loads(out)["id"][:12]
+    reports = []
+    for fmt, name in (("json", "code.json"), ("matrix-text", "code.txt")):
+        rc, out, _ = run_cli("export", "--id", entry_id, "--catalog", cat_path,
+                             "--format", fmt, capsys=capsys)
+        assert rc == 0
+        (tmp_path / name).write_text(out)
+        rc, out, _ = run_cli("certify", "--in", str(tmp_path / name), "--json", capsys=capsys)
+        assert rc == 0
+        reports.append(json.loads(out))
+    doc = json.loads((tmp_path / "code.json").read_text())
+    entry = load_entries(cat_path)[0]
+    assert (doc["n"], doc["k"], doc["matrix"]) == (entry.n, entry.k, entry.matrix)
+    assert reports[0] == reports[1] and reports[0]["report"]["is_mds"] is True
+
+
+@pytest.mark.parametrize("text, message", [
+    ("row: 1 1 1\nrow: 0 2 4\n", "matrix text must start with 'field' and 'n/k' lines"),
+    ("field 5^1:\nn 3 k 2\nrow: 1 1 1\nrw: 0 2 4\n", "malformed row line 'rw: 0 2 4'"),
+], ids=["no-header", "bad-row-line"])
+def test_cli_certify_names_a_malformed_matrix_text(text, message, tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    rc, out, err = run_cli("certify", "--in", str(path), capsys=capsys)
+    assert (rc, out, err) == (2, "", f"IOFailure: {message}\n")
 
 
 def test_cli_export_unknown_id(tmp_path, capsys):

@@ -38,6 +38,7 @@ from agmds.errors import (
     CharNotTwo,
     DegreeOutOfRange,
     DuplicatePoints,
+    NoFullWeightSolution,
     NotHalfRate,
     RangeViolation,
     RankDeficient,
@@ -420,6 +421,31 @@ def test_self_dualize_examples():
         self_dualize(LinearCode(F2, FFMatrix(F2, [[1, 1, 1]])))
     with pytest.raises(CharNotTwo):
         self_dualize(LinearCode(F5, FFMatrix(F5, [[1, 2]])))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_self_dualize_draws_a_full_weight_scaling(s):
+    # The solutions of G diag(v) G^T = 0 are {(a, a, b, b)}: no basis vector
+    # has full weight, so the seeded random combinations find the scaling.
+    F = field_make(2, s)
+    code = LinearCode(F, FFMatrix(F, [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    for seed in (0, 1, 5):
+        out = self_dualize(code, seed=seed)
+        v = out.provenance["scaling"]
+        assert all(v) and v[0] == v[1] and v[2] == v[3]
+        assert out.gen.mul(out.gen.transpose()).is_zero()
+        assert self_dualize(code, seed=seed).provenance["scaling"] == v
+
+
+def test_self_dualize_names_an_empty_solution_space():
+    # a [6,3] code over F_8 whose Schur square is all of F_8^6
+    F8 = field_make(2, 3)
+    code = LinearCode(F8, FFMatrix(F8, [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3],
+                                        [0, 0, 1, 1, 4, 5]]))
+    assert schur_square(code).k == 6
+    with pytest.raises(NoFullWeightSolution) as exc:
+        self_dualize(code)
+    assert str(exc.value) == "no nonzero solution: the Schur square has dimension n = 6"
 
 
 def test_self_dualize_random_half_rate_codes():

@@ -5,6 +5,7 @@ import functools
 import math
 import pickle
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from agmds.curves import (
     random_curve,
     subgroup_closure,
 )
+from agmds.intmath import factorint
 from agmds.errors import (
     BadModel,
     MalformedText,
@@ -513,7 +515,7 @@ def test_point_labels_are_an_isomorphism_over_families():
     for F in (F5, field_make(7), field_make(2, 3), field_make(3, 2),
               field_make(11), F13, F16):
         for curve in curve_family(F):
-            shape = group_structure(curve)  # before labelling sets the shape
+            shape = group_structure(curve)  # asked first, as the coset search asks
             labels = point_labels(curve)
             d1, d2 = labels.d1, labels.d2
             pts = curve.points()
@@ -532,6 +534,59 @@ def test_point_labels_are_an_isomorphism_over_families():
             shapes.add((F.q, d1, d2))
     # over F_8, d1 > 1 would need l | 7 and l^2 | N <= 14
     assert {q for q, d1, _ in shapes if d1 > 1} == {5, 7, 9, 11, 13, 16}
+
+
+def candidate_curves(F, per_shape=2, tuples=3000):
+    """Up to per_shape family curves for each (N, shape) among the first
+    tuples whose N has a non-cyclic candidate l-part: l | q - 1, l^2 | N."""
+    by_shape = {}
+    for c in islice(curve_family(F), tuples):
+        n = c.point_count()
+        if any(h >= 2 and (F.q - 1) % l == 0 for l, h in factorint(n).items()):
+            same = by_shape.setdefault((n, group_structure(c)), [])
+            if len(same) < per_shape:
+                same.append(c.coeffs)
+    return by_shape
+
+
+@pytest.mark.parametrize("F", [F16, field_make(5, 2), field_make(2, 6)],
+                         ids=lambda F: f"q{F.q}")
+def test_sylow_bases_are_built_once_in_either_order(F, monkeypatch):
+    # group_structure then point_labels does the work of point_labels then
+    # group_structure, and each (curve, l) basis is built once either way.
+    add_xy, build = Curve._add_xy, curves_module._build_sylow_basis
+    steps, builds = [0], []
+
+    def counting(curve, P, Q):
+        steps[0] += 1
+        return add_xy(curve, P, Q)
+
+    def building(curve, n, l, h):
+        builds.append(l)
+        return build(curve, n, l, h)
+
+    monkeypatch.setattr(Curve, "_add_xy", counting)
+    monkeypatch.setattr(curves_module, "_build_sylow_basis", building)
+    by_shape = candidate_curves(F)
+    assert any(d1 > 1 for _, (d1, _) in by_shape)
+    for (n, shape), tuples in by_shape.items():
+        for coeffs in tuples:
+            work = []
+            for first, second in ((group_structure, point_labels),
+                                  (point_labels, group_structure)):
+                curve = Curve(F, 1, coeffs)
+                curve.points()
+                steps[0], builds[:] = 0, []
+                first(curve)
+                done = steps[0]
+                second(curve)
+                assert sorted(builds) == sorted(factorint(n)), (coeffs, builds)
+                assert group_structure(curve) == shape
+                labels = point_labels(curve)
+                assert (labels.d1, labels.d2) == shape
+                work.append((done, steps[0]))
+            # labelling first leaves group_structure nothing to do
+            assert work[0][1] == work[1][1] == work[1][0], (coeffs, work)
 
 
 def test_structure_divides_q_minus_1():
@@ -697,6 +752,21 @@ def test_characteristic_3_gets_no_class_key():
         assert all(_class_key(F, c.coeffs) is None for c in curve_family(F))
 
 
+def assert_walk_yields_class_firsts(F, walked, oracle):
+    """The walk yields, position by position, the first oracle curve of each
+    oracle curve's class (by _class_key; a curve without a key stands for
+    itself), and every later position of a class is the very object its
+    first position yielded."""
+    firsts = {}
+    expected = [c if (key := _class_key(F, c.coeffs)) is None else firsts.setdefault(key, c)
+                for c in oracle]
+    assert walked == expected
+    first_at = {}
+    for i, c in enumerate(expected):
+        first_at.setdefault(id(c), i)
+    assert all(w is walked[first_at[id(c)]] for w, c in zip(walked, expected))
+
+
 def plain_first_matches(F) -> dict:
     """Oracle: for every attainable (N, shape) and (N, None), the first
     curve of filter(matches, curve_family(F)), all from one walk that
@@ -743,7 +813,7 @@ def test_keyed_walk_counts_each_class_once(F, monkeypatch):
 
     monkeypatch.setattr(Curve, "point_count", counting)
     monkeypatch.setattr(curves_module, "_refutes_count", refuting)
-    assert list(_matching_curves(F, n, None, 0, 0)) == plain
+    assert_walk_yields_class_firsts(F, list(_matching_curves(F, n, None, 0, 0)), plain)
     counted_keys = [k for k in counted if k is not None]
     refuted_keys = [k for k in refuted if k is not None]
     assert refuted_keys
@@ -786,9 +856,10 @@ F27_TARGETS = [(28, None), (32, (2, 16))]
 
 @pytest.mark.parametrize("F", REFUTE_FIELDS, ids=lambda F: f"q{F.q}")
 def test_filtered_walk_equals_the_counting_oracle(F):
-    """For every attainable (N, shape), _matching_curves yields exactly
-    filter(plain_matches, curve_family(F)), where plain_matches counts
-    every tuple: p = 3 and the characteristic-2 j = 0 branch included."""
+    """For every attainable (N, shape), _matching_curves yields one curve for
+    each tuple of filter(plain_matches, curve_family(F)), where plain_matches
+    counts every tuple: that tuple's class's first curve, and the tuple
+    itself on p = 3 and the characteristic-2 j = 0 branch."""
     targets = walk_targets(F)
     if F.q == 27:
         assert set(F27_TARGETS) <= set(targets)
@@ -796,7 +867,8 @@ def test_filtered_walk_equals_the_counting_oracle(F):
     for n, shape in targets:
         oracle = [c for c, count in family_counts(F)
                   if count == n and (shape is None or group_structure(c) == shape)]
-        assert list(_matching_curves(F, n, shape, 0, 0)) == oracle, (n, shape)
+        walked = list(_matching_curves(F, n, shape, 0, 0))
+        assert_walk_yields_class_firsts(F, walked, oracle)
     if F.p == 2:  # some count is attained on the j = 0 branch alone
         assert any(all(c.coeffs[0] == 0 for c, count in family_counts(F) if count == n)
                    for n, _ in targets)

@@ -456,6 +456,13 @@ def test_search_coset_code_keeps_the_family_cap_failure():
     )
 
 
+def test_search_coset_code_names_a_walk_that_finds_no_curve(monkeypatch):
+    monkeypatch.setattr(recipes_module, "_matching_curves", lambda *args: iter(()))
+    with pytest.raises(NoAdmissibleCurve) as exc:
+        search_coset_code(F19, 24, 6, 3)
+    assert str(exc.value) == "no curve with N=24 found over q=19"
+
+
 def test_search_coset_code_rejects_bad_order():
     with pytest.raises(NoAdmissibleCurve):
         search_coset_code(F19, 24, 5, 2)  # 5 does not divide 24
@@ -496,20 +503,30 @@ def test_best_coset_rank_is_a_property_of_the_group_shape():
 
 @pytest.mark.parametrize("spec", [(2, 4), (5, 2), (3, 2)], ids=["f16", "f25", "f9"])
 def test_matching_curves_gives_a_class_copy_its_first_curve_shape(spec):
-    # Asked in walk order, as the search asks, each curve's shape is that of
-    # a fresh object.  A copy of a keyed class comes with its shape; p = 3
-    # and characteristic-2 j = 0 tuples have no key and inherit nothing.
+    # A later tuple of a keyed class comes back as the class's first curve,
+    # the one object whose shape is asked; p = 3 and characteristic-2 j = 0
+    # tuples have no key and come back as themselves.  Asked in walk order,
+    # as the search asks, each curve's shape is that of a fresh object.
     field = field_make(*spec)
-    inherited = 0
+    counts = [(c.coeffs, c.point_count()) for c in curve_family(field)]
+    copies = 0
     for N in admissible_curve_orders(field.q):
-        seen = set()
-        for curve in _matching_curves(field, N, None, 0, 0):
-            key = _class_key(field, curve.coeffs)
-            assert (curve._structure is not None) == (key is not None and key in seen)
-            inherited += curve._structure is not None
-            seen.add(key)
-            assert group_structure(curve) == group_structure(Curve(field, 1, curve.coeffs))
-    assert inherited if field.p != 3 else not inherited
+        tuples = [coeffs for coeffs, count in counts if count == N]
+        walked = list(_matching_curves(field, N, None, 0, 0))
+        assert len(walked) == len(tuples)
+        firsts, yielded = {}, set()  # class key -> first curve; ids walked so far
+        for curve, coeffs in zip(walked, tuples):
+            key = _class_key(field, coeffs)
+            if key in firsts:
+                assert curve is firsts[key]
+                copies += 1
+            else:  # the tuple itself, as a new object
+                assert curve.coeffs == coeffs and id(curve) not in yielded
+                if key is not None:
+                    firsts[key] = curve
+            yielded.add(id(curve))
+            assert group_structure(curve) == group_structure(Curve(field, 1, coeffs))
+    assert copies if field.p != 3 else not copies
 
 
 # -- length recipes --------------------------------------------------------------------
