@@ -3,14 +3,15 @@
 A LinearCode is a field plus a full-rank generator matrix.  Every analytic
 here is exact: minimum distance by message enumeration or by support-kernel
 scan, MDS certification by the square minors of the systematic form
-[I | A] or (for elliptic curve codes) by an exact subset-sum DP on the
-integer labels of the point group, Schur-square dimension, hull
-dimension from the rank of G G^T, and diagonal self-dualization over
-characteristic 2, whose scalings are the dual of the Schur square.  Checks
-that would exceed their elementary-step budget raise BudgetExceeded
-instead of approximating.  is_mds_by_minors, one k x k elimination per
-k-subset of columns, is the slow oracle the faster certificates are
-tested against.
+[I | A], each computed from the minors one size smaller by Laplace
+expansion on discrete logs, or (for elliptic curve codes) by an exact
+subset-sum DP on the integer labels of the point group, Schur-square
+dimension, hull dimension from the rank of G G^T, and diagonal
+self-dualization over characteristic 2, whose scalings are the dual of the
+Schur square.  Checks that would exceed their elementary-step budget raise
+BudgetExceeded instead of approximating.  is_mds_by_minors, one k x k
+elimination per k-subset of columns, is the slow oracle the faster
+certificates are tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .errors import (
     RankDeficient,
 )
 from .field import FieldSpec
-from .linalg import FFMatrix, has_full_column_rank_square, kernel_basis, rank, rref_rank
+from .linalg import (
+    FFMatrix, has_full_column_rank_square, kernel_basis, rank, rref_rank, systematic_part,
+)
 from .rrspace import evaluate_monomial, rr_basis
 
 DEFAULT_BUDGET = 10**7
@@ -52,6 +55,14 @@ class LinearCode:
         self.k = gen.rows
         self.gen = gen
         self.provenance = provenance
+
+    @classmethod
+    def _of_full_rank(cls, field: FieldSpec, gen: FFMatrix, provenance: dict | None = None):
+        """__init__ without its rank check, for a generator proved full rank."""
+        code = cls.__new__(cls)
+        code.field, code.gen, code.provenance = field, gen, provenance
+        code.n, code.k = gen.cols, gen.rows
+        return code
 
     def codewords(self):
         """Iterate all q^k codewords (the zero word included)."""
@@ -119,7 +130,8 @@ def build_code(
 def dual_code(code: LinearCode) -> LinearCode:
     """The code with generator a kernel basis of G; dimension n - k."""
     ker = kernel_basis(code.gen)
-    return LinearCode(code.field, ker, {"construction": "dual"})
+    # each basis vector has a 1 at its own free column and 0 at the others'
+    return LinearCode._of_full_rank(code.field, ker, {"construction": "dual"})
 
 
 def permute_and_scale(code: LinearCode, perm, scales) -> LinearCode:
@@ -224,13 +236,13 @@ def is_mds_by_minors(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
 def is_mds_by_systematic_minors(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether every k columns of G are independent, read off [I | A].
 
-    Row-reduce G.  If the first k columns are dependent the code is not
-    MDS; otherwise G ~ [I | A] and the code is MDS iff every square
-    submatrix of A is nonsingular (MacWilliams & Sloane, ch. 11, Thm. 8).
-    The minors are checked in increasing size, so a zero entry of A
-    rejects at once.  There are C(n, k) - 1 of them, one per k-subset of
-    columns other than the first k, and the budget refuses the same codes
-    as is_mds_by_minors, which stays the slow oracle.
+    Row-reduce G, stopping at the first of the first k columns without a
+    pivot: the code is then not MDS.  Otherwise G ~ [I | A] and the code is
+    MDS iff every square submatrix of A is nonsingular (MacWilliams &
+    Sloane, ch. 11, Thm. 8).  The minors are checked in increasing size,
+    so a zero entry of A rejects at once.  There are C(n, k) - 1 of them,
+    one per k-subset of columns other than the first k, and the budget
+    refuses the same codes as is_mds_by_minors, which stays the slow oracle.
     """
     _require_minor_budget(code.n, code.k, budget)
     if code.k == 0:
@@ -249,28 +261,47 @@ def _systematic_form_is_mds(gen: FFMatrix) -> bool:
     k columns of the k x n matrix gen (k >= 1) are independent.  It checks
     no budget; the caller does, once per code length and dimension."""
     k, n = gen.rows, gen.cols
-    R, _, pivots = rref_rank(gen)
-    if pivots != list(range(k)):
-        return False
-    A = [row[k:] for row in R.data]
-    if any(0 in row for row in A):
+    A = systematic_part(gen)
+    if A is None or any(0 in row for row in A):
         return False
     F = gen.field
-    cols = range(n - k)
+    r = n - k
+    cols = range(r)
     # A has no zero entry, so the 2 x 2 minor on rows a, b and columns j1, j2
     # vanishes iff a[j1]/a[j2] == b[j1]/b[j2]: the k rows' ratios, as log
     # differences mod q - 1, must be distinct
     order = F.q - 1
-    log = F._log
+    add, exp, log = F.add, F._exp, F._log
     L = [[log[v] for v in row] for row in A]
     for j1, j2 in combinations(cols, 2):
-        if len({(r[j1] - r[j2]) % order for r in L}) < k:
+        if len({(row[j1] - row[j2]) % order for row in L}) < k:
             return False
-    for size in range(3, min(k, n - k) + 1):
-        for rows in combinations(A, size):
-            for sub in combinations(cols, size):
-                if not has_full_column_rank_square(F, [[r[j] for j in sub] for r in rows]):
+    if min(k, r) < 3:
+        return True
+    # Laplace along row i: the minor on rows (i, *rest) and columns T is the
+    # sum over s of (-1)^s A[i][T[s]] times the minor on rest and T without
+    # T[s].  The minors kept are nonzero, so level[rest] holds their logs in
+    # combinations(cols, t - 1) order; signed[i] holds the logs of A[i], then
+    # of -A[i], which an odd s reads.  A sum of two logs lies in exp's range.
+    half = log[F.neg(1)]
+    signed = [row + [(v + half) % order for v in row] for row in L]
+    level = {(i,): row for i, row in enumerate(L)}
+    for t in range(2, min(k, r) + 1):
+        index = {T: d for d, T in enumerate(combinations(cols, t - 1))}
+        terms = [[(j + r * (s & 1), index[T[:s] + T[s + 1:]]) for s, j in enumerate(T)]
+                 for T in combinations(cols, t)]
+        minors = {}
+        for rows in combinations(range(k), t):
+            row, sub = signed[rows[0]], level[rows[1:]]
+            logs = minors[rows] = []
+            for expansion in terms:
+                acc = 0
+                for j, d in expansion:
+                    acc = add(acc, exp[row[j] + sub[d]])
+                if not acc:
                     return False
+                logs.append(log[acc])
+        level = minors
     return True
 
 
@@ -344,7 +375,8 @@ def schur_square(code: LinearCode) -> LinearCode:
             rb = code.gen.data[b]
             rows.append([mul(x, y) for x, y in zip(ra, rb)])
     R, r, _ = rref_rank(FFMatrix(F, rows, n))
-    return LinearCode(
+    # the first r rows of an RREF of rank r each hold a pivot
+    return LinearCode._of_full_rank(
         F, FFMatrix(F, R.data[:r], n), {"construction": "schur-square"}
     )
 
@@ -380,12 +412,15 @@ def self_dualize(code: LinearCode, seed: int = 0) -> LinearCode:
     if 2 * code.k != code.n:
         raise NotHalfRate(f"need n = 2k, got n={code.n}, k={code.k}")
     basis = kernel_basis(schur_square(code).gen)
+    if basis.rows == 0:
+        raise NoFullWeightSolution(
+            f"no nonzero solution: the Schur square has dimension n = {code.n}"
+        )
     v = _full_weight_vector(F, basis, seed)
     if v is None:
         raise NoFullWeightSolution(
             f"no all-nonzero solution among {basis.rows} basis vectors "
-            f"within {_FULL_WEIGHT_DRAWS} combinations" if basis.rows else
-            f"no nonzero solution: the Schur square has dimension n = {code.n}"
+            f"within {_FULL_WEIGHT_DRAWS} combinations"
         )
     sqrt_v = [F.frobenius_sqrt(c) for c in v]
     scaled = code.gen.scale_columns(sqrt_v)
@@ -396,8 +431,6 @@ def self_dualize(code: LinearCode, seed: int = 0) -> LinearCode:
 
 
 def _full_weight_vector(F: FieldSpec, basis: FFMatrix, seed: int):
-    if basis.rows == 0:
-        return None
     for row in basis.data:
         if all(row):
             return list(row)

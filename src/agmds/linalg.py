@@ -3,10 +3,12 @@
 Matrices store element codes (plain ints) row-major in lists.  rref_rank is
 the one general elimination: rank and kernel_basis are read off it.  Its
 pivoting is deterministic (first nonzero entry in column order), so reduced
-forms and kernels are reproducible across runs.  The only other elimination
-is has_full_column_rank_square, the early-exit test of one square minor.
-Both keep the pivot row's entries as discrete logs and update a row entry
-by one lookup in the field's exp table and one sub, on every field kind.
+forms and kernels are reproducible across runs.  systematic_part takes the
+same steps and stops at the first of its first k columns without a pivot.
+The only other elimination is has_full_column_rank_square, the slow MDS
+oracle's early-exit test of one square minor.  Each keeps the pivot row's
+entries as discrete logs and updates a row entry by one lookup in the
+field's exp table and one subtraction, on every field kind.
 """
 
 from __future__ import annotations
@@ -97,25 +99,43 @@ def rref_rank(M: FFMatrix) -> tuple[FFMatrix, int, list[int]]:
     """Gauss-Jordan reduced row echelon form.
 
     Returns (RREF matrix, rank, pivot column list).  Pivot choice is the
-    first nonzero entry scanning rows top-down within each column.  The
-    pivot row is zero left of its pivot, so each elimination touches only
-    the pivot column and the pivot row's nonzero columns right of it.
-    Those are kept as discrete logs, so a row update is one exp-table
-    lookup and one sub.
+    first nonzero entry scanning rows top-down within each column.
     """
+    R, pivots = _gauss_jordan(M, systematic=False)
+    return FFMatrix(M.field, R, M.cols), len(pivots), pivots
+
+
+def systematic_part(M: FFMatrix) -> list[list[int]] | None:
+    """The rows of A in the reduced form [I | A] of a k x n matrix M with
+    k <= n, or None, as soon as one of M's first k columns has no pivot,
+    when those columns are dependent.  [I | A] is then rref_rank(M)[0]."""
+    reduced = _gauss_jordan(M, systematic=True)
+    return reduced and [row[M.rows:] for row in reduced[0]]
+
+
+def _gauss_jordan(M: FFMatrix, systematic: bool):
+    """The rows of the RREF of M and its pivot columns; systematic returns
+    None at the first column without a pivot instead of skipping it.  The
+    pivot row is zero left of its pivot, so an elimination reads only its
+    nonzero entries right of it, as discrete logs: a row update is one
+    exp-table lookup and one subtraction, inline over a prime field, where
+    a call to sub costs more than the arithmetic."""
     F = M.field
     sub, exp, log = F.sub, F._exp, F._log
+    p = F.p if F.s == 1 else 0
     R = [row[:] for row in M.data]
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if R[i][c]:
-                pr = i
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if R[pr][c]:
                 break
-        if pr is None:
+        else:
+            if systematic:
+                return None
             continue
         if pr != r:
             R[r], R[pr] = R[pr], R[r]
@@ -138,13 +158,15 @@ def rref_rank(M: FFMatrix) -> tuple[FFMatrix, int, list[int]]:
             if f and i != r:
                 Ri[c] = 0
                 lf = log[f]
-                for j, lv in live:
-                    Ri[j] = sub(Ri[j], exp[lf + lv])
+                if p:
+                    for j, lv in live:
+                        Ri[j] = (Ri[j] - exp[lf + lv]) % p
+                else:
+                    for j, lv in live:
+                        Ri[j] = sub(Ri[j], exp[lf + lv])
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return FFMatrix(F, R, ncols), r, pivots
+    return R, pivots
 
 
 def rank(M: FFMatrix) -> int:
@@ -156,11 +178,10 @@ def has_full_column_rank_square(field: FieldSpec, cols_data: list[list[int]]) ->
     """Whether a k x k matrix given as columns is invertible.
 
     A forward elimination that returns at the first column without a
-    pivot, kept beside rref_rank because it is the inner kernel of the
-    systematic-form certificate: on random 3 x 3 to 5 x 5 minors over
-    F_31 (CPython 3.11), rref_rank(...)[1] == k takes 1.4-1.6x as long
-    per minor.  Like rref_rank it updates rows on discrete logs; each
-    row's multiplier is one mul by the pivot's inverse.
+    pivot: the inner kernel of is_mds_by_minors, the slow oracle of the
+    MDS certificates, which tests one k x k minor per k-subset of
+    columns.  Like rref_rank it updates rows on discrete logs; each row's
+    multiplier is one mul by the pivot's inverse.
     """
     k = len(cols_data)
     R = [list(col) for col in cols_data]  # work on the transpose; rank is equal

@@ -643,7 +643,8 @@ def genus2_mds_search(
         sample = FFMatrix(F, [columns(row) for row in table], n)
         if _systematic_form_is_mds(sample):
             provenance = {"construction": "genus2-search", "curve": curve.text(), "m": m}
-            code = LinearCode(F, sample, provenance)
+            # the certificate reduced the sample's first k columns to I
+            code = LinearCode._of_full_rank(F, sample, provenance)
             meta = {
                 "curve": curve,
                 "N": total,

@@ -2,6 +2,7 @@
 squares, hulls, self-dualization, quantum-parameter arithmetic."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -53,6 +54,7 @@ F11 = field_make(11)
 F16 = field_make(2, 4)
 F19 = field_make(19)
 F31 = field_make(31)
+F1009 = field_make(1009)
 
 E_F5 = curve_make(F5, 1, (0, 0, 0, 0, 1))
 PTS_F5 = [E_F5.point(0, 1), E_F5.point(2, 2), E_F5.point(4, 0)]
@@ -162,6 +164,8 @@ def test_systematic_minors_edge_cases():
     repeated = [[1, 0, 1], [0, 1, 0]]  # columns 0 and 2 are equal
     assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, repeated)))
     assert _both_minor_verdicts(rs_code(F31, range(1, 6), 5))
+    # every minor of size 2 to 8 of a Reed-Solomon code, over a large field
+    assert is_mds_by_systematic_minors(rs_code(F1009, range(1, 17), 8))
     # k = 0 is never MDS
     assert not _both_minor_verdicts(LinearCode(F31, FFMatrix(F31, [], 4)))
     # both refuse the same C(n, k) > budget, before any elimination
@@ -218,6 +222,89 @@ def test_systematic_minors_agree_with_column_minors(data):
     gen = FFMatrix(F, rows, n)
     assume(rank(gen) == k)
     _both_minor_verdicts(LinearCode(F, gen))
+
+
+def _det(F, rows):
+    """Determinant by forward elimination, for the planted-minor test."""
+    M = [row[:] for row in rows]
+    det = 1
+    for c in range(len(M)):
+        pr = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            det = F.neg(det)
+        det = F.mul(det, M[c][c])
+        ip = F.inv(M[c][c])
+        for i in range(c + 1, len(M)):
+            f = F.mul(M[i][c], ip)
+            M[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[i], M[c])]
+    return det
+
+
+def _planted_cauchy(F, xs, ys, I, J):
+    """The Cauchy matrix 1/(x - y), every square submatrix of which is
+    nonsingular, with one entry of its block on rows I and columns J reset
+    so that the block is singular.  The first entry of the block for which
+    the block is then the only singular square submatrix of its size or
+    smaller (only those holding the entry can have changed), or None."""
+    C = [[F.inv(F.sub(x, y)) for y in ys] for x in xs]
+    t = len(I)
+    for i, j in product(I, J):
+        A = [row[:] for row in C]
+        # the block's determinant is affine in A[i][j], with a Cauchy minor
+        # as its slope
+        A[i][j] = 0
+        d0 = _det(F, [[A[a][b] for b in J] for a in I])
+        A[i][j] = 1
+        slope = F.sub(_det(F, [[A[a][b] for b in J] for a in I]), d0)
+        A[i][j] = F.neg(F.div(d0, slope))
+        if all(
+            _det(F, [[A[a][b] for b in cols] for a in rows])
+            for s in range(1, t + 1)
+            for rows in combinations(range(len(xs)), s) if i in rows
+            for cols in combinations(range(len(ys)), s) if j in cols
+            if (rows, cols) != (tuple(I), tuple(J))
+        ):
+            return A
+    return None
+
+
+# (field, largest planted size): over the small fields a singular block of
+# size 5 or 6 almost always brings a singular smaller minor with it, so
+# those sizes are planted over F_1009 alone
+PLANT_FIELDS = [(F31, 4), (field_make(2, 5), 4), (field_make(3, 3), 4), (F1009, 6)]
+
+
+@pytest.mark.parametrize("t", [None, 3, 4, 5, 6])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_systematic_minors_find_a_planted_singular_minor(t, data):
+    # [I | A] with no zero entry and no singular minor smaller than t, and
+    # exactly one singular t x t minor (none when t is None), hidden by row
+    # mixing and column scaling: the certificate must reject at size t
+    low = t or 3
+    F = data.draw(st.sampled_from([F for F, top in PLANT_FIELDS if top >= low]))
+    k = data.draw(st.integers(low, 6))
+    r = data.draw(st.integers(low, 12 - k))
+    elements = data.draw(
+        st.lists(st.integers(0, F.q - 1), min_size=k + r, max_size=k + r, unique=True)
+    )
+    xs, ys = elements[:k], elements[k:]
+    if t is None:
+        A = [[F.inv(F.sub(x, y)) for y in ys] for x in xs]
+    else:
+        I = sorted(data.draw(st.permutations(range(k)))[:t])
+        J = sorted(data.draw(st.permutations(range(r)))[:t])
+        A = _planted_cauchy(F, xs, ys, I, J)
+        assume(A is not None)
+    mix = _random_matrix(data, F, k, k)
+    assume(rank(FFMatrix(F, mix)) == k)
+    scales = [data.draw(st.integers(1, F.q - 1)) for _ in range(k + r)]
+    systematic = [[int(i == j) for j in range(k)] + row for i, row in enumerate(A)]
+    gen = FFMatrix(F, mix).mul(FFMatrix(F, systematic)).scale_columns(scales)
+    assert _both_minor_verdicts(LinearCode(F, gen)) is (t is None)
 
 
 def test_mds_by_group_sums_examples():

@@ -17,6 +17,7 @@ from agmds.linalg import (
     kernel_basis,
     rank,
     rref_rank,
+    systematic_part,
 )
 
 F2 = field_make(2)
@@ -109,6 +110,17 @@ def test_rref_equals_full_row_gauss_jordan(M):
     assert (R.data, r, pivots) == _full_row_gauss_jordan(M)
 
 
+@given(_shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_systematic_part_is_read_off_the_rref(M):
+    # A of [I | A] when the first k columns hold the pivots, else None
+    k = M.rows
+    assume(k <= M.cols)
+    R, _, pivots = rref_rank(M)
+    expected = [row[k:] for row in R.data] if pivots == list(range(k)) else None
+    assert systematic_part(M) == expected
+
+
 @given(_shaped_matrices(FIELDS, square=True))
 @settings(max_examples=300, deadline=None)
 def test_square_minor_test_equals_rank(M):
@@ -197,9 +209,14 @@ def test_self_dualize_basis_equals_diagonal_solve(F, k, data):
     G = FFMatrix(F, rows, 2 * k)
     assume(rank(G) == k)
     seen = []
+
+    def recording_kernel_basis(M):
+        # record the solution basis and hand self_dualize an empty one
+        seen.append(kernel_basis(M))
+        return FFMatrix(F, [], M.cols)
+
     with pytest.MonkeyPatch.context() as mp:
-        # record the solution basis and report no full-weight vector in it
-        mp.setattr(agmds.code, "_full_weight_vector", lambda field, basis, seed: seen.append(basis))
+        mp.setattr(agmds.code, "kernel_basis", recording_kernel_basis)
         with pytest.raises(NoFullWeightSolution):
             self_dualize(LinearCode(F, G))
     assert seen == [_diagonal_bilinear_solve(G)]
