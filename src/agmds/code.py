@@ -17,6 +17,7 @@ certificates are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb
 from random import Random
@@ -287,9 +288,7 @@ def _systematic_form_is_mds(gen: FFMatrix) -> bool:
     signed = [row + [(v + half) % order for v in row] for row in L]
     level = {(i,): row for i, row in enumerate(L)}
     for t in range(2, min(k, r) + 1):
-        index = {T: d for d, T in enumerate(combinations(cols, t - 1))}
-        terms = [[(j + r * (s & 1), index[T[:s] + T[s + 1:]]) for s, j in enumerate(T)]
-                 for T in combinations(cols, t)]
+        terms = _laplace_terms(r, t)
         minors = {}
         for rows in combinations(range(k), t):
             row, sub = signed[rows[0]], level[rows[1:]]
@@ -303,6 +302,19 @@ def _systematic_form_is_mds(gen: FFMatrix) -> bool:
                 logs.append(log[acc])
         level = minors
     return True
+
+
+@cache
+def _laplace_terms(r: int, t: int) -> tuple:
+    """For each t-subset T of range(r), in combinations order, its Laplace
+    terms (j, d): j is T[s], plus r for odd s (the sign's offset in
+    _systematic_form_is_mds's signed rows), and d the position of T
+    without T[s] among the (t - 1)-subsets."""
+    index = {T: d for d, T in enumerate(combinations(range(r), t - 1))}
+    return tuple(
+        tuple((j + r * (s & 1), index[T[:s] + T[s + 1:]]) for s, j in enumerate(T))
+        for T in combinations(range(r), t)
+    )
 
 
 def is_mds_by_group_sums(

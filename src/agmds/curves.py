@@ -170,9 +170,10 @@ class Curve:
 
     def _char2_points(self):
         """The affine points of a genus-1 curve in characteristic 2, in order: at x,
-        y^2 + b*y = c has the root sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2."""
+        y^2 + b*y = c has the root sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2,
+        where z is read from the field's Artin-Schreier list (None: no root)."""
         F = self.field
-        exp, log, as_get = F._exp, F._log, F._as_tab.get
+        exp, log, as_tab = F._exp, F._log, F._as_tab
         # exp has period q - 1 and length 2(q - 1): every index in [-2(q - 1), 2(q - 1))
         # is valid as it stands, and adding 2(q - 1) to a negative one would overflow.
         a1, a3, a2, a4, a6 = self.coeffs
@@ -185,7 +186,7 @@ class Curve:
             if b == 0:
                 yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(c)))
                 continue
-            z = as_get(exp[log[c] - 2 * log[b]]) if c else 0
+            z = as_tab[exp[log[c] - 2 * log[b]]] if c else 0
             if z is not None:
                 y = exp[log[b] + log[z]] if z else 0
                 y, y1 = (y, y ^ b) if y < y ^ b else (y ^ b, y)
@@ -815,7 +816,7 @@ def _char2_class_key(F: FieldSpec, coeffs: tuple):
     a1, _, a2, _, a6 = coeffs
     if a1 == 0:
         return None
-    return a6, a2 in F._as_tab
+    return a6, F._as_tab[a2] is not None
 
 
 def _short_class_key(F: FieldSpec, coeffs: tuple):

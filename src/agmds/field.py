@@ -12,9 +12,11 @@ O(1) lookups, and the root table of its characteristic (square roots for
 odd p, Artin-Schreier roots for p = 2).  Addition is XOR in
 characteristic 2 and residue arithmetic in prime fields; in an odd-
 characteristic extension it is a lookup too, through Zech logarithms
-Z(k) = log(1 + g^k), since a + b = a * (1 + b/a).  Characteristic-2 tables
-are built with carry-less integer multiplication, odd-characteristic
-extension tables with base-p digits packed into integer lanes.  Field
+Z(k) = log(1 + g^k), since a + b = a * (1 + b/a).  Both extension walks
+multiply by the generator through two tables of about sqrt(q) products,
+one for the low and one for the high half of a code, since that product
+is F_p-linear: in characteristic 2 the halves are bit fields joined by
+XOR, in odd characteristic base-p digits packed into integer lanes.  Field
 orders are capped at 2**16 so whole-field exhaustive checks stay
 practical.
 
@@ -284,6 +286,31 @@ class FieldSpec:
             v -= (((v + bias) & tops) >> top) * p
         return powers
 
+    def _char2_powers(self, gen: int, order: int) -> list:
+        """[gen^0, ..., gen^(order-1)] in characteristic 2.
+
+        Times gen is F_2-linear on codes, so gen * v is gen * (low bits of
+        v) XOR gen * (high bits of v), each looked up in a table of about
+        sqrt(q) entries; the tables are spanned from gen * x^i by XOR.
+        """
+        s = self.s
+        half = s // 2
+        mask = (1 << half) - 1
+        spans = []
+        for bits in (half, s - half):
+            tab = [0]
+            for _ in range(bits):
+                tab += [t ^ gen for t in tab]
+                gen = self._mul_raw(gen, 2)
+            spans.append(tab)
+        low, high = spans
+        powers = [1] * order
+        v = 1
+        for i in range(1, order):
+            v = low[v & mask] ^ high[v >> half]
+            powers[i] = v
+        return powers
+
     def _ensure_tables(self):
         q = self.q
         order = q - 1
@@ -299,6 +326,8 @@ class FieldSpec:
         exp = [1] * (2 * order)
         if odd_extension:
             exp[:order] = self._powers_by_digits(gen, order)
+        elif self.s > 1:
+            exp[:order] = self._char2_powers(gen, order)
         else:
             acc = 1
             for i in range(1, order):
@@ -310,9 +339,10 @@ class FieldSpec:
             log[exp[i]] = i
         if odd_extension:
             # Z(k) = log(1 + g^k), -1 where 1 + g^k = 0: adding 1 bumps the
-            # lowest base-p digit of the code.  Two periods, so any exponent
-            # difference in (-(q-1), 2(q-1)) indexes it directly.
-            self._zech = [log[v - p + 1 if v % p == p - 1 else v + 1] for v in exp]
+            # lowest base-p digit of the code.  One period, doubled like exp,
+            # so any exponent difference in (-(q-1), 2(q-1)) indexes it.
+            zech = [log[v - p + 1 if v % p == p - 1 else v + 1] for v in exp[:order]]
+            self._zech = zech + zech
         self._exp = exp
         self._log = log
 
@@ -398,12 +428,21 @@ class FieldSpec:
         self._sqrt_tab = tab
 
     def _ensure_as(self):
-        # Solutions of z**2 + z = w in characteristic 2; half the w values
-        # are reachable, each with the pair {z, z+1}.  The table keeps the
-        # smaller root, which is the even code of the pair, so only even z
-        # are squared (through the log table; z = 0 gives w = 0).
+        # Solutions of z**2 + z = w in characteristic 2, as a list over w:
+        # half the w values are reachable, each with the pair {z, z+1}, and
+        # the rest hold None.  The table keeps the smaller root, the even
+        # code of the pair.  z -> z**2 + z is F_2-linear and one-to-one on
+        # the even codes, so their images are spanned by XOR from those of
+        # x^1, ..., x^(s-1); images[j] is the image of z = 2j.
         exp, log = self._exp, self._log
-        self._as_tab = {0: 0, **{exp[2 * log[z]] ^ z: z for z in range(2, self.q, 2)}}
+        images = [0]
+        for i in range(1, self.s):
+            b = exp[2 * log[1 << i]] ^ (1 << i)
+            images += [w ^ b for w in images]
+        tab = [None] * self.q
+        for j, w in enumerate(images):
+            tab[w] = 2 * j
+        self._as_tab = tab
 
     def sqrt_or_none(self, a: int):
         """A square root of a, or None (odd characteristic)."""
@@ -423,7 +462,7 @@ class FieldSpec:
             if b == 0:
                 return (self.frobenius_sqrt(c),)
             w = self.mul(c, self.pow(self.inv(b), 2))
-            z = self._as_tab.get(w)
+            z = self._as_tab[w]
             if z is None:
                 return ()
             y = self.mul(b, z)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from agmds import field_make, parse_field_text
 from agmds.field import FieldSpec, _poly_mul_mod
+from agmds.intmath import prime_factors
 from agmds.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -215,8 +216,10 @@ def artin_schreier_oracle(F):
 @pytest.mark.parametrize("s", range(1, 17))
 def test_artin_schreier_table_matches_the_setdefault_oracle(s):
     F = FieldSpec(2, s)  # a fresh spec: its constructor built the table
-    assert F._as_tab == artin_schreier_oracle(F)
-    assert len(F._as_tab) == F.q // 2
+    assert len(F._as_tab) == F.q
+    roots = {w: z for w, z in enumerate(F._as_tab) if z is not None}
+    assert roots == artin_schreier_oracle(F)
+    assert len(roots) == F.q // 2
 
 
 @pytest.mark.parametrize("p, s", [(2, 1), (2, 8), (31, 1), (5, 3)])
@@ -226,7 +229,8 @@ def test_a_fresh_field_holds_every_table(p, s, monkeypatch):
     assert len(F._exp) == 2 * (q - 1) and len(F._log) == q
     assert (F._zech is not None) == (p != 2 and s > 1)
     if p == 2:
-        assert F._sqrt_tab is None and len(F._as_tab) == q // 2
+        assert F._sqrt_tab is None and len(F._as_tab) == q
+        assert sum(z is not None for z in F._as_tab) == q // 2
     else:
         assert F._as_tab is None and len(F._sqrt_tab) == q
 
@@ -327,6 +331,25 @@ def test_char2_carryless_mul_matches_polynomial_product(s):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
         expected = F.encode(_poly_mul_mod(F.decode(a), F.decode(b), F.modulus, 2))
         assert F._mul_raw(a, b) == expected
+
+
+@pytest.mark.parametrize("s", range(2, 17))
+def test_char2_tables_equal_the_carryless_product_walk(s):
+    F = FieldSpec(2, s)
+    order = F.q - 1
+    gen = F._exp[1]
+    # gen is the smallest primitive code, as the generator search defines it
+    factors = prime_factors(order)
+    for g in range(2, gen):
+        assert any(F._pow_raw(g, order // l) == 1 for l in factors)
+    exp, log = [1], [-1] * F.q
+    log[1] = 0
+    for i in range(1, order):
+        exp.append(F._mul_raw(exp[-1], gen))
+        log[exp[-1]] = i
+    assert F._exp == exp + exp
+    assert F._log == log
+    assert sorted(exp) == list(range(1, F.q))
 
 
 @pytest.mark.parametrize(
