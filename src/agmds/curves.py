@@ -17,7 +17,10 @@ the classification tables of attainable orders and group shapes over F_q
 (cross-checked empirically by the test suite).
 
 Enumeration reduces to x alone: at x the model is y^2 + b*y = c.  A genus-1
-curve in characteristic 2 solves it from the log and Artin-Schreier tables.
+curve solves it from the log tables: in characteristic 2 with the
+Artin-Schreier table, in odd characteristic by completing the square and
+reading squares off the parity of the log.  The group law is read on the
+log tables too, bound once per curve.
 
 A point is its tuple, (x, y) or () for the point at infinity, so tuple
 order is point order and the group law and the labels take plain tuples
@@ -85,7 +88,9 @@ INFINITY = CurvePoint()
 class Curve:
     """A validated nonsingular curve model over a FieldSpec."""
 
-    __slots__ = ("field", "genus", "coeffs", "_points", "_sylow", "_structure", "_labels")
+    __slots__ = (
+        "field", "genus", "coeffs", "_points", "_sylow", "_structure", "_labels", "_law",
+    )
 
     def __init__(self, field: FieldSpec, genus: int, coeffs: tuple):
         self.field = field
@@ -95,6 +100,7 @@ class Curve:
         self._sylow = {}  # l -> the l-Sylow basis, built once (_sylow_basis)
         self._structure = None
         self._labels = None
+        self._law = None  # the group law, bound once (_group_law)
 
     # coeffs layout: genus 1 -> (a1, a3, a2, a4, a6)
     #               genus 2 -> (f0..f5, h0, h1, h2)
@@ -193,6 +199,62 @@ class Curve:
                 yield tuple.__new__(CurvePoint, (x, y))
                 yield tuple.__new__(CurvePoint, (x, y1))
 
+    def _completed_squares(self):
+        """For each x of a genus-1 curve in odd characteristic, in order, the
+        triple (x, s, d) with y^2 + b*y = c rewritten as (y - s)^2 = d:
+        s = -b/2 and d = c + s^2, for b = a1*x + a3 and
+        c = ((x + a2)*x + a4)*x + a6.  Products are read on the log tables
+        (a zero factor, whose log is -1, is skipped) and sums go through
+        F.add; every index is a sum of two logs, in [0, 2(q - 1) - 2], which
+        the doubled exp table holds."""
+        F = self.field
+        exp, log, add = F._exp, F._log, F.add
+        a1, a3, a2, a4, a6 = self.coeffs
+        la1 = log[a1]
+        lh = log[F.neg(F.inv(F.from_int(2)))]  # log(-1/2)
+        has_b = a1 or a3
+        s = 0
+        for x in range(F.q):
+            lx = log[x]
+            t = add(x, a2) if a2 else x
+            t = exp[log[t] + lx] if t and x else 0
+            if a4:
+                t = add(t, a4)
+            c = exp[log[t] + lx] if t and x else 0
+            if a6:
+                c = add(c, a6)
+            if has_b:
+                b = exp[la1 + lx] if a1 and x else 0
+                if a3:
+                    b = add(b, a3)
+                s = exp[log[b] + lh] if b else 0
+                if s:
+                    c = add(c, exp[2 * log[s]])
+            yield x, s, c
+
+    def _odd_points(self):
+        """The affine points of a genus-1 curve in odd characteristic, in order:
+        (y - s)^2 = d (_completed_squares) has the one root s if d = 0, and
+        s +/- g^(log(d)/2) if log(d) is even (Euler's criterion: the
+        generator g is a non-square), else none.  log(d) >> 1 and
+        log(d) >> 1 + (q - 1)/2 (the log of the negated root) lie in
+        [0, q - 1), inside the doubled exp table."""
+        F = self.field
+        exp, log, add = F._exp, F._log, F.add
+        half = F.q >> 1  # -1 = g^((q - 1)/2)
+        for x, s, d in self._completed_squares():
+            if d == 0:
+                yield tuple.__new__(CurvePoint, (x, s))
+                continue
+            ld = log[d]
+            if ld & 1:
+                continue
+            y, y1 = add(s, exp[ld >> 1]), add(s, exp[(ld >> 1) + half])
+            if y > y1:
+                y, y1 = y1, y
+            yield tuple.__new__(CurvePoint, (x, y))
+            yield tuple.__new__(CurvePoint, (x, y1))
+
     def points(self) -> tuple:
         """All rational points, infinity first, affine sorted by (x, y)."""
         if self._points is None:
@@ -201,29 +263,28 @@ class Curve:
         return self._points
 
     def _affine_points(self):
-        if self.genus == 1 and self.field.p == 2:
-            return self._char2_points()
+        if self.genus == 1:
+            return self._char2_points() if self.field.p == 2 else self._odd_points()
         solve, rhs = self.field.solve_quadratic, self._rhs_quadratic
         # x rises, so only each x's roots need sorting
         return (CurvePoint(x, y) for x in range(self.field.q) for y in sorted(solve(*rhs(x))))
 
     def point_count(self) -> int:
+        """The number of rational points.  A genus-1 curve in odd
+        characteristic counts 1 + (1, 2 or 0 per x as d is zero, has an even
+        log or an odd one) over its completed squares without building
+        points; d's log is only tested for parity, so no exp index arises
+        beyond _completed_squares' own sums of two logs.  Other curves
+        count their enumerated points, which they keep."""
         if self._points is not None:
             return len(self._points)
         self._require_enumerable("count")
-        F = self.field
-        if F.p == 2:
-            return len(self.points())
-        n = 1
-        chi = F.chi
-        half = F.inv(F.from_int(2))
-        for x in range(F.q):
-            b, c = self._rhs_quadratic(x)
-            if b:
-                sh = F.mul(b, half)
-                c = F.add(c, F.mul(sh, sh))
-            n += 1 + chi(c)
-        return n
+        if self.genus == 1 and self.field.p != 2:
+            log = self.field._log
+            return 1 + sum(
+                2 - 2 * (log[d] & 1) if d else 1 for _, _, d in self._completed_squares()
+            )
+        return len(self.points())
 
     def affine_points(self) -> list:
         return list(self.points()[1:])
@@ -238,49 +299,93 @@ class Curve:
         x, y = pt
         return (x, F.sub(F.sub(F.neg(y), F.mul(a1, x)), a3))
 
-    def _add_xy(self, P, Q):
-        """P + Q on point tuples (the empty tuple for infinity), as
+    def _group_law(self):
+        """The curve's chord-tangent law on point tuples (the empty tuple for
+        infinity), bound once and kept in self._law: P + Q is
         x3 = lam^2 + a1*lam - a2 - x1 - x2, y3 = lam*(x1 - x3) - y1 - a1*x3 - a3
         with lam the slope of the chord PQ (of the tangent at P if P == Q).
         The line passes through P, so its intercept is y1 - lam*x1 either way
         and lam is the one quotient (Silverman, AEC, III.2.3).
+
+        Products and quotients are read on the log tables and sums go through
+        F.add and F.sub; a term whose factor is zero is skipped (log 0 is -1),
+        which drops the a1, a2 and a3 terms of short models and the constants
+        2 and 3 in characteristic 2 and 3.  The doubled exp table takes every
+        index in [-2(q - 1), 2(q - 1)): a sum of two logs, a log difference
+        and log(lam) plus a log all lie there, and the three-factor terms
+        3*x1^2 and 2*a2*x1 take their constant's log down into [-(q - 1), 0).
         """
-        if not P:
-            return Q
-        if not Q:
-            return P
+        if self._law is not None:
+            return self._law
         F = self.field
-        add, sub, mul = F.add, F.sub, F.mul
+        exp, log, add, sub = F._exp, F._log, F.add, F.sub
+        order = F.q - 1
         a1, a3, a2, a4, _ = self.coeffs
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if y1 != y2:
-                return ()  # the two y-values over one x are inverses
-            denom = add(add(add(y1, y1), mul(a1, x1)), a3)  # 2y1 + a1x1 + a3
-            if denom == 0:
-                return ()  # 2-torsion
-            x1sq, a2x1 = mul(x1, x1), mul(a2, x1)
-            # 3x1^2 + 2a2x1 + a4 - a1y1
-            num = sub(add(add(add(add(x1sq, x1sq), x1sq), add(a2x1, a2x1)), a4), mul(a1, y1))
-            lam = F.div(num, denom)
-        else:
-            lam = F.div(sub(y2, y1), sub(x2, x1))
-        x3 = sub(sub(sub(mul(lam, add(lam, a1)), a2), x1), x2)
-        y3 = sub(sub(sub(mul(lam, sub(x1, x3)), y1), mul(a1, x3)), a3)
-        return (x3, y3)
+        two, three = F.from_int(2), F.from_int(3)
+        la1, l2 = log[a1], log[two]
+        l3 = log[three] - order
+        l2a2 = (l2 + log[a2]) % order - order
+
+        def law(P, Q):
+            if not P:
+                return Q
+            if not Q:
+                return P
+            x1, y1 = P
+            x2, y2 = Q
+            if x1 == x2:
+                if y1 != y2:
+                    return ()  # the two y-values over one x are inverses
+                lx, ly = log[x1], log[y1]
+                den = exp[l2 + ly] if two and y1 else 0  # 2y1 + a1x1 + a3
+                if a1 and x1:
+                    den = add(den, exp[la1 + lx])
+                if a3:
+                    den = add(den, a3)
+                if den == 0:
+                    return ()  # 2-torsion
+                num = exp[l3 + 2 * lx] if three and x1 else 0  # 3x1^2 + 2a2x1 + a4 - a1y1
+                if two and a2 and x1:
+                    num = add(num, exp[l2a2 + lx])
+                if a4:
+                    num = add(num, a4)
+                if a1 and y1:
+                    num = sub(num, exp[la1 + ly])
+            else:
+                num, den = sub(y2, y1), sub(x2, x1)
+            if num:
+                lam = log[num] - log[den]  # log of the slope, in (-(q - 1), q - 1)
+                x3 = exp[2 * lam]
+                if a1:
+                    x3 = add(x3, exp[la1 + lam])
+            else:
+                x3 = 0
+            if a2:
+                x3 = sub(x3, a2)
+            x3 = sub(sub(x3, x1), x2)
+            t = sub(x1, x3)
+            y3 = sub(exp[lam + log[t]] if num and t else 0, y1)
+            if a1 and x3:
+                y3 = sub(y3, exp[la1 + log[x3]])
+            if a3:
+                y3 = sub(y3, a3)
+            return (x3, y3)
+
+        self._law = law
+        return law
 
     def _scalar_xy(self, k: int, P):
         if k < 0:
             return self._scalar_xy(-k, self._neg_xy(P))
+        add = self._group_law()
         acc = ()
         base = P
         while k:
             if k & 1:
-                acc = self._add_xy(acc, base)
+                acc = add(acc, base)
             k >>= 1
             if k:  # no doubling after the top bit
-                base = self._add_xy(base, base)
+                base = add(base, base)
         return acc
 
     def _require_group(self, *points: CurvePoint):
@@ -292,7 +397,7 @@ class Curve:
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         self._require_group(P, Q)
-        return tuple.__new__(CurvePoint, self._add_xy(P, Q))
+        return tuple.__new__(CurvePoint, self._group_law()(P, Q))
 
     def neg(self, P: CurvePoint) -> CurvePoint:
         self._require_group(P)
@@ -512,7 +617,7 @@ def point_labels(curve: Curve) -> PointLabels:
     curve._require_group()
     if curve._labels is None:
         n = len(curve.points())
-        add = curve._add_xy
+        add = curve._group_law()
         p1 = p2 = ()
         d1 = 1
         for l, h in factorint(n).items():
@@ -558,7 +663,7 @@ def _sylow_basis(curve: Curve, n: int, l: int, h: int):
 
 def _build_sylow_basis(curve: Curve, n: int, l: int, h: int):
     """The basis of _sylow_basis, built afresh."""
-    scalar, add = curve._scalar_xy, curve._add_xy
+    scalar, add = curve._scalar_xy, curve._group_law()
     size = l**h
     cofactor = n // size
     images = (scalar(cofactor, pt) for pt in curve.points())
@@ -827,15 +932,19 @@ def _short_class_key(F: FieldSpec, coeffs: tuple):
     nu = (a6'/a6) / (a4'/a4) has nu^2 = a4'/a4, nu^3 = a6'/a6 and
     chi(nu) = chi(a4 a6) chi(a4' a6') = 1, so nu = u^2.  For a4 = 0
     (j = 0) the key is a6 modulo 6th powers, for a6 = 0 (j = 1728) a4
-    modulo 4th powers, each read off as a power that kills exactly those.
+    modulo 4th powers.  All are read on discrete logs: a4^3 / a6^2 is
+    3 log a4 - 2 log a6 mod q - 1, chi is the parity of log(a4*a6) (the
+    generator is a non-square), and the g-th powers are the logs divisible
+    by g = gcd(6, q - 1) or gcd(4, q - 1).
     """
     a4, a6 = coeffs[3], coeffs[4]
-    order = F.q - 1
+    log, order = F._log, F.q - 1
     if a4 == 0:
-        return "j=0", F.pow(a6, order // gcd(6, order))
+        return "j=0", log[a6] % gcd(6, order)
     if a6 == 0:
-        return "j=1728", F.pow(a4, order // gcd(4, order))
-    return F.div(F.pow(a4, 3), F.mul(a6, a6)), F.chi(F.mul(a4, a6))
+        return "j=1728", log[a4] % gcd(4, order)
+    la4, la6 = log[a4], log[a6]
+    return (3 * la4 - 2 * la6) % order, (la4 + la6) & 1
 
 
 def _class_key(F: FieldSpec, coeffs: tuple):

@@ -331,7 +331,7 @@ class FieldSpec:
         else:
             acc = 1
             for i in range(1, order):
-                acc = self._mul_raw(acc, gen)
+                acc = acc * gen % p
                 exp[i] = acc
         exp[order:] = exp[:order]
         log = [-1] * q
@@ -420,11 +420,15 @@ class FieldSpec:
     # -- square roots and quadratics -------------------------------------------------
 
     def _ensure_sqrt(self):
+        # The nonzero squares are g^(2k) for k < (q-1)/2, each with the roots
+        # g^k and g^(k + (q-1)/2) = -g^k; the table keeps the smaller code
+        # and holds None at the non-squares.
+        exp, order = self._exp, self.q - 1
+        half = order >> 1
         tab = [None] * self.q
-        for y in range(self.q):
-            c = self.mul(y, y)
-            if tab[c] is None:
-                tab[c] = y
+        tab[0] = 0
+        for c, y, y1 in zip(exp[:order:2], exp[:half], exp[half:order]):
+            tab[c] = y if y < y1 else y1
         self._sqrt_tab = tab
 
     def _ensure_as(self):

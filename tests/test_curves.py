@@ -233,10 +233,13 @@ def quadratic_points(curve):
     return (INFINITY, *affine)
 
 
-def assert_char2_enumeration(coeffs, F):
-    """points() and point_count() of fresh curves agree with the oracle."""
+def assert_enumeration(coeffs, F):
+    """points() and point_count() of fresh curves agree with the oracle; in
+    odd characteristic the count keeps no points."""
     expected = quadratic_points(Curve(F, 1, coeffs))
-    assert Curve(F, 1, coeffs).point_count() == len(expected), coeffs
+    counted = Curve(F, 1, coeffs)
+    assert counted.point_count() == len(expected), coeffs
+    assert F.p == 2 or counted._points is None, coeffs
     assert Curve(F, 1, coeffs).points() == expected, coeffs
 
 
@@ -244,7 +247,7 @@ def assert_char2_enumeration(coeffs, F):
 def test_char2_enumeration_matches_the_quadratic_oracle_over_families(s):
     F = field_make(2, s)
     for c in curve_family(F):
-        assert_char2_enumeration(c.coeffs, F)
+        assert_enumeration(c.coeffs, F)
 
 
 @pytest.mark.parametrize("a1_zero", [True, False])
@@ -259,13 +262,36 @@ def test_char2_enumeration_matches_the_quadratic_oracle_on_random_models(
     a1, a3, a2, a4, a6 = coeffs
     a1 = 0 if a1_zero else a1 or 1
     a3 = 0 if a3_zero else a3 or 1
-    assert_char2_enumeration((a1, a3, a2, a4, a6), field_make(2, 8))
+    assert_enumeration((a1, a3, a2, a4, a6), field_make(2, 8))
 
 
 @pytest.mark.parametrize("seed", [18, 19])
 def test_char2_enumeration_matches_the_quadratic_oracle_over_f_2_16(seed):
     F = field_make(2, 16)
-    assert_char2_enumeration(random_curve(F, random.Random(seed)).coeffs, F)
+    assert_enumeration(random_curve(F, random.Random(seed)).coeffs, F)
+
+
+ODD_ENUMERATION_FIELDS = [field_make(p, s) for p, s in (
+    (3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 3),
+)]
+
+
+@pytest.mark.parametrize("a1_zero", [True, False])
+@pytest.mark.parametrize("a3_zero", [True, False])
+@given(drawn=st.sampled_from(ODD_ENUMERATION_FIELDS).flatmap(
+    lambda F: st.tuples(st.just(F), st.tuples(*[st.integers(0, F.q - 1)] * 5))))
+@settings(max_examples=30, deadline=None)
+def test_odd_enumeration_matches_the_quadratic_oracle_on_random_models(
+    a1_zero, a3_zero, drawn
+):
+    # any five coefficients, singular models included: the completed square
+    # reads the equation, not the curve's smoothness
+    F, (a1, a3, a2, a4, a6) = drawn
+    a1 = 0 if a1_zero else a1 or 1
+    a3 = 0 if a3_zero else a3 or 1
+    coeffs = (a1, a3, a2, a4, a6)
+    assert_enumeration(coeffs, F)
+    assert Curve(F, 1, coeffs).points()[1:] == tuple(brute_affine_points(Curve(F, 1, coeffs)))
 
 
 def test_points_sort_natively_by_an_explicit_key():
@@ -473,7 +499,7 @@ def scalar_oracle(curve, k, P):
 
 GROUP_LAW_FIELDS = [field_make(p, s) for p, s in (
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
-    (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1),
+    (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (5, 3), (7, 3),
 )]
 
 
@@ -484,10 +510,16 @@ def test_group_law_matches_the_two_intercept_oracle(F):
     rng = random.Random(F.q)
     for _ in range(3):
         c = random_curve(F, rng)
-        pts = c.points()
-        for P in pts:
-            for Q in pts:
-                assert c._add_xy(P, Q) == chord_tangent_oracle(c, P, Q), (c.text(), P, Q)
+        law, pts = c._group_law(), c.points()
+        if F.q < 125:
+            pairs, scaled = [(P, Q) for P in pts for Q in pts], pts
+        else:  # seeded pairs, every doubling and every P + (-P)
+            pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(300)]
+            pairs += [(P, P) for P in pts] + [(P, c._neg_xy(P)) for P in pts]
+            scaled = rng.sample(pts, 10)
+        for P, Q in pairs:
+            assert law(P, Q) == chord_tangent_oracle(c, P, Q), (c.text(), P, Q)
+        for P in scaled:
             for k in (-5, -1, 0, 1, 2, 7, len(pts)):
                 assert c._scalar_xy(k, P) == scalar_oracle(c, k, P), (c.text(), k, P)
 
@@ -554,18 +586,23 @@ def candidate_curves(F, per_shape=2, tuples=3000):
 def test_sylow_bases_are_built_once_in_either_order(F, monkeypatch):
     # group_structure then point_labels does the work of point_labels then
     # group_structure, and each (curve, l) basis is built once either way.
-    add_xy, build = Curve._add_xy, curves_module._build_sylow_basis
+    group_law, build = Curve._group_law, curves_module._build_sylow_basis
     steps, builds = [0], []
 
-    def counting(curve, P, Q):
-        steps[0] += 1
-        return add_xy(curve, P, Q)
+    def counting(curve):
+        law = group_law(curve)
+
+        def step(P, Q):
+            steps[0] += 1
+            return law(P, Q)
+
+        return step
 
     def building(curve, n, l, h):
         builds.append(l)
         return build(curve, n, l, h)
 
-    monkeypatch.setattr(Curve, "_add_xy", counting)
+    monkeypatch.setattr(Curve, "_group_law", counting)
     monkeypatch.setattr(curves_module, "_build_sylow_basis", building)
     by_shape = candidate_curves(F)
     assert any(d1 > 1 for _, (d1, _) in by_shape)

@@ -222,6 +222,25 @@ def test_artin_schreier_table_matches_the_setdefault_oracle(s):
     assert len(roots) == F.q // 2
 
 
+@pytest.mark.parametrize("p, s", [(3, 1), (31, 1), (1009, 1), (65521, 1), (3, 5), (7, 3)])
+def test_exp_and_sqrt_tables_match_the_per_element_construction(p, s):
+    # exp[i] = g^i by one multiplication per step, and sqrt[c] the first y,
+    # in code order, with y^2 = c, both through the table-free _mul_raw
+    F = FieldSpec(p, s)
+    order = F.q - 1
+    gen, acc = F._exp[1], 1
+    for i in range(order):
+        assert F._exp[i] == F._exp[i + order] == acc, i
+        acc = F._mul_raw(acc, gen)
+    assert acc == 1 and sorted(F._exp[:order]) == list(range(1, F.q))
+    sqrt = [None] * F.q
+    for y in range(F.q):
+        c = F._mul_raw(y, y)
+        if sqrt[c] is None:
+            sqrt[c] = y
+    assert F._sqrt_tab == sqrt
+
+
 @pytest.mark.parametrize("p, s", [(2, 1), (2, 8), (31, 1), (5, 3)])
 def test_a_fresh_field_holds_every_table(p, s, monkeypatch):
     F = FieldSpec(p, s)
