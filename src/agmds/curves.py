@@ -18,9 +18,11 @@ the classification tables of attainable orders and group shapes over F_q
 
 Enumeration reduces to x alone: at x the model is y^2 + b*y = c.  A genus-1
 curve solves it from the log tables: in characteristic 2 with the
-Artin-Schreier table, in odd characteristic by completing the square and
-reading squares off the parity of the log.  The group law is read on the
-log tables too, bound once per curve.
+Artin-Schreier table (an ordinary curve in u = b = a1*x + a3, where
+y = u*z and z^2 + z = c/u^2 is a Laurent polynomial in u with per-curve
+coefficients, so each abscissa takes one log), in odd characteristic by
+completing the square and reading squares off the parity of the log.  The
+group law is read on the log tables too, bound once per curve.
 
 A point is its tuple, (x, y) or () for the point at infinity, so tuple
 order is point order and the group law and the labels take plain tuples
@@ -176,26 +178,71 @@ class Curve:
 
     def _char2_points(self):
         """The affine points of a genus-1 curve in characteristic 2, in order: at x,
-        y^2 + b*y = c has the root sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2,
-        where z is read from the field's Artin-Schreier list (None: no root)."""
+        y^2 + b*y = c with b = a1*x + a3 and c = ((x + a2)*x + a4)*x + a6 has the root
+        sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2, where z is read from
+        the field's Artin-Schreier list (None: no root).
+
+        An ordinary curve (a1 != 0) is read in u = b: x = e*u + f with e = 1/a1 and
+        f = a3/a1, so c/u^2 = alpha3*u + alpha2 + alpha1/u + alpha0/u^2 with the
+        per-curve constants alpha3 = e^3, alpha2 = e^2*(f + a2), alpha1 = e*(f^2 + a4)
+        and alpha0 = c(f) (Menezes, Elliptic Curve Public Key Cryptosystems, ch. 3).
+        Each x then takes one log, lu = log u, and u = 0 (x = f) has the one root
+        sqrt(alpha0).  The constants are read on logs, reduced mod q - 1, and a zero
+        alpha1 or alpha0 drops its term (log 0 is -1).  exp has period q - 1 and
+        length 2(q - 1), so it takes every index in [-2(q - 1), 2(q - 1)) as it
+        stands, and each index lies there: log alpha3 + lu and lu + log z in
+        [0, 2(q - 1)), log alpha1 - lu in (-(q - 1), q - 1) and log alpha0 - 2*lu in
+        (-2(q - 1), q - 1).  A supersingular curve (a1 = 0, b = a3) evaluates c by
+        Horner's rule at each x."""
         F = self.field
         exp, log, as_tab = F._exp, F._log, F._as_tab
-        # exp has period q - 1 and length 2(q - 1): every index in [-2(q - 1), 2(q - 1))
-        # is valid as it stands, and adding 2(q - 1) to a negative one would overflow.
         a1, a3, a2, a4, a6 = self.coeffs
-        la1 = log[a1]
+        if a1 == 0:
+            lb2 = 2 * log[a3]
+            for x in range(F.q):
+                lx = log[x]
+                t = exp[log[x ^ a2] + lx] ^ a4 if x and x != a2 else a4
+                c = exp[log[t] + lx] ^ a6 if x and t else a6
+                if a3 == 0:
+                    yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(c)))
+                    continue
+                z = as_tab[exp[log[c] - lb2]] if c else 0
+                if z is not None:
+                    y = exp[log[a3] + log[z]] if z else 0
+                    y1 = y ^ a3
+                    if y1 < y:
+                        y, y1 = y1, y
+                    yield tuple.__new__(CurvePoint, (x, y))
+                    yield tuple.__new__(CurvePoint, (x, y1))
+            return
+        order = F.q - 1
+        le = -log[a1] % order
+        lf = (le + log[a3]) % order if a3 else -1
+        f = exp[lf] if a3 else 0
+        fa2 = f ^ a2
+        alpha2 = exp[(2 * le + log[fa2]) % order] if fa2 else 0
+        t = exp[2 * lf] ^ a4 if f else a4  # f^2 + a4
+        l1 = (le + log[t]) % order if t else -1
+        t = exp[log[fa2] + lf] ^ a4 if f and fa2 else a4  # (f + a2)*f + a4
+        alpha0 = exp[log[t] + lf] ^ a6 if f and t else a6
+        l3, l0, la1 = 3 * le % order, log[alpha0], log[a1]
         for x in range(F.q):
-            lx = log[x]
-            b = exp[la1 + lx] ^ a3 if a1 and x else a3
-            t = exp[log[x ^ a2] + lx] ^ a4 if x and x != a2 else a4
-            c = exp[log[t] + lx] ^ a6 if x and t else a6
-            if b == 0:
-                yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(c)))
+            u = exp[la1 + log[x]] ^ a3 if x else a3
+            if u == 0:
+                yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(alpha0)))
                 continue
-            z = as_tab[exp[log[c] - 2 * log[b]]] if c else 0
+            lu = log[u]
+            w = exp[l3 + lu] ^ alpha2
+            if l1 >= 0:
+                w ^= exp[l1 - lu]
+            if l0 >= 0:
+                w ^= exp[l0 - 2 * lu]
+            z = as_tab[w]
             if z is not None:
-                y = exp[log[b] + log[z]] if z else 0
-                y, y1 = (y, y ^ b) if y < y ^ b else (y ^ b, y)
+                y = exp[lu + log[z]] if z else 0
+                y1 = y ^ u
+                if y1 < y:
+                    y, y1 = y1, y
                 yield tuple.__new__(CurvePoint, (x, y))
                 yield tuple.__new__(CurvePoint, (x, y1))
 

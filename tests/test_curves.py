@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agmds import field_make
+from agmds.field import FieldSpec
 from agmds.code import build_code
 import agmds.curves as curves_module
 from agmds.curves import (
@@ -269,6 +270,65 @@ def test_char2_enumeration_matches_the_quadratic_oracle_on_random_models(
 def test_char2_enumeration_matches_the_quadratic_oracle_over_f_2_16(seed):
     F = field_make(2, 16)
     assert_enumeration(random_curve(F, random.Random(seed)).coeffs, F)
+
+
+def planted_model(F, rng, vanishing):
+    """A model with a1 != 0 and a3 != 0 whose coefficients in u = a1*x + a3
+    named in `vanishing` are zero at f = a3/a1: alpha2 = e^2*(f + a2) by
+    a2 = f, alpha1 = e*(f^2 + a4) by a4 = f^2, alpha0 = c(f) by a6."""
+    a1, a3, a2, a4 = (rng.randrange(1, F.q) for _ in range(4))
+    f = F.div(a3, a1)
+    if "alpha2" in vanishing:
+        a2 = f
+    if "alpha1" in vanishing:
+        a4 = F.mul(f, f)
+    # c(f) = ((f + a2)*f + a4)*f + a6 in characteristic 2
+    a6 = F.mul(F.add(F.mul(F.add(f, a2), f), a4), f)
+    if "alpha0" not in vanishing:
+        a6 = F.add(a6, rng.randrange(1, F.q))
+    return a1, a3, a2, a4, a6
+
+
+VANISHING_SETS = [("alpha0",), ("alpha1",), ("alpha2",), ("alpha0", "alpha1"),
+                  ("alpha1", "alpha2"), ("alpha0", "alpha2"), ("alpha0", "alpha1", "alpha2")]
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 8, 16])
+@pytest.mark.parametrize("vanishing", VANISHING_SETS, ids="+".join)
+def test_char2_enumeration_with_vanishing_substituted_coefficients(s, vanishing):
+    # the a1 != 0 loop drops a zero alpha1 or alpha0 term and reads the
+    # u = 0 abscissa, x = f, as y^2 = alpha0; alpha0 = 0 puts (f, 0) there
+    F = field_make(2, s)
+    rng = random.Random(f"{s}:{vanishing}")
+    coeffs = planted_model(F, rng, vanishing)
+    f = F.div(coeffs[1], coeffs[0])
+    assert Curve(F, 1, coeffs)._rhs_quadratic(f)[0] == 0  # u = 0 at x = f
+    assert ((f, 0) in Curve(F, 1, coeffs).points()) == ("alpha0" in vanishing)
+    assert_enumeration(coeffs, F)
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_refutation_reads_only_the_first_abscissas_of_an_f_2_16_curve():
+    # _refutes_count reads three abscissas of every curve the F_2^8 coset
+    # search walks, so the enumeration must stay a generator: building all
+    # points first would read the Artin-Schreier table at every x.
+    # The true count refutes nothing, so all three abscissas are read.
+    n_points = len(Curve(field_make(2, 16), 1, (1, 0, 0, 0, 1)).points())
+    F = FieldSpec(2, 16)
+    F._as_tab = CountingList(F._as_tab)
+    curve = Curve(F, 1, (1, 0, 0, 0, 1))
+    assert not curves_module._refutes_count(curve, n_points)
+    assert 0 < F._as_tab.reads <= 16
+    assert curve._points is None
 
 
 ODD_ENUMERATION_FIELDS = [field_make(p, s) for p, s in (
