@@ -4,7 +4,6 @@ from .field import FieldSpec, field_make, parse_field_text
 from .linalg import FFMatrix, kernel_basis, rank, rref_rank
 from .curves import (
     Curve,
-    CurvePoint,
     INFINITY,
     admissible_curve_orders,
     admissible_group_structures,

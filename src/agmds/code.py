@@ -118,9 +118,9 @@ def build_code(
         raise DuplicatePoints("evaluation points must be distinct")
     F = curve.field
     for p in pts:
-        if p.is_infinity:
-            raise InfinityEvaluation("evaluation points must be affine")
         curve._require_on(p)
+        if not p:
+            raise InfinityEvaluation("evaluation points must be affine")
     basis = rr_basis(curve, m)
     rows = [
         [evaluate_monomial(F, mono, p) for p in pts] for mono in basis.monomials

@@ -24,9 +24,10 @@ coefficients, so each abscissa takes one log), in odd characteristic by
 completing the square and reading squares off the parity of the log.  The
 group law is read on the log tables too, bound once per curve.
 
-A point is its tuple, (x, y) or () for the point at infinity, so tuple
-order is point order and the group law and the labels take plain tuples
-(`not P` tests for infinity); CurvePoint is the tuple subclass of the API.
+A point is a plain tuple, (x, y) or () for the point at infinity
+(INFINITY), so tuple order is point order, `not P` tests for infinity and
+x, y = P reads an affine point; enumeration, the group law, the labels and
+every function of the API take and return such tuples.
 
 A point count N of a genus-1 curve always satisfies |N - (q+1)| <= 2*sqrt(q).
 Note the window endpoints are computed with integer flooring,
@@ -57,34 +58,7 @@ from .intmath import factorint, prime_factors, prime_power_split
 MAX_GENUS2_ORDER = 1 << 12
 
 
-class CurvePoint(tuple):
-    """A rational point: the tuple (x, y), or () for the point at infinity."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: int | None = None, y: int | None = None):
-        return tuple.__new__(cls, () if x is None else (x, y))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    @property
-    def x(self) -> int | None:
-        return self[0] if self else None
-
-    @property
-    def y(self) -> int | None:
-        return self[1] if self else None
-
-    @property
-    def is_infinity(self) -> bool:
-        return not self
-
-    def __repr__(self):
-        return f"CurvePoint(x={self.x!r}, y={self.y!r})"
-
-
-INFINITY = CurvePoint()
+INFINITY = ()
 
 
 class Curve:
@@ -147,9 +121,13 @@ class Curve:
             c = F.add(F.mul(c, x), coef)
         return b, c
 
-    def contains(self, point: CurvePoint) -> bool:
-        if not point:
+    def contains(self, point: tuple) -> bool:
+        """Whether the point is () or an (x, y) tuple of codes on the model;
+        anything else (None, a list, a tuple of another length) is not."""
+        if point == ():
             return True
+        if not isinstance(point, tuple) or len(point) != 2:
+            return False
         F = self.field
         x, y = point
         if not (0 <= x < F.q and 0 <= y < F.q):
@@ -157,17 +135,13 @@ class Curve:
         b, c = self._rhs_quadratic(x)
         return F.add(F.mul(y, y), F.mul(b, y)) == c
 
-    def _require_on(self, point: CurvePoint):
+    def _require_on(self, point: tuple):
         if not self.contains(point):
-            q = self.field.q
-            text = (point_text(self.field, point) if all(0 <= c < q for c in point)
-                    else f"codes {tuple(point)} outside [0, {q})")
-            raise PointNotOnCurve(f"{text} not on {self.text()}")
+            raise PointNotOnCurve(f"{_given_point_text(self.field, point)} not on {self.text()}")
 
-    def point(self, x, y) -> CurvePoint:
-        p = CurvePoint(x, y)
-        self._require_on(p)
-        return p
+    def point(self, x, y) -> tuple:
+        self._require_on((x, y))
+        return x, y
 
     # -- enumeration ------------------------------------------------------------
 
@@ -204,7 +178,7 @@ class Curve:
                 t = exp[log[x ^ a2] + lx] ^ a4 if x and x != a2 else a4
                 c = exp[log[t] + lx] ^ a6 if x and t else a6
                 if a3 == 0:
-                    yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(c)))
+                    yield x, F.frobenius_sqrt(c)
                     continue
                 z = as_tab[exp[log[c] - lb2]] if c else 0
                 if z is not None:
@@ -212,8 +186,8 @@ class Curve:
                     y1 = y ^ a3
                     if y1 < y:
                         y, y1 = y1, y
-                    yield tuple.__new__(CurvePoint, (x, y))
-                    yield tuple.__new__(CurvePoint, (x, y1))
+                    yield x, y
+                    yield x, y1
             return
         order = F.q - 1
         le = -log[a1] % order
@@ -229,7 +203,7 @@ class Curve:
         for x in range(F.q):
             u = exp[la1 + log[x]] ^ a3 if x else a3
             if u == 0:
-                yield tuple.__new__(CurvePoint, (x, F.frobenius_sqrt(alpha0)))
+                yield x, F.frobenius_sqrt(alpha0)
                 continue
             lu = log[u]
             w = exp[l3 + lu] ^ alpha2
@@ -243,8 +217,8 @@ class Curve:
                 y1 = y ^ u
                 if y1 < y:
                     y, y1 = y1, y
-                yield tuple.__new__(CurvePoint, (x, y))
-                yield tuple.__new__(CurvePoint, (x, y1))
+                yield x, y
+                yield x, y1
 
     def _completed_squares(self):
         """For each x of a genus-1 curve in odd characteristic, in order, the
@@ -291,7 +265,7 @@ class Curve:
         half = F.q >> 1  # -1 = g^((q - 1)/2)
         for x, s, d in self._completed_squares():
             if d == 0:
-                yield tuple.__new__(CurvePoint, (x, s))
+                yield x, s
                 continue
             ld = log[d]
             if ld & 1:
@@ -299,8 +273,8 @@ class Curve:
             y, y1 = add(s, exp[ld >> 1]), add(s, exp[(ld >> 1) + half])
             if y > y1:
                 y, y1 = y1, y
-            yield tuple.__new__(CurvePoint, (x, y))
-            yield tuple.__new__(CurvePoint, (x, y1))
+            yield x, y
+            yield x, y1
 
     def points(self) -> tuple:
         """All rational points, infinity first, affine sorted by (x, y)."""
@@ -314,7 +288,7 @@ class Curve:
             return self._char2_points() if self.field.p == 2 else self._odd_points()
         solve, rhs = self.field.solve_quadratic, self._rhs_quadratic
         # x rises, so only each x's roots need sorting
-        return (CurvePoint(x, y) for x in range(self.field.q) for y in sorted(solve(*rhs(x))))
+        return ((x, y) for x in range(self.field.q) for y in sorted(solve(*rhs(x))))
 
     def point_count(self) -> int:
         """The number of rational points.  A genus-1 curve in odd
@@ -435,26 +409,26 @@ class Curve:
                 base = add(base, base)
         return acc
 
-    def _require_group(self, *points: CurvePoint):
+    def _require_group(self, *points: tuple):
         """The one check of the point API: a genus-1 curve, points on it."""
         if self.genus != 1:
             raise BadModel("the group law is defined for genus-1 curves only")
         for pt in points:
             self._require_on(pt)
 
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    def add(self, P: tuple, Q: tuple) -> tuple:
         self._require_group(P, Q)
-        return tuple.__new__(CurvePoint, self._group_law()(P, Q))
+        return self._group_law()(P, Q)
 
-    def neg(self, P: CurvePoint) -> CurvePoint:
+    def neg(self, P: tuple) -> tuple:
         self._require_group(P)
-        return tuple.__new__(CurvePoint, self._neg_xy(P))
+        return self._neg_xy(P)
 
-    def scalar_mul(self, k: int, P: CurvePoint) -> CurvePoint:
+    def scalar_mul(self, k: int, P: tuple) -> tuple:
         self._require_group(P)
-        return tuple.__new__(CurvePoint, self._scalar_xy(k, P))
+        return self._scalar_xy(k, P)
 
-    def point_order(self, P: CurvePoint) -> int:
+    def point_order(self, P: tuple) -> int:
         """Least t >= 1 with t*P = infinity (divides the group order)."""
         self._require_group(P)
         n = len(self.points())
@@ -620,14 +594,14 @@ class PointLabels:
         self._label = label
         self._point = point
 
-    def of(self, pt: CurvePoint) -> tuple[int, int]:
+    def of(self, pt: tuple) -> tuple[int, int]:
         try:
             return self._label[pt]
         except KeyError:
-            text = point_text(self.field, pt)
+            text = _given_point_text(self.field, pt)
             raise PointNotOnCurve(f"{text} is not a rational point of the curve") from None
 
-    def point(self, a: tuple[int, int]) -> CurvePoint:
+    def point(self, a: tuple[int, int]) -> tuple:
         return self._point[a]
 
     def sorted_points(self, labels) -> list:
@@ -679,9 +653,8 @@ def point_labels(curve: Curve) -> PointLabels:
         for i in range(d1):
             xy = row
             for j in range(d2):
-                pt = tuple.__new__(CurvePoint, xy)
-                label[pt] = (i, j)
-                point[(i, j)] = pt
+                label[xy] = (i, j)
+                point[(i, j)] = xy
                 xy = add(xy, p2)
             row = add(row, p1)
         if len(label) != n:  # pragma: no cover - consistency guard
@@ -775,7 +748,7 @@ def subgroup_closure(curve: Curve, generators) -> list:
     return labels.sorted_points(labels.span(map(labels.of, generators)))
 
 
-def coset(curve: Curve, subgroup_points, rep: CurvePoint) -> list:
+def coset(curve: Curve, subgroup_points, rep: tuple) -> list:
     """The coset rep + S as a sorted point list."""
     labels = point_labels(curve)
     r = labels.of(rep)
@@ -1153,17 +1126,27 @@ def _split_elements(body: str) -> list[str]:
     return [p for p in (s.strip() for s in parts) if p]
 
 
-def point_text(field: FieldSpec, point) -> str:
-    if not point:  # a CurvePoint or a plain tuple
+def point_text(field: FieldSpec, point: tuple) -> str:
+    if not point:  # the point at infinity, ()
         return "inf"
     return f"({field.element_text(point[0])},{field.element_text(point[1])})"
 
 
-def parse_point_text(field: FieldSpec, text: str) -> CurvePoint:
+def _given_point_text(field: FieldSpec, point: tuple) -> str:
+    """A point as an error message names it: by point_text if it is a pair
+    of field codes, else by what it holds."""
+    if not isinstance(point, tuple) or len(point) != 2:
+        return f"non-pair {point!r}"
+    if all(0 <= c < field.q for c in point):
+        return point_text(field, point)
+    return f"codes {point} outside [0, {field.q})"
+
+
+def parse_point_text(field: FieldSpec, text: str) -> tuple:
     text = text.strip()
     if text == "inf":
         return INFINITY
     parts = _split_elements(text[1:-1])
     if not (text.startswith("(") and text.endswith(")")) or len(parts) != 2:
         raise MalformedText(f"malformed point text {text!r}")
-    return CurvePoint(*(field.parse_element(t) for t in parts))
+    return tuple(field.parse_element(t) for t in parts)

@@ -43,7 +43,6 @@ from .code import (
 )
 from .curves import (
     Curve,
-    CurvePoint,
     PointLabels,
     _matching_curves,
     admissible_curve_orders,
@@ -73,7 +72,7 @@ from .rrspace import evaluate_monomial, rr_basis
 # -- coset codes -----------------------------------------------------------------
 
 
-def _group_sum(curve: Curve, points) -> CurvePoint:
+def _group_sum(curve: Curve, points) -> tuple:
     labels = point_labels(curve)
     acc = (0, 0)
     for p in points:
@@ -91,7 +90,7 @@ def _certified_coset_code(
     return code, _report_from_distance(code, code.n - m + 1, True)
 
 
-def _coset_result(curve: Curve, subgroup, b: CurvePoint, points, m: int):
+def _coset_result(curve: Curve, subgroup, b: tuple, points, m: int):
     """The certified degree-m code on the coset b + subgroup, its report and meta."""
     code, report = _certified_coset_code(
         curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}
@@ -235,7 +234,7 @@ def _best_coset(curve: Curve, n: int, m: int):
     for rank in (0, 1):
         for subgroup in subgroups:
             for b, points in _mds_cosets(curve, subgroup, m, rank == 0):
-                if 2 * m == n and _group_sum(curve, points).is_infinity:
+                if 2 * m == n and not _group_sum(curve, points):
                     if best[1] is None:
                         best = rank + 2, (subgroup, b, points)
                     continue
@@ -548,7 +547,7 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
     points = labels.sorted_points(labels.add(b, s) for s in e1)
     n = len(points)
     m = n // 2
-    if not _group_sum(curve, points).is_infinity:  # pragma: no cover
+    if _group_sum(curve, points):  # pragma: no cover
         raise AssertionError("pipeline coset does not sum to the identity")
     if not is_mds_by_group_sums(curve, points, m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
@@ -603,7 +602,8 @@ def genus2_mds_search(
     winner.  The minor budget is checked once, before any sample.  The
     counting bound m * C(n, m-2) < N is recorded as an advisory flag; the
     search runs either way.  Raises NotFound with the attempt count when
-    the budget runs out.
+    the budget runs out, and with the same message at once, drawing no
+    sample, when the abscissa test refutes every n-sample.
     """
     if curve.genus != 2:
         raise PreconditionFailed("search expects a genus-2 curve")
@@ -623,9 +623,16 @@ def genus2_mds_search(
     ]
     k = len(table)
     _require_minor_budget(n, k, DEFAULT_BUDGET)
+    exhausted = f"no MDS sample within {budget} attempts (bound_ok={bound_ok})"
     positions = range(len(affine))
     xs = [pt[0] for pt in affine]
     h = m // 2
+    # At most two points lie over an abscissa, so an n-sample doubles at
+    # least n - A of the A abscissas and its h fullest hold at least
+    # h + min(h, n - A) points, as many as a sample spread one point per
+    # abscissa first holds: from k on, the test below refutes every sample.
+    if h + min(h, max(0, n - len(set(xs)))) >= k:
+        raise NotFound(exhausted)
     refuted = set()
     rng = Random(seed)
     for attempt in range(1, budget + 1):
@@ -655,4 +662,4 @@ def genus2_mds_search(
             report = _report_from_distance(code, n - code.k + 1, True)
             return code, report, meta
         refuted.add(key)
-    raise NotFound(f"no MDS sample within {budget} attempts (bound_ok={bound_ok})")
+    raise NotFound(exhausted)

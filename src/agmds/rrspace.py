@@ -6,13 +6,14 @@ genus-2 model x has a double pole and y a five-fold pole.  The monomials
 x^i * y^j with j <= 1 realize exactly one function per attainable pole
 order, so collecting those with pole order <= m gives a basis of L(m*P0).
 Gap orders ({1} for genus 1, {1, 3} for genus 2) have no function.
+A monomial is evaluated at a point given as its plain (x, y) tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import Curve, CurvePoint
+from .curves import Curve
 from .errors import DegreeOutOfRange, InfinityEvaluation
 from .field import FieldSpec
 
@@ -57,12 +58,13 @@ def rr_basis(curve: Curve, m: int) -> RRBasis:
     )
 
 
-def evaluate_monomial(field: FieldSpec, monomial: tuple, point: CurvePoint) -> int:
-    """Evaluate x^i * y^j at an affine point; returns an element code."""
-    if point.is_infinity:
+def evaluate_monomial(field: FieldSpec, monomial: tuple, point: tuple) -> int:
+    """Evaluate x^i * y^j at an affine point (x, y); returns an element code."""
+    if not point:
         raise InfinityEvaluation("cannot evaluate at the point at infinity")
     i, j = monomial
-    v = field.pow(point.x, i)
+    x, y = point
+    v = field.pow(x, i)
     if j:
-        v = field.mul(v, field.pow(point.y, j))
+        v = field.mul(v, field.pow(y, j))
     return v

@@ -708,6 +708,39 @@ def test_cli_usage_errors(capsys):
         assert rc == 2 and "MalformedText" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, rc, out, err", [
+    (("curve-info", "--field", "2^3:1,0,1,1", "--curve", "g1:1,0,0,0,1"),
+     2, "", "DegreeMismatch: malformed modulus text '1,0,1,1'\n"),
+    (("curve-info", "--field", "2^5", "--curve", "g1:1,0,0,0,[1,0,0,0,1"),
+     2, "", "DegreeMismatch: malformed element text '[1,0,0,0,1'\n"),
+    (("curve-info", "--field", "2^2", "--curve", "g1:1,0,0,0,4"),
+     2, "", "DegreeMismatch: code 4 outside [0, 4)\n"),
+    (("build", "--recipe", "supersingular", "--p", "5", "--ext", "3", "--N", "14", "--k", "2"),
+     2, "", "PreconditionFailed: N=14 exceeds the length bound for 126 points\n"),
+    (("build", "--recipe", "supersingular", "--p", "5", "--ext", "3", "--N", "7", "--k", "7"),
+     2, "", "PreconditionFailed: need 1 <= k <= N - 1, got k=7\n"),
+    (("build", "--recipe", "rs", "--q", "19", "--alpha", "1,2,2", "--k", "2"),
+     2, "", "DuplicateEvaluationPoints: evaluation elements must be distinct\n"),
+    (("build", "--recipe", "twisted-rs", "--q", "7", "--alpha", "0,1,2,3,4,5,6", "--eta", "1",
+      "--k", "2"),
+     2, "", "PreconditionFailed: need n <= q - 1 (n=7, q=7)\n"),
+    (("selfdual", "--s1", "2", "--s2", "2", "--t", "0", "--Lp", "1"),
+     2, "", "PreconditionFailed: t must be >= 1\n"),
+    (("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "100"),
+     2, "", "PreconditionFailed: need 2 <= m <= 3, got 100\n"),
+    (("build", "--recipe", "coprime-split", "--q", "19", "--l1", "19", "--l2", "1", "--m", "2"),
+     2, "", "PreconditionFailed: both factors must be coprime to q\n"),
+    (("curve-info", "--field", "31", "--curve", "g2:1,0,0,0,0,1;0,0,0,0"),
+     2, "", "BadModel: genus-2 model needs 6 f-coefficients and up to 3 h-coefficients\n"),
+    # an unattainable count is no error: the table is empty
+    (("tables", "--q", "19", "--N", "100"), 0, "q = 19, N = 100\n", ""),
+], ids=["modulus", "element", "code-range", "supersingular-N", "supersingular-k",
+        "rs-duplicates", "twisted-rs-length", "selfdual-t", "sqrt-prime-m",
+        "coprime-split-factor", "genus2-h-length", "tables-empty"])
+def test_cli_precondition_messages(argv, rc, out, err, capsys):
+    assert run_cli(*argv, capsys=capsys) == (rc, out, err)
+
+
 @pytest.mark.parametrize("text", [
     '{"field": ',
     '{"field": "5^1:", "n": 3, "k": 2, "matrix": [[1, 1, 1], [0, 2, 4]]}',

@@ -321,7 +321,7 @@ def zero_sum_subset_exists(curve, points, m):
 
     def scan(start, left, acc):
         if left == 0:
-            return acc.is_infinity
+            return not acc
         return any(
             scan(i + 1, left - 1, curve.add(acc, pts[i]))
             for i in range(start, len(pts) - left + 1)

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from agmds import field_make
 from agmds.field import FieldSpec
-from agmds.code import build_code
+from agmds.code import build_code, is_mds_by_group_sums
+from agmds.rrspace import evaluate_monomial
 import agmds.curves as curves_module
 from agmds.curves import (
     Curve,
-    CurvePoint,
     INFINITY,
     _class_key,
     _matching_curves,
@@ -64,7 +64,7 @@ def brute_order(curve, pt):
     """Independent order oracle: repeated addition until infinity."""
     acc = pt
     t = 1
-    while not acc.is_infinity:
+    while acc:
         acc = curve.add(acc, pt)
         t += 1
     return t
@@ -79,7 +79,7 @@ def brute_orders(curve):
         if p in order:
             continue
         walk = [p]
-        while not walk[-1].is_infinity:
+        while walk[-1]:
             walk.append(curve.add(walk[-1], p))
         t = len(walk)
         for k, w in enumerate(walk, 1):
@@ -114,7 +114,7 @@ def test_genus2_smoothness_matches_direct_partial_check():
     g2 = curve_make(F, 2, [1, 0, 0, 0, 0, 1])
     f = [1, 0, 0, 0, 0, 1]
     for pt in g2.affine_points():
-        x, y = pt.x, pt.y
+        x, y = pt
         d_y = (2 * y) % 11
         d_x = (-sum(i * f[i] * pow(x, i - 1, 11) for i in range(1, 6))) % 11
         assert d_y != 0 or d_x != 0
@@ -183,19 +183,17 @@ def test_genus2_smoothness_matches_scan_over_quadratic_extension():
 
 
 def test_point_enumeration_frozen_examples():
-    pts = {(p.x, p.y) for p in E_F5.points()}
-    assert pts == {(None, None), (0, 1), (0, 4), (2, 2), (2, 3), (4, 0)}
+    pts = set(E_F5.points())
+    assert pts == {(), (0, 1), (0, 4), (2, 2), (2, 3), (4, 0)}
 
     e = curve_make(F3, 1, (0, 0, 0, 2, 0))  # y^2 = x^3 - x
-    assert {(p.x, p.y) for p in e.points()} == {
-        (None, None), (0, 0), (1, 0), (2, 0),
-    }
+    assert set(e.points()) == {(), (0, 0), (1, 0), (2, 0)}
 
 
 def brute_affine_points(curve):
     """Oracle: every affine (x, y) the model contains, in tuple order."""
     q = curve.field.q
-    found = (CurvePoint(x, y) for x in range(q) for y in range(q))
+    found = ((x, y) for x in range(q) for y in range(q))
     return sorted(p for p in found if curve.contains(p))
 
 
@@ -224,13 +222,14 @@ def test_points_come_in_sort_key_order():
     for c in curves:
         assert c.points() == (INFINITY, *brute_affine_points(c)), c.text()
         assert tuple(c.affine_points()) == c.points()[1:]
+        assert all(type(p) is tuple for p in c.points())  # genus-2 models too
 
 
 def quadratic_points(curve):
     """Oracle: the points from solve_quadratic at every abscissa, in order."""
     F = curve.field
     solve, rhs = F.solve_quadratic, curve._rhs_quadratic
-    affine = (CurvePoint(x, y) for x in range(F.q) for y in sorted(solve(*rhs(x))))
+    affine = ((x, y) for x in range(F.q) for y in sorted(solve(*rhs(x))))
     return (INFINITY, *affine)
 
 
@@ -358,47 +357,45 @@ def test_points_sort_natively_by_an_explicit_key():
     # a point is its tuple, () at infinity, so native order must be the
     # order of the key (0,) at infinity and (1, x, y) at an affine point
     def key(p):
-        return (0,) if p.is_infinity else (1, p.x, p.y)
+        return (0,) if not p else (1, p[0], p[1])
 
     for F in (field_make(2, 2), field_make(7), field_make(3, 2)):
         rng = random.Random(F.q)
         for c in curve_family(F):
             pts = list(c.points())
-            assert pts[0] is INFINITY and all(type(p) is CurvePoint for p in pts)
+            assert pts[0] is INFINITY and all(type(p) is tuple for p in pts)
             shuffled = rng.sample(pts, len(pts))
             assert sorted(shuffled) == sorted(shuffled, key=key) == pts, c.text()
             assert all((a < b) == (key(a) < key(b)) for a in pts for b in pts)
 
 
 def test_point_copies_pickles_repr_and_label_lookup():
-    for p in (CurvePoint(3, 4), INFINITY, E_F5.point(2, 3)):
+    for p in ((3, 4), INFINITY, E_F5.point(2, 3)):
         twins = [copy.copy(p), copy.deepcopy(p)]
         twins += [pickle.loads(pickle.dumps(p, proto))
                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in twins:
-            assert twin == p and type(twin) is CurvePoint
-            assert (twin.x, twin.y, twin.is_infinity) == (p.x, p.y, p.is_infinity)
-    assert repr(CurvePoint(3, 4)) == "CurvePoint(x=3, y=4)"
-    assert repr(INFINITY) == "CurvePoint(x=None, y=None)"
-    assert CurvePoint() == INFINITY == () and CurvePoint(3, 4) == (3, 4)
+            assert twin == p and type(twin) is tuple
+    assert repr(E_F5.point(2, 3)) == "(2, 3)" and repr(INFINITY) == "()"
+    assert INFINITY == () and E_F5.point(2, 3) == (2, 3)
     p = E_F5.point(2, 3)
     labels = point_labels(E_F5)
     for result in (E_F5.add(p, p), E_F5.neg(p), E_F5.scalar_mul(6, p),
                    labels.point(labels.of(p)), E_F5.add(p, E_F5.neg(p))):
-        assert type(result) is CurvePoint
+        assert type(result) is tuple
     assert labels.of((2, 3)) == labels.of(p)
     with pytest.raises(PointNotOnCurve) as exc:
         labels.of((1, 1))
     assert str(exc.value) == "(1,1) is not a rational point of the curve"
     with pytest.raises(PointNotOnCurve) as exc:
-        E_F5.add(p, CurvePoint(1, 1))
+        E_F5.add(p, (1, 1))
     assert str(exc.value) == "(1,1) not on g1:0,0,0,0,1"
 
 
 def test_point_errors_print_element_text():
     # over F_4 the code 2 is the element [0,1] and 3 is [1,1]
     E = curve_make(field_make(2, 2), 1, (1, 0, 0, 0, 1))
-    on, off = E.points()[1], CurvePoint(2, 3)
+    on, off = E.points()[1], (2, 3)
     curve = "g1:[1,0],[0,0],[0,0],[0,0],[1,0]"
     for call, message in [
         (lambda: E.point(2, 3), f"([0,1],[1,1]) not on {curve}"),
@@ -417,7 +414,7 @@ def test_build_code_names_a_bad_point_like_curve_point():
     for x, y in [(2, 3), (-1, 0)]:
         messages = []
         for call in (lambda: E.point(x, y),
-                     lambda: build_code(E, [CurvePoint(x, y), *affine], 2)):
+                     lambda: build_code(E, [(x, y), *affine], 2)):
             with pytest.raises(PointNotOnCurve) as exc:
                 call()
             messages.append(str(exc.value))
@@ -432,14 +429,47 @@ def test_codes_outside_the_field_are_not_on_the_curve():
     curve = "g1:[1,0],[0,0],[0,0],[0,0],[1,0]"
     affine = list(E.points()[1:3])
     for x, y in [(-1, 0), (5, 1), (1, 9), (0, -1)]:
-        assert not E.contains(CurvePoint(x, y))
+        assert not E.contains((x, y))
         for call in (lambda: E.point(x, y),
-                     lambda: E.scalar_mul(2, CurvePoint(x, y))):
+                     lambda: E.scalar_mul(2, (x, y))):
             with pytest.raises(PointNotOnCurve) as exc:
                 call()
             assert str(exc.value) == f"codes {(x, y)} outside [0, 4) not on {curve}"
         with pytest.raises(PointNotOnCurve):
-            build_code(E, [CurvePoint(x, y), *affine], 2)
+            build_code(E, [(x, y), *affine], 2)
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), None], ids=["length-1", "length-3", "none"])
+def test_what_is_not_a_pair_is_not_on_the_curve(bad):
+    # only () and (x, y) tuples are points: anything else is named as it
+    # is, never indexed as (x, y), and None is not the point at infinity
+    curve = "g1:0,0,0,0,1"
+    name = f"non-pair {bad!r}"
+    assert not E_F5.contains(bad)
+    for call in (lambda: E_F5.point_order(bad), lambda: E_F5.add((0, 1), bad),
+                 lambda: E_F5.neg(bad), lambda: build_code(E_F5, [bad, (0, 1), (2, 2)], 2)):
+        with pytest.raises(PointNotOnCurve) as exc:
+            call()
+        assert str(exc.value) == f"{name} not on {curve}"
+    with pytest.raises(PointNotOnCurve) as exc:
+        point_labels(E_F5).of(bad)
+    assert str(exc.value) == f"{name} is not a rational point of the curve"
+
+
+def test_plain_pairs_are_points():
+    # points are plain tuples: literal pairs work wherever enumerated ones do
+    p = E_F5.point(2, 3)
+    assert p == (2, 3) and type(p) is tuple and E_F5.contains((2, 3))
+    assert not E_F5.contains([2, 3])  # a point is a tuple
+    assert [E_F5.point_order(q) for q in [(), (0, 1), (0, 4), (2, 2), (2, 3), (4, 0)]] == [
+        brute_order(E_F5, q) for q in E_F5.points()]
+    code = build_code(E_F5, [(0, 1), (2, 2), (4, 0)], 2)
+    assert code.gen.data == [[1, 1, 1], [0, 2, 4]]  # the monomials 1 and x
+    assert evaluate_monomial(F5, (1, 1), (2, 3)) == 1  # 2 * 3 = 6 = 1 in F_5
+    assert not is_mds_by_group_sums(E_F5, [(0, 1), (0, 4), (2, 2)], 2)  # inverse pair
+    assert is_mds_by_group_sums(E_F5, [(0, 1), (2, 2)], 1)
+    assert subgroup_closure(E_F5, [(4, 0)]) == [(), (4, 0)]
+    assert coset(E_F5, [(), (4, 0)], (0, 1)) == [(0, 1), (2, 2)]
 
 
 def test_point_count_matches_enumeration_and_hasse():
@@ -479,7 +509,7 @@ def test_group_law_examples():
     assert E_F5.point_order(E_F5.point(4, 0)) == 2
     assert E_F5.neg(p1) == E_F5.point(0, 4)
     with pytest.raises(PointNotOnCurve):
-        E_F5.add(p1, CurvePoint(1, 1))
+        E_F5.add(p1, (1, 1))
 
 
 def test_group_axioms_exhaustive_small():

@@ -317,7 +317,7 @@ def _reference_coset_search(
 
     fallback = None
     for candidate in candidates():
-        if 2 * m == n and _group_sum(candidate[0], candidate[3]).is_infinity:
+        if 2 * m == n and not _group_sum(candidate[0], candidate[3]):
             fallback = fallback or candidate
             continue
         return _coset_result(*candidate, m)
@@ -898,14 +898,68 @@ def test_genus2_hunt_certifies_a_refuted_sample_once(monkeypatch):
     assert calls[0] == 1
 
 
-def test_genus2_hunt_refuses_an_over_budget_code_before_sampling(monkeypatch):
-    def no_sampling(seed):
-        raise AssertionError("the hunt drew a sample")
+class DrewASample(Exception):
+    pass
 
-    monkeypatch.setattr(recipes_module, "Random", no_sampling)
+
+def _no_sampling(seed):
+    raise DrewASample
+
+
+def test_genus2_hunt_refuses_an_over_budget_code_before_sampling(monkeypatch):
+    monkeypatch.setattr(recipes_module, "Random", _no_sampling)
     with pytest.raises(BudgetExceeded) as exc:
         genus2_mds_search(X31, 27, 15)
     assert str(exc.value) == f"C(27,14) column subsets exceed budget {DEFAULT_BUDGET}"
+
+
+def _abscissa_test_refutes(xs, sample, m):
+    """The hunt's abscissa test on one sample of positions: its m // 2
+    fullest abscissas hold m - 1 or more of its points."""
+    counts = sorted(Counter(xs[i] for i in sample).values(), reverse=True)
+    return sum(counts[:m // 2]) >= m - 1
+
+
+def test_genus2_hunt_raises_at_once_when_the_abscissas_refute_every_sample(monkeypatch):
+    # the 27 affine points lie over 16 abscissas, so any 20 of them double
+    # at least 4, and the 5 fullest abscissas hold 9 = m - 1 points
+    monkeypatch.setattr(recipes_module, "Random", _no_sampling)
+    with pytest.raises(NotFound) as exc:
+        genus2_mds_search(X31, 20, 10)
+    assert str(exc.value) == "no MDS sample within 2000 attempts (bound_ok=False)"
+
+
+def test_genus2_hunt_decides_every_refuted_pair_as_the_sample_loop_does(monkeypatch):
+    # The sample taking one point over each abscissa, then second points,
+    # has the fewest points over its fullest abscissas, so the abscissa test
+    # refutes every sample iff it refutes this one.  For each 2 < m < n the
+    # hunt must raise before sampling exactly then (or refuse the minor
+    # budget first), and seeded draws must agree.
+    affine = X31.affine_points()
+    xs = [x for x, _ in affine]
+    firsts = [i for i in range(len(xs)) if i == 0 or xs[i] != xs[i - 1]]
+    spread = firsts + [i for i in range(len(xs)) if i not in firsts]
+    monkeypatch.setattr(recipes_module, "Random", _no_sampling)
+    rng = Random(29)
+    verdicts = Counter()
+    for n in range(4, len(affine) + 1):
+        for m in range(3, n):
+            try:
+                genus2_mds_search(X31, n, m)
+            except BudgetExceeded:
+                verdicts["budget"] += 1
+                continue
+            except NotFound:
+                refuted_at_once = True
+            except DrewASample:
+                refuted_at_once = False
+            assert refuted_at_once == _abscissa_test_refutes(xs, spread[:n], m), (n, m)
+            if refuted_at_once:
+                for _ in range(30):
+                    sample = rng.sample(range(len(affine)), n)
+                    assert _abscissa_test_refutes(xs, sample, m), (n, m, sample)
+            verdicts[refuted_at_once] += 1
+    assert verdicts[True] and verdicts[False] and verdicts["budget"]
 
 
 def test_genus2_hunt_builds_and_checks_only_the_winner(monkeypatch):
