@@ -147,18 +147,6 @@ def make_entry(
     return replace(entry, id=content_id(entry.to_json_dict()))
 
 
-def _interned(matrix):
-    """The matrix with its element texts interned, so that loaded entries
-    share them with each other and with freshly built ones; a matrix that
-    is not rows of texts is returned as it is."""
-    try:
-        if type(matrix) is list and all(type(row) is list for row in matrix):
-            return [list(map(sys.intern, row)) for row in matrix]
-    except TypeError:  # an element that is not text
-        pass
-    return matrix
-
-
 def _parse_line(raw: bytes, lineno: int) -> CatalogEntry | None:
     """The entry on one catalog line; None for a blank line, and None with
     a warning for a corrupt one (bad UTF-8, bad JSON, a missing field, a
@@ -182,7 +170,7 @@ def _parse_line(raw: bytes, lineno: int) -> CatalogEntry | None:
             m=doc.get("m"),
             report=doc.get("report", {}),
             points=doc.get("points"),
-            matrix=_interned(doc["matrix"]),
+            matrix=doc["matrix"],
             created=doc.get("created"),
         )
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -114,13 +114,13 @@ def build_code(
     g = curve.genus
     if not (2 * g - 2 < m < n):
         raise DegreeOutOfRange(f"need {2 * g - 2} < m < n ({m=}, {n=})")
-    if len(set(pts)) != n:
-        raise DuplicatePoints("evaluation points must be distinct")
-    F = curve.field
     for p in pts:
         curve._require_on(p)
         if not p:
             raise InfinityEvaluation("evaluation points must be affine")
+    if len(set(pts)) != n:
+        raise DuplicatePoints("evaluation points must be distinct")
+    F = curve.field
     basis = rr_basis(curve, m)
     rows = [
         [evaluate_monomial(F, mono, p) for p in pts] for mono in basis.monomials

@@ -17,12 +17,13 @@ the classification tables of attainable orders and group shapes over F_q
 (cross-checked empirically by the test suite).
 
 Enumeration reduces to x alone: at x the model is y^2 + b*y = c.  A genus-1
-curve solves it from the log tables: in characteristic 2 with the
-Artin-Schreier table (an ordinary curve in u = b = a1*x + a3, where
-y = u*z and z^2 + z = c/u^2 is a Laurent polynomial in u with per-curve
-coefficients, so each abscissa takes one log), in odd characteristic by
-completing the square and reading squares off the parity of the log.  The
-group law is read on the log tables too, bound once per curve.
+curve solves it from the log tables: an ordinary curve in characteristic 2
+in u = b = a1*x + a3 with the Artin-Schreier table (y = u*z, and
+z^2 + z = c/u^2 is a Laurent polynomial in u with per-curve coefficients, so
+each abscissa takes one log), an odd-characteristic curve by completing the
+square and reading squares off the parity of the log.  The other curves
+(a1 = 0 in characteristic 2, and genus 2) use FieldSpec.solve_quadratic.
+The group law is read on the log tables too, bound once per curve.
 
 A point is a plain tuple, (x, y) or () for the point at infinity
 (INFINITY), so tuple order is point order, `not P` tests for infinity and
@@ -151,10 +152,11 @@ class Curve:
             raise TooLarge(f"{what} over q={self.field.q} exceeds cap {MAX_GENUS2_ORDER}")
 
     def _char2_points(self):
-        """The affine points of a genus-1 curve in characteristic 2, in order: at x,
-        y^2 + b*y = c with b = a1*x + a3 and c = ((x + a2)*x + a4)*x + a6 has the root
-        sqrt(c) if b = 0, else b*z, b*z + b for z^2 + z = c/b^2, where z is read from
-        the field's Artin-Schreier list (None: no root).
+        """The affine points of an ordinary genus-1 curve in characteristic 2, in
+        order: at x, y^2 + b*y = c with b = a1*x + a3 and
+        c = ((x + a2)*x + a4)*x + a6 has the root sqrt(c) if b = 0, else b*z, b*z + b
+        for z^2 + z = c/b^2, where z is read from the field's Artin-Schreier list
+        (None: no root).
 
         An ordinary curve (a1 != 0) is read in u = b: x = e*u + f with e = 1/a1 and
         f = a3/a1, so c/u^2 = alpha3*u + alpha2 + alpha1/u + alpha0/u^2 with the
@@ -166,29 +168,10 @@ class Curve:
         length 2(q - 1), so it takes every index in [-2(q - 1), 2(q - 1)) as it
         stands, and each index lies there: log alpha3 + lu and lu + log z in
         [0, 2(q - 1)), log alpha1 - lu in (-(q - 1), q - 1) and log alpha0 - 2*lu in
-        (-2(q - 1), q - 1).  A supersingular curve (a1 = 0, b = a3) evaluates c by
-        Horner's rule at each x."""
+        (-2(q - 1), q - 1)."""
         F = self.field
         exp, log, as_tab = F._exp, F._log, F._as_tab
         a1, a3, a2, a4, a6 = self.coeffs
-        if a1 == 0:
-            lb2 = 2 * log[a3]
-            for x in range(F.q):
-                lx = log[x]
-                t = exp[log[x ^ a2] + lx] ^ a4 if x and x != a2 else a4
-                c = exp[log[t] + lx] ^ a6 if x and t else a6
-                if a3 == 0:
-                    yield x, F.frobenius_sqrt(c)
-                    continue
-                z = as_tab[exp[log[c] - lb2]] if c else 0
-                if z is not None:
-                    y = exp[log[a3] + log[z]] if z else 0
-                    y1 = y ^ a3
-                    if y1 < y:
-                        y, y1 = y1, y
-                    yield x, y
-                    yield x, y1
-            return
         order = F.q - 1
         le = -log[a1] % order
         lf = (le + log[a3]) % order if a3 else -1
@@ -284,8 +267,11 @@ class Curve:
         return self._points
 
     def _affine_points(self):
-        if self.genus == 1:
-            return self._char2_points() if self.field.p == 2 else self._odd_points()
+        if self.genus == 1 and self.field.p != 2:
+            return self._odd_points()
+        if self.genus == 1 and self.coeffs[0]:
+            return self._char2_points()
+        # genus 2 and supersingular characteristic-2 curves (a1 = 0)
         solve, rhs = self.field.solve_quadratic, self._rhs_quadratic
         # x rises, so only each x's roots need sorting
         return ((x, y) for x in range(self.field.q) for y in sorted(solve(*rhs(x))))
@@ -597,7 +583,7 @@ class PointLabels:
     def of(self, pt: tuple) -> tuple[int, int]:
         try:
             return self._label[pt]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable non-pair
             text = _given_point_text(self.field, pt)
             raise PointNotOnCurve(f"{text} is not a rational point of the curve") from None
 

@@ -499,11 +499,12 @@ class FieldSpec:
             coeffs = [_parse_int(t) for t in text[1:-1].split(",")] if text != "[]" else []
             if len(coeffs) > self.s:
                 raise DegreeMismatch(f"too many coefficients in {text!r}")
+            for c in coeffs:
+                if not 0 <= c < self.p:
+                    raise DegreeMismatch(f"digit {c} outside [0, {self.p}) in {text!r}")
             coeffs += [0] * (self.s - len(coeffs))
             return self.encode(coeffs)
         code = _parse_int(text)
-        if self.s == 1:
-            return code % self.p
         if not 0 <= code < self.q:
             raise DegreeMismatch(f"code {code} outside [0, {self.q})")
         return code

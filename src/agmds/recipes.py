@@ -594,12 +594,11 @@ def genus2_mds_search(
     is built from that sample, not by build_code.  No sample needs
     build_code's checks: its points are distinct affine rational points,
     2 < m < n holds, and its generator has full rank because a nonzero
-    function of L(m*P0) has at most m < n zeros.  Two exact tests skip the
+    function of L(m*P0) has at most m < n zeros.  An exact test skips the
     certificate: a sample with k of its points over some m // 2 abscissas
     is refuted by the product of (x - a) over them, a function of L(m*P0);
-    and a sample the certificate already refuted in this search is not
-    certified again.  Neither changes the attempt count, the draws or the
-    winner.  The minor budget is checked once, before any sample.  The
+    it changes neither the attempt count, the draws nor the winner.  The
+    minor budget is checked once, before any sample.  The
     counting bound m * C(n, m-2) < N is recorded as an advisory flag; the
     search runs either way.  Raises NotFound with the attempt count when
     the budget runs out, and with the same message at once, drawing no
@@ -633,7 +632,6 @@ def genus2_mds_search(
     # abscissa first holds: from k on, the test below refutes every sample.
     if h + min(h, max(0, n - len(set(xs)))) >= k:
         raise NotFound(exhausted)
-    refuted = set()
     rng = Random(seed)
     for attempt in range(1, budget + 1):
         # affine is in (x, y) order, so sorted positions give sorted points
@@ -643,9 +641,6 @@ def genus2_mds_search(
         # abscissas a lies in L(m*P0) and vanishes at every sample point over
         # them: k such points give a codeword of weight <= n - k
         if sum(sorted(Counter(columns(xs)).values(), reverse=True)[:h]) >= k:
-            continue
-        key = tuple(idx)
-        if key in refuted:
             continue
         sample = FFMatrix(F, [columns(row) for row in table], n)
         if _systematic_form_is_mds(sample):
@@ -661,5 +656,4 @@ def genus2_mds_search(
             }
             report = _report_from_distance(code, n - code.k + 1, True)
             return code, report, meta
-        refuted.add(key)
     raise NotFound(exhausted)

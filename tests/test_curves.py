@@ -439,10 +439,12 @@ def test_codes_outside_the_field_are_not_on_the_curve():
             build_code(E, [(x, y), *affine], 2)
 
 
-@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), None], ids=["length-1", "length-3", "none"])
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), None, [0, 1]],
+                         ids=["length-1", "length-3", "none", "list"])
 def test_what_is_not_a_pair_is_not_on_the_curve(bad):
     # only () and (x, y) tuples are points: anything else is named as it
-    # is, never indexed as (x, y), and None is not the point at infinity
+    # is, never indexed as (x, y) or hashed, and None is not the point at
+    # infinity
     curve = "g1:0,0,0,0,1"
     name = f"non-pair {bad!r}"
     assert not E_F5.contains(bad)
@@ -1010,6 +1012,20 @@ def test_find_curve_refutes_before_counting(monkeypatch):
     curve = find_curve_with_order(field_make(2, 6), 57)
     assert curve.text() == "g1:[0,0,0,0,0,0],[0,1,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0]"
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("s, n_points, text, shape", [
+    (6, 57, "g1:[0,0,0,0,0,0],[0,1,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0]", (1, 57)),
+    (6, 73, "g1:[0,0,0,0,0,0],[0,1,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[1,0,0,0,0,0]", (1, 73)),
+    (8, 241, "g1:[0,0,0,0,0,0,0,0],[0,1,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],"
+     "[1,0,0,0,0,0,0,0]", (1, 241)),
+])
+def test_find_curve_with_a_supersingular_count(s, n_points, text, shape):
+    # an even trace over F_2^s is supersingular, so these counts occur only
+    # on a1 = 0 models, which enumerate through solve_quadratic
+    curve = find_curve_with_order(field_make(2, s), n_points)
+    assert curve.text() == text
+    assert group_structure(curve) == shape
 
 
 def test_random_full_model_counts_land_in_table():

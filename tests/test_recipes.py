@@ -889,15 +889,6 @@ def test_genus2_hunt_refutes_samples_by_their_abscissas(monkeypatch):
     assert calls[0] < meta["attempts"]
 
 
-def test_genus2_hunt_certifies_a_refuted_sample_once(monkeypatch):
-    # n is the number of affine points, so every draw is the same sample
-    calls = _counting_certificate(monkeypatch)
-    with pytest.raises(NotFound) as exc:
-        genus2_mds_search(X31, 27, 26)
-    assert str(exc.value) == "no MDS sample within 2000 attempts (bound_ok=False)"
-    assert calls[0] == 1
-
-
 class DrewASample(Exception):
     pass
 
