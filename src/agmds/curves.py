@@ -12,9 +12,11 @@ Two models are supported:
 The module provides point enumeration in (x, y) order, the chord-tangent
 group law from one slope, integer labels for the point group (every group
 question past the labelling is integer arithmetic), group-shape
-computation, subgroup/coset machinery, curve search by point count, and
-the classification tables of attainable orders and group shapes over F_q
-(cross-checked empirically by the test suite).
+computation, subgroup/coset machinery, curve search by point count (one
+verdict per isomorphism class: the ordinary characteristic-2 family is
+walked by its two classes per a6, fixed by Tr(a2), and p >= 5 keys its
+classes), and the classification tables of attainable orders and group
+shapes over F_q (cross-checked empirically by the test suite).
 
 Enumeration reduces to x alone: at x the model is y^2 + b*y = c.  A genus-1
 curve solves it from the log tables: an ordinary curve in characteristic 2
@@ -37,7 +39,7 @@ q + 1 +/- isqrt(4q).
 
 from __future__ import annotations
 
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 from math import gcd, isqrt
 from operator import itemgetter
 from random import Random
@@ -865,11 +867,7 @@ def curve_family(field: FieldSpec):
         for a6 in range(1, q):
             for a2 in range(q):
                 yield Curve(field, 1, (1, 0, a2, 0, a6))
-        for a3 in range(1, q):
-            for a4 in range(q):
-                for a6 in range(q):
-                    coeffs = (0, a3, 0, a4, a6)
-                    yield Curve(field, 1, coeffs)
+        yield from _char2_j0_family(field)
         return
     if field.p == 3:
         for a2 in range(q):
@@ -888,6 +886,15 @@ def curve_family(field: FieldSpec):
         for a6 in range(q):
             if add(a4_term, a6_terms[a6]) != 0:
                 yield Curve(field, 1, (0, 0, 0, a4, a6))
+
+
+def _char2_j0_family(field: FieldSpec):
+    """curve_family's characteristic-2 j = 0 branch, y^2 + a3 y = x^3 + a4 x + a6."""
+    q = field.q
+    for a3 in range(1, q):
+        for a4 in range(q):
+            for a6 in range(q):
+                yield Curve(field, 1, (0, a3, 0, a4, a6))
 
 
 def random_curve(field: FieldSpec, rng: Random) -> Curve:
@@ -916,25 +923,13 @@ def attained_structures(field: FieldSpec) -> set[tuple[int, tuple[int, int]]]:
 _EXHAUSTIVE_FAMILY_CAP = 3000
 
 
-def _char2_class_key(F: FieldSpec, coeffs: tuple):
-    """Isomorphism-class key of a characteristic-2 curve_family tuple.
+def _class_key(F: FieldSpec, coeffs: tuple):
+    """Isomorphism-class key of a curve_family tuple y^2 = x^3 + a4 x + a6
+    over F_q, p >= 5, or None for p = 3 and characteristic 2.
 
-    y^2 + xy = x^3 + a2 x^2 + a6 and the same curve with a2 + z^2 + z are
-    isomorphic under y -> y + zx, so the class is fixed by a6 and the
-    absolute trace Tr(a2); Tr(a2) = 0 iff a2 = z^2 + z for some z.  The
-    a1 = 0 (j = 0) branch gets no key.
-    """
-    a1, _, a2, _, a6 = coeffs
-    if a1 == 0:
-        return None
-    return a6, F._as_tab[a2] is not None
-
-
-def _short_class_key(F: FieldSpec, coeffs: tuple):
-    """Isomorphism-class key of y^2 = x^3 + a4 x + a6 over F_q, p >= 5.
-
-    (a4, a6) and (u^4 a4, u^6 a6) are the isomorphic models.  For
-    a4*a6 != 0 the key is (a4^3 / a6^2, chi(a4*a6)): if both agree, then
+    (a4, a6) and (u^4 a4, u^6 a6) are the isomorphic models (Silverman,
+    The Arithmetic of Elliptic Curves, App. A).  For a4*a6 != 0 the key is
+    (a4^3 / a6^2, chi(a4*a6)): if both agree, then
     nu = (a6'/a6) / (a4'/a4) has nu^2 = a4'/a4, nu^3 = a6'/a6 and
     chi(nu) = chi(a4 a6) chi(a4' a6') = 1, so nu = u^2.  For a4 = 0
     (j = 0) the key is a6 modulo 6th powers, for a6 = 0 (j = 1728) a4
@@ -943,6 +938,8 @@ def _short_class_key(F: FieldSpec, coeffs: tuple):
     generator is a non-square), and the g-th powers are the logs divisible
     by g = gcd(6, q - 1) or gcd(4, q - 1).
     """
+    if F.p <= 3:
+        return None
     a4, a6 = coeffs[3], coeffs[4]
     log, order = F._log, F.q - 1
     if a4 == 0:
@@ -951,20 +948,6 @@ def _short_class_key(F: FieldSpec, coeffs: tuple):
         return "j=1728", log[a4] % gcd(4, order)
     la4, la6 = log[a4], log[a6]
     return (3 * la4 - 2 * la6) % order, (la4 + la6) & 1
-
-
-def _class_key(F: FieldSpec, coeffs: tuple):
-    """A key shared only by isomorphic curve_family tuples, or None for
-    tuples without one (p = 3 and the characteristic-2 a1 = 0 branch).
-
-    Keys follow Silverman, The Arithmetic of Elliptic Curves, App. A, and
-    Menezes, Elliptic Curve Public Key Cryptosystems, ch. 3.
-    """
-    if F.p == 2:
-        return _char2_class_key(F, coeffs)
-    if F.p > 3:
-        return _short_class_key(F, coeffs)
-    return None
 
 
 _REFUTING_POINTS = 3
@@ -982,6 +965,32 @@ def _refutes_count(curve: Curve, n_points: int) -> bool:
     return any(
         curve._scalar_xy(n_points, P) for P in islice(firsts, _REFUTING_POINTS)
     )
+
+
+def _ordinary_char2_matches(field: FieldSpec, matches):
+    """_matching_curves on the ordinary characteristic-2 family
+    y^2 + xy = x^3 + a2 x^2 + a6, one a6 block at a time.
+
+    a2 and a2 + z^2 + z give isomorphic curves (y -> y + zx), so a block
+    holds two classes, told apart by the absolute trace Tr(a2), which is 0
+    iff a2 = z^2 + z for some z (Menezes, Elliptic Curve Public Key
+    Cryptosystems, ch. 3).  Each class is decided on its first tuple,
+    a2 = 0 or t1 (the least code of trace 1), the latter only after the
+    yields below t1.  A block where neither matches builds no other curve;
+    otherwise each a2 yields the first curve of its class if that matched.
+    """
+    q, as_tab = field.q, field._as_tab
+    t1 = as_tab.index(None)
+    traces = [as_tab[a2] is None for a2 in range(t1, q)]
+    for a6 in range(1, q):
+        first = Curve(field, 1, (1, 0, 0, 0, a6))
+        first = first if matches(first) else None
+        if first is not None:
+            yield from repeat(first, t1)  # every a2 below t1 has trace 0
+        second = Curve(field, 1, (1, 0, t1, 0, a6))
+        firsts = first, (second if matches(second) else None)
+        if firsts != (None, None):
+            yield from (firsts[t] for t in traces if firsts[t] is not None)
 
 
 def _matching_curves(
@@ -1002,9 +1011,10 @@ def _matching_curves(
     point_count and, for a shape, group_structure.  Fields of order at
     most family_cap walk curve_family in its deterministic order.
     Isomorphic curves share point count and shape, so the verdict is
-    computed once per isomorphism-class key (_class_key), and each
-    matching tuple yields its class's first curve: one object, which
-    keeps what it has computed.  Tuples without a key (p = 3 and the
+    computed once per class (_ordinary_char2_matches walks the ordinary
+    characteristic-2 family by class, _class_key keys it for p >= 5), and
+    each matching tuple yields its class's first curve: one object, which
+    keeps what it has computed.  The other tuples (p = 3 and the
     characteristic-2 j = 0 branch) are decided one by one and stand for
     themselves.  The walk yields once for each tuple, in the order, that
     counting every tuple would match.  Larger fields draw `draws` seeded
@@ -1019,8 +1029,12 @@ def _matching_curves(
         )
 
     if field.q <= family_cap:
+        family = curve_family(field)
+        if field.p == 2:
+            yield from _ordinary_char2_matches(field, matches)
+            family = _char2_j0_family(field)
         firsts: dict = {}  # class key -> the class's first curve, or None if it fails
-        for curve in curve_family(field):
+        for curve in family:
             key = _class_key(field, curve.coeffs)
             first = firsts.get(key, curve)
             if first is curve:
@@ -1051,12 +1065,13 @@ def find_curve_with_order(
     (and the requested (d1, d2) shape, if given).
 
     The family is scanned exhaustively in deterministic order when the
-    field is small, deciding each isomorphism class once (see
-    _matching_curves), so the curve is its class's first model; above
-    the cap, seeded random five-coefficient models are drawn until the
-    budget runs out.  Either way a candidate is first refuted by
-    [n_points]P != O at a few of its points, and only a survivor's points
-    are counted.
+    field is small, deciding each isomorphism class once (each a6 of the
+    ordinary characteristic-2 family builds two curves when neither of its
+    classes matches; see _matching_curves), so the curve is its class's
+    first model; above the cap, seeded random five-coefficient models are
+    drawn until the budget runs out.  Either way a candidate is first
+    refuted by [n_points]P != O at a few of its points, and only a
+    survivor's points are counted.
     """
     lo, hi = hasse_window(field.q)
     if not lo <= n_points <= hi:

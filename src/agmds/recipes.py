@@ -23,7 +23,6 @@ the genus-2 hunt takes a budget (its sample count).
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, islice
 from math import comb, gcd, isqrt
 from operator import itemgetter
@@ -639,8 +638,9 @@ def genus2_mds_search(
         columns = itemgetter(*idx)
         # x has pole order 2 at P0, so the product of (x - a) over any h
         # abscissas a lies in L(m*P0) and vanishes at every sample point over
-        # them: k such points give a codeword of weight <= n - k
-        if sum(sorted(Counter(columns(xs)).values(), reverse=True)[:h]) >= k:
+        # them: k such points give a codeword of weight <= n - k.  With d
+        # abscissas doubled, the h fullest hold h + min(h, d) >= k iff d >= k - h.
+        if n - len(set(columns(xs))) >= k - h:
             continue
         sample = FFMatrix(F, [columns(row) for row in table], n)
         if _systematic_form_is_mds(sample):

@@ -271,6 +271,24 @@ def test_char2_enumeration_matches_the_quadratic_oracle_over_f_2_16(seed):
     assert_enumeration(random_curve(F, random.Random(seed)).coeffs, F)
 
 
+def test_j0_char2_enumeration_matches_the_membership_oracle():
+    # a1 = 0 models solve each quadratic with FieldSpec.solve_quadratic, as
+    # quadratic_points does; brute_affine_points asks contains at every
+    # (x, y) and solves none.  a3 = 0 models are singular.
+    models = [(F, c.coeffs) for F in (field_make(2, s) for s in (1, 2, 3))
+              for c in curve_family(F) if c.coeffs[0] == 0]
+    rng = random.Random(17)
+    for F in (F16, field_make(2, 5), field_make(2, 6)):
+        for i in range(8):
+            a3, a2, a4, a6 = (rng.randrange(F.q) for _ in range(4))
+            models.append((F, (0, 0 if i % 3 == 0 else a3, a2, a4, a6)))
+    assert sum(coeffs[1] == 0 for _, coeffs in models) >= 9
+    for F, coeffs in models:
+        expected = (INFINITY, *brute_affine_points(Curve(F, 1, coeffs)))
+        assert Curve(F, 1, coeffs).point_count() == len(expected), coeffs
+        assert Curve(F, 1, coeffs).points() == expected, coeffs
+
+
 def planted_model(F, rng, vanishing):
     """A model with a1 != 0 and a3 != 0 whose coefficients in u = a1*x + a3
     named in `vanishing` are zero at f = a3/a1: alpha2 = e^2*(f + a2) by
@@ -853,6 +871,27 @@ KEY_FIELDS = [field_make(p, s) for p, s in
               ((5, 1), (7, 1), (2, 3), (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (5, 2))]
 
 
+def class_key(F, coeffs):
+    """Isomorphism-class key of a curve_family tuple: _class_key for
+    p >= 5 (None for p = 3), and in characteristic 2 the oracle below.
+
+    y^2 + xy = x^3 + a2 x^2 + a6 and the same curve with a2 + z^2 + z are
+    isomorphic under y -> y + zx, so the class is fixed by a6 and the
+    absolute trace Tr(a2); Tr(a2) = 0 iff a2 = z^2 + z for some z.  The
+    a1 = 0 (j = 0) branch gets no key.
+    """
+    if F.p != 2:
+        return _class_key(F, coeffs)
+    a1, _, a2, _, a6 = coeffs
+    if a1 == 0:
+        return None
+    trace, power = 0, a2  # Tr(a2) = a2 + a2^2 + ... + a2^(2^(s-1))
+    for _ in range(F.s):
+        trace, power = F.add(trace, power), F.mul(power, power)
+    assert trace in (0, 1)
+    return a6, trace
+
+
 def class_count(F):
     """Number of isomorphism classes the keyed tuples fall into: the
     characteristic-2 ordinary branch has 2(q-1) (a6, Tr(a2)) classes; for
@@ -868,7 +907,7 @@ def class_count(F):
 def test_class_keys_are_sound_and_exact(F):
     invariants = {}
     for c in curve_family(F):
-        key = _class_key(F, c.coeffs)
+        key = class_key(F, c.coeffs)
         assert (key is None) == (F.p == 2 and c.coeffs[0] == 0), c.text()
         if key is not None:
             inv = (c.point_count(), group_structure(c))
@@ -883,11 +922,11 @@ def test_characteristic_3_gets_no_class_key():
 
 def assert_walk_yields_class_firsts(F, walked, oracle):
     """The walk yields, position by position, the first oracle curve of each
-    oracle curve's class (by _class_key; a curve without a key stands for
+    oracle curve's class (by class_key; a curve without a key stands for
     itself), and every later position of a class is the very object its
     first position yielded."""
     firsts = {}
-    expected = [c if (key := _class_key(F, c.coeffs)) is None else firsts.setdefault(key, c)
+    expected = [c if (key := class_key(F, c.coeffs)) is None else firsts.setdefault(key, c)
                 for c in oracle]
     assert walked == expected
     first_at = {}
@@ -931,13 +970,13 @@ def test_keyed_walk_counts_each_class_once(F, monkeypatch):
     point_count, refutes = Curve.point_count, curves_module._refutes_count
 
     def counting(curve):
-        counted.append(_class_key(F, curve.coeffs))
+        counted.append(class_key(F, curve.coeffs))
         return point_count(curve)
 
     def refuting(curve, n_points):
         hit = refutes(curve, n_points)
         if hit:
-            refuted.append(_class_key(F, curve.coeffs))
+            refuted.append(class_key(F, curve.coeffs))
         return hit
 
     monkeypatch.setattr(Curve, "point_count", counting)
@@ -949,6 +988,35 @@ def test_keyed_walk_counts_each_class_once(F, monkeypatch):
     assert len(counted_keys) == len(set(counted_keys))
     decided = counted_keys + refuted_keys
     assert len(decided) == len(set(decided)) == class_count(F)
+
+
+@pytest.mark.parametrize("s, n_points, shape, coeffs", [
+    (8, 264, (1, 264), (1, 0, 0, 0, 13)),
+    (10, 962, None, (1, 0, 128, 0, 314)),
+])
+def test_ordinary_char2_walk_builds_two_curves_per_a6(s, n_points, shape, coeffs, monkeypatch):
+    # Up to the match, the walk builds and decides only the first curve of
+    # each class: a2 = 0 and the least a2 of trace 1, for every a6.
+    F = field_make(2, s)
+    t1 = next(a2 for a2 in range(F.q) if class_key(F, (1, 0, a2, 0, 1))[1])
+    built, decided = [], []
+    init, refutes = Curve.__init__, curves_module._refutes_count
+
+    def building(curve, *args):
+        init(curve, *args)
+        built.append(curve.coeffs)
+
+    def deciding(curve, n):
+        decided.append(curve.coeffs)
+        return refutes(curve, n)
+
+    monkeypatch.setattr(Curve, "__init__", building)
+    monkeypatch.setattr(curves_module, "_refutes_count", deciding)
+    assert find_curve_with_order(F, n_points, shape).coeffs == coeffs
+    firsts = [(1, 0, a2, 0, a6) for a6 in range(1, coeffs[4] + 1) for a2 in (0, t1)]
+    if coeffs[2] == 0:  # a match at a2 = 0 is yielded before t1 is built
+        firsts.pop()
+    assert built == decided == firsts
 
 
 # -- refuting a point count by [N]P != O ---------------------------------------------------

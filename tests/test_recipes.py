@@ -27,7 +27,6 @@ from agmds.code import (
 from agmds.curves import (
     INFINITY,
     Curve,
-    _class_key,
     _matching_curves,
     admissible_curve_orders,
     coset,
@@ -69,6 +68,7 @@ from agmds.recipes import (
     supersingular_code,
     twisted_rs_code,
 )
+from test_curves import class_key  # the test-side isomorphism-class oracle
 
 F5 = field_make(5)
 F19 = field_make(19)
@@ -302,7 +302,7 @@ def _reference_coset_search(
         tried = []  # (curve, its size-n subgroups) for every curve pass 1 labels
         failed = set()  # class keys of those curves, none of which returned
         for curve in islice(curves, _SEARCH_CURVES):
-            key = _class_key(field, curve.coeffs) if keyed else None
+            key = class_key(field, curve.coeffs) if keyed else None
             if key in failed:
                 continue
             subgroups = _subgroups_of_order(curve, n)
@@ -518,7 +518,7 @@ def test_matching_curves_gives_a_class_copy_its_first_curve_shape(spec):
         assert len(walked) == len(tuples)
         firsts, yielded = {}, set()  # class key -> first curve; ids walked so far
         for curve, coeffs in zip(walked, tuples):
-            key = _class_key(field, coeffs)
+            key = class_key(field, coeffs)
             if key in firsts:
                 assert curve is firsts[key]
                 copies += 1
@@ -887,6 +887,21 @@ def test_genus2_hunt_refutes_samples_by_their_abscissas(monkeypatch):
     calls = _counting_certificate(monkeypatch)
     _, _, meta = genus2_mds_search(X31, 9, 6, seed=0)
     assert calls[0] < meta["attempts"]
+
+
+@pytest.mark.parametrize("n, m", [(9, 4), (9, 6), (12, 8)])
+def test_genus2_hunt_certifies_exactly_the_samples_the_abscissa_test_keeps(n, m, monkeypatch):
+    # with a certificate that rejects every sample, the seeded hunt certifies
+    # one sample per draw that the multiplicity oracle does not refute
+    xs = [x for x, _ in X31.affine_points()]
+    budget, calls = 300, []
+    monkeypatch.setattr(recipes_module, "_systematic_form_is_mds", calls.append)
+    with pytest.raises(NotFound):
+        genus2_mds_search(X31, n, m, seed=n + m, budget=budget)
+    rng = Random(n + m)
+    draws = [rng.sample(range(len(xs)), n) for _ in range(budget)]
+    kept = sum(not _abscissa_test_refutes(xs, sample, m) for sample in draws)
+    assert 0 < len(calls) == kept < budget
 
 
 class DrewASample(Exception):
