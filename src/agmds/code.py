@@ -68,7 +68,7 @@ class LinearCode:
     def codewords(self):
         """Iterate all q^k codewords (the zero word included)."""
         F = self.field
-        add, mul = F.add, F.mul
+        add, mul = F.additive()[0], F.mul
         rows = self.gen.data
         for msg in product(range(F.q), repeat=self.k):
             word = [0] * self.n
@@ -272,7 +272,7 @@ def _systematic_form_is_mds(gen: FFMatrix) -> bool:
     # vanishes iff a[j1]/a[j2] == b[j1]/b[j2]: the k rows' ratios, as log
     # differences mod q - 1, must be distinct
     order = F.q - 1
-    add, exp, log = F.add, F._exp, F._log
+    exp, log = F._exp, F._log
     L = [[log[v] for v in row] for row in A]
     for j1, j2 in combinations(cols, 2):
         if len({(row[j1] - row[j2]) % order for row in L}) < k:
@@ -284,7 +284,7 @@ def _systematic_form_is_mds(gen: FFMatrix) -> bool:
     # T[s].  The minors kept are nonzero, so level[rest] holds their logs in
     # combinations(cols, t - 1) order; signed[i] holds the logs of A[i], then
     # of -A[i], which an odd s reads.  A sum of two logs lies in exp's range.
-    half = log[F.neg(1)]
+    half, add = log[F.neg(1)], F.additive()[0]
     signed = [row + [(v + half) % order for v in row] for row in L]
     level = {(i,): row for i, row in enumerate(L)}
     for t in range(2, min(k, r) + 1):
@@ -447,7 +447,7 @@ def _full_weight_vector(F: FieldSpec, basis: FFMatrix, seed: int):
         if all(row):
             return list(row)
     rng = Random(seed)
-    add, mul = F.add, F.mul
+    add, mul = F.additive()[0], F.mul
     n = basis.cols
     for _ in range(_FULL_WEIGHT_DRAWS):
         coeffs = [rng.randrange(F.q) for _ in range(basis.rows)]

@@ -317,7 +317,8 @@ class Curve:
         and lam is the one quotient (Silverman, AEC, III.2.3).
 
         Products and quotients are read on the log tables and sums go through
-        F.add and F.sub; a term whose factor is zero is skipped (log 0 is -1),
+        F.additive(): the XOR builtin in characteristic 2, F.add and F.sub
+        otherwise.  A term whose factor is zero is skipped (log 0 is -1),
         which drops the a1, a2 and a3 terms of short models and the constants
         2 and 3 in characteristic 2 and 3.  The doubled exp table takes every
         index in [-2(q - 1), 2(q - 1)): a sum of two logs, a log difference
@@ -327,7 +328,7 @@ class Curve:
         if self._law is not None:
             return self._law
         F = self.field
-        exp, log, add, sub = F._exp, F._log, F.add, F.sub
+        exp, log, (add, sub) = F._exp, F._log, F.additive()
         order = F.q - 1
         a1, a3, a2, a4, _ = self.coeffs
         two, three = F.from_int(2), F.from_int(3)

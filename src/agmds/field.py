@@ -29,6 +29,7 @@ extension element as a bracketed little-endian coefficient list such as
 from __future__ import annotations
 
 import sys
+from operator import xor
 
 from .errors import (
     CharNotTwo,
@@ -347,6 +348,11 @@ class FieldSpec:
         self._log = log
 
     # -- arithmetic on codes ------------------------------------------------------
+
+    def additive(self) -> tuple:
+        """(add, sub) for a loop to bind: the XOR builtin in characteristic 2,
+        where both are a ^ b (on F_2 too, as (a + b) % 2), else the methods."""
+        return (xor, xor) if self.p == 2 else (self.add, self.sub)
 
     def add(self, a: int, b: int) -> int:
         if self.s == 1:

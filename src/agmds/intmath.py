@@ -6,6 +6,8 @@ plenty and keeps the routines obviously correct.
 
 from __future__ import annotations
 
+from functools import cache
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -43,8 +45,9 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def prime_factors(n: int) -> list[int]:
-    return sorted(factorint(n))
+@cache
+def prime_factors(n: int) -> tuple[int, ...]:
+    return tuple(sorted(factorint(n)))
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

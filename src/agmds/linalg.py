@@ -8,7 +8,9 @@ same steps and stops at the first of its first k columns without a pivot.
 The only other elimination is has_full_column_rank_square, the slow MDS
 oracle's early-exit test of one square minor.  Each keeps the pivot row's
 entries as discrete logs and updates a row entry by one lookup in the
-field's exp table and one subtraction, on every field kind.
+field's exp table and one subtraction: inline mod p where rref_rank works
+over a prime field, else the XOR builtin in characteristic 2
+(FieldSpec.additive) and F.sub in odd characteristic.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class FFMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         F = self.field
-        add, mul = F.add, F.mul
+        add, mul = F.additive()[0], F.mul
         ot = other.transpose().data
         out = []
         for row in self.data:
@@ -119,10 +121,12 @@ def _gauss_jordan(M: FFMatrix, systematic: bool):
     pivot row is zero left of its pivot, so an elimination reads only its
     nonzero entries right of it, as discrete logs: a row update is one
     exp-table lookup and one subtraction, inline over a prime field, where
-    a call to sub costs more than the arithmetic."""
+    a call to sub costs more than the arithmetic, and otherwise the sub of
+    F.additive(), which is the XOR builtin in characteristic 2."""
     F = M.field
-    sub, exp, log = F.sub, F._exp, F._log
+    exp, log = F._exp, F._log
     p = F.p if F.s == 1 else 0
+    sub = None if p else F.additive()[1]
     R = [row[:] for row in M.data]
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
@@ -185,7 +189,8 @@ def has_full_column_rank_square(field: FieldSpec, cols_data: list[list[int]]) ->
     """
     k = len(cols_data)
     R = [list(col) for col in cols_data]  # work on the transpose; rank is equal
-    mul, sub, inv, exp, log = field.mul, field.sub, field.inv, field._exp, field._log
+    mul, inv, exp, log = field.mul, field.inv, field._exp, field._log
+    sub = field.additive()[1]
     for c in range(k):
         pr = None
         for i in range(c, k):

@@ -39,6 +39,7 @@ from agmds.curves import (
     subgroup_closure,
 )
 from agmds.intmath import factorint
+from agmds.linalg import FFMatrix, rank
 from agmds.errors import (
     BadModel,
     MalformedText,
@@ -609,7 +610,7 @@ def scalar_oracle(curve, k, P):
 
 GROUP_LAW_FIELDS = [field_make(p, s) for p, s in (
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
-    (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (5, 3), (7, 3),
+    (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (5, 3), (7, 3), (2, 8),
 )]
 
 
@@ -632,6 +633,35 @@ def test_group_law_matches_the_two_intercept_oracle(F):
         for P in scaled:
             for k in (-5, -1, 0, 1, 2, 7, len(pts)):
                 assert c._scalar_xy(k, P) == scalar_oracle(c, k, P), (c.text(), k, P)
+
+
+def test_char2_law_and_rank_call_no_add_or_sub_method(monkeypatch):
+    # characteristic-2 hot loops bind the XOR builtin (FieldSpec.additive);
+    # counters on the class methods, as perfbench's tracer installs them,
+    # must see no call once the law and the elimination are bound
+    calls = {"add": 0, "sub": 0}
+
+    def counted(name):
+        method = getattr(FieldSpec, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(FieldSpec, name, counted(name))
+    F = field_make(2, 8)
+    rng = random.Random(8)
+    M = FFMatrix(F, [[rng.randrange(F.q) for _ in range(40)] for _ in range(20)])
+    assert rank(M) == 20 and calls == {"add": 0, "sub": 0}
+    c = random_curve(F, rng)
+    P = rng.choice(c.points()[1:])
+    assert c._scalar_xy(97, P) == scalar_oracle(c, 97, P)  # the oracle calls the methods
+    calls.update(add=0, sub=0)
+    c._scalar_xy(97, P)
+    assert calls == {"add": 0, "sub": 0}
 
 
 # -- group structure ---------------------------------------------------------------------

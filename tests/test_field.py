@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from agmds import field_make, parse_field_text
 from agmds.field import FieldSpec, _poly_mul_mod
-from agmds.intmath import prime_factors
+from agmds.intmath import factorint, prime_factors
 from agmds.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -390,3 +390,10 @@ def test_odd_extension_tables_equal_the_polynomial_product_walk(p, s):
     assert F._log == log
     zech = [log[digit_add(F, 1, v)] for v in exp]
     assert F._zech == zech + zech
+
+
+def test_prime_factors_is_a_tuple_of_the_sorted_factorint_primes():
+    # the result is cached, so it must be immutable
+    for n in range(1, 5001):
+        factors = prime_factors(n)
+        assert isinstance(factors, tuple) and factors == tuple(sorted(factorint(n))), n

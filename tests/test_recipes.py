@@ -31,8 +31,10 @@ from agmds.curves import (
     admissible_curve_orders,
     coset,
     curve_family,
+    find_curve_with_order,
     group_structure,
     parse_curve_text,
+    point_labels,
     subgroup_closure,
 )
 from agmds.errors import (
@@ -55,6 +57,7 @@ from agmds.recipes import (
     _coset_result,
     _group_sum,
     _mds_cosets,
+    _meets_only_at_identity,
     _subgroups_of_order,
     admissible_pipeline_traces,
     coprime_split_code,
@@ -171,6 +174,22 @@ def test_subgroups_of_order_match_pairwise_closure_oracle():
                     assert _subgroups_of_order(curve, order) == expected
     # several subgroups of one order occur only in non-cyclic groups
     assert sum(d1 > 1 for d1, _ in shapes) >= 5
+
+
+@pytest.mark.parametrize("p, s, shape", [(2, 8, (3, 96)), (5, 3, (1, 110))])
+def test_meets_only_at_identity_equals_span_intersection(p, s, shape):
+    n_points = shape[0] * shape[1]
+    curve = find_curve_with_order(field_make(p, s), n_points, shape=shape)
+    labels = point_labels(curve)
+    spans = {b: labels.span([b]) for b in map(labels.of, curve.points())}
+    for n in range(1, n_points + 1):
+        if n_points % n:
+            continue
+        for subgroup in _subgroups_of_order(curve, n):
+            sub_set = set(map(labels.of, subgroup))
+            for b, span in spans.items():
+                expected = span & sub_set == {(0, 0)}
+                assert _meets_only_at_identity(labels, b, sub_set) == expected, (n, b)
 
 
 def test_coset_code_multi_coset():
