@@ -713,12 +713,14 @@ def _closure(add, zero, generators, size: int = 0) -> set:
     size, generators stop being drawn once the span has that many elements.
 
     Joining g to a subgroup H adds the cosets H + k*g for k below the
-    first k with k*g in H.
+    first k with k*g in H; a g already in H adds none and is skipped.
     """
     span = {zero}
     for g in generators:
         if len(span) == size:
             break
+        if g in span:
+            continue
         grown = set(span)
         step = g
         while step not in span:

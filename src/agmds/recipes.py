@@ -1,24 +1,27 @@
 """End-to-end code constructions.
 
 Each recipe locates (or accepts) a curve, picks evaluation points, builds
-the code and certifies it MDS exactly once: by the subset-sum DP on the
-point labels for elliptic codes (their exact MDS condition, so it runs
-even when a sufficient condition already holds), by the same DP on the
+the code and certifies it MDS with one certificate: the subset-sum DP on
+the point labels for elliptic codes (their exact MDS condition, so it runs
+even when a sufficient condition already holds), the same DP on the
 discrete logs of the evaluation elements for twisted evaluation codes
-(their product criterion), by the minors of the systematic form [I | A]
+(their product criterion), the minors of the systematic form [I | A]
 on genus 2.  The report takes d = n - k + 1 from that verdict (d = n - k
 for a twisted code that fails it).  Polynomial-code baselines live here
 too; a plain RS code is MDS by the Vandermonde theorem and needs no
 certificate.
 
 The elliptic recipes share one group representation, the point labels of
-curves.point_labels: subgroups are spans of labels, a coset b + S is S
-shifted by b's label, and one scan (_mds_cosets) walks the cosets of a
-subgroup for search_coset_code and supersingular_code.  search_coset_code
-walks its curves once and ranks each group shape once, on the first curve
-of that shape: whether a coset code exists is a property of the group,
-not of the curve.  Step budgets are code.DEFAULT_BUDGET throughout; only
-the genus-2 hunt takes a budget (its sample count).
+curves.point_labels: subgroups are spans of labels, and a coset b + S is S
+shifted by b's label.  coset_code is the one constructor of elliptic coset
+codes and the DP its one verdict; search_coset_code and supersingular_code
+end in it.  One scan (_mds_cosets) walks the cosets of a subgroup for
+them; it only selects which coset is returned, so a coset its DP filter
+passed is certified again by coset_code.  search_coset_code walks its
+curves once and ranks each group shape once, on the first curve of that
+shape: whether a coset code exists is a property of the group, not of the
+curve.  Step budgets are code.DEFAULT_BUDGET throughout; only the genus-2
+hunt takes a budget (its sample count).
 """
 
 from __future__ import annotations
@@ -79,21 +82,9 @@ def _group_sum(curve: Curve, points) -> tuple:
     return labels.point(acc)
 
 
-def _certified_coset_code(
-    curve: Curve, eval_points, m: int, provenance: dict
-) -> tuple[LinearCode, CodeReport]:
-    """The degree-m coset code on points that passed the group-sum
-    certificate, with its report; the certificate has fixed d = n - m + 1."""
-    provenance = {"construction": "coset", "curve": curve.text(), "m": m, **provenance}
-    code = build_code(curve, eval_points, m, provenance)
-    return code, _report_from_distance(code, code.n - m + 1, True)
-
-
 def _coset_result(curve: Curve, subgroup, b: tuple, points, m: int):
-    """The certified degree-m code on the coset b + subgroup, its report and meta."""
-    code, report = _certified_coset_code(
-        curve, points, m, {"subgroup_order": len(subgroup), "cosets": 1}
-    )
+    """coset_code's degree-m code on the coset b + subgroup, its report and meta."""
+    code, report = coset_code(curve, subgroup, [b], m)
     meta = {"curve": curve, "group": group_structure(curve), "N": len(curve.points()),
             "subgroup": subgroup, "rep": b, "points": points}
     return code, report, meta
@@ -103,16 +94,13 @@ def coset_code(
     curve: Curve, subgroup_generators, coset_reps, m: int
 ) -> tuple[LinearCode, CodeReport]:
     """Code on a coset b + S (or a disjoint union of cosets) of a subgroup
-    S, with divisor m * P0.
+    S, with divisor m * P0: the one constructor of elliptic coset codes.
 
-    Single coset: requires <b> to meet S only at the identity and
-    m <= order(b) - 1, which guarantees the MDS property (every m-subset
-    sums to m*b plus an element of S, and m*b stays outside S).
-    Multiple cosets: the union must be disjoint, and the exact group-sum
-    certificate decides.
+    The union must be disjoint, and the exact group-sum certificate is the
+    one verdict: NotMDS when some m of the points sum to the identity.
     Subgroup, cosets and sums are all taken on the point labels; two
     cosets are equal or disjoint, so the union is disjoint iff it has
-    len(reps) * |S| labels.
+    len(reps) * |S| labels.  The certificate fixes d = n - m + 1.
     """
     if not coset_reps:
         raise RangeViolation("need at least one coset representative")
@@ -120,27 +108,15 @@ def coset_code(
     sub_set = labels.span(map(labels.of, subgroup_generators))
     reps = [labels.of(b) for b in coset_reps]
     union = {labels.add(r, s) for r in reps for s in sub_set}
-    provenance = {"subgroup_order": len(sub_set), "cosets": len(reps)}
-    if len(reps) == 1:
-        # A rep inside S makes the "coset" the subgroup itself: the
-        # sufficient condition cannot apply and the certificate decides alone.
-        if reps[0] not in sub_set:
-            order_b = labels.order(reps[0])
-            if not _meets_only_at_identity(labels, reps[0], sub_set):
-                raise PreconditionFailed(
-                    "the cyclic group of the coset representative meets the "
-                    "subgroup beyond the identity"
-                )
-            if m > order_b - 1:
-                raise PreconditionFailed(
-                    f"m must be at most order(b) - 1 = {order_b - 1}, got {m}"
-                )
-    elif len(union) != len(reps) * len(sub_set):
+    if len(union) != len(reps) * len(sub_set):
         raise PreconditionFailed("cosets are not pairwise disjoint")
     points = labels.sorted_points(union)
     if not is_mds_by_group_sums(curve, points, m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
-    return _certified_coset_code(curve, points, m, provenance)
+    provenance = {"construction": "coset", "curve": curve.text(), "m": m,
+                  "subgroup_order": len(sub_set), "cosets": len(reps)}
+    code = build_code(curve, points, m, provenance)
+    return code, _report_from_distance(code, code.n - m + 1, True)
 
 
 def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
@@ -172,10 +148,10 @@ def search_coset_code(
     """Find a curve with the given point count and a size-n coset whose
     degree-m code is MDS.
 
-    Candidates satisfying the cyclic-intersection precondition are tried
-    first; cosets whose full point sum is nonzero are preferred when
-    2m = n (that keeps the Schur dimension at its generic value 2m).  The
-    group-sum certificate decides every candidate and is the code's only MDS
+    Cosets from independent reps (_mds_cosets) are tried first; cosets
+    whose full point sum is nonzero are preferred when 2m = n (that keeps
+    the Schur dimension at its generic value 2m).  The winner is built and
+    certified by coset_code, whose group-sum DP is the code's only MDS
     certificate.
 
     The curves are walked once, at most _SEARCH_CURVES of them, and each
@@ -246,9 +222,11 @@ def _mds_cosets(curve: Curve, subgroup, m: int, independent_only: bool):
     (given by its points) on which no m points sum to the identity.
 
     Reps b are walked in sorted point order and each coset is tried once,
-    from its first rep; with independent_only, only reps b with order(b) > m
-    and <b> meeting S only at the identity are tried (their cosets always
-    pass: every m-subset sums to m*b plus an element of S).
+    from its first rep.  Without independent_only the group-sum DP filters
+    the cosets.  With it, only reps b with order(b) > m and <b> meeting S
+    only at the identity are tried, and their cosets are yielded unchecked:
+    every m-subset sums to m*b plus an element of S, and m*b lies outside S.
+    The scan only selects; coset_code certifies the coset it returns.
     """
     labels = point_labels(curve)
     sub_labels = [labels.of(p) for p in subgroup]
@@ -263,7 +241,7 @@ def _mds_cosets(curve: Curve, subgroup, m: int, independent_only: bool):
         coset_labels = [labels.add(lb, s) for s in sub_labels]
         covered.update(coset_labels)
         points = labels.sorted_points(coset_labels)
-        if is_mds_by_group_sums(curve, points, m):
+        if independent_only or is_mds_by_group_sums(curve, points, m):
             yield b, points
 
 
@@ -625,11 +603,9 @@ def genus2_mds_search(
     positions = range(len(affine))
     xs = [pt[0] for pt in affine]
     h = m // 2
-    # At most two points lie over an abscissa, so an n-sample doubles at
-    # least n - A of the A abscissas and its h fullest hold at least
-    # h + min(h, n - A) points, as many as a sample spread one point per
-    # abscissa first holds: from k on, the test below refutes every sample.
-    if h + min(h, max(0, n - len(set(xs)))) >= k:
+    # At most two points lie over an abscissa, so every n-sample doubles at
+    # least n - A of the A abscissas: the loop's test below then refutes all.
+    if n - len(set(xs)) >= k - h:
         raise NotFound(exhausted)
     rng = Random(seed)
     for attempt in range(1, budget + 1):

@@ -1,6 +1,7 @@
 """End-to-end constructions: coset codes, length recipes, the self-dual
 pipeline, twisted evaluation codes, genus-2 search."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -95,14 +96,18 @@ def test_coset_code_single_coset():
     assert report.is_mds
 
 
-def test_coset_code_preconditions():
+def test_coset_code_takes_any_representative():
+    # <b> of an order-6 rep meets the order-3 subgroup beyond the identity,
+    # and an order-2 rep has order(b) - 1 < m = 2: the DP decides both
     gen3 = _point_of_order(E_F5, 3)
+    code, report = coset_code(E_F5, [gen3], [_point_of_order(E_F5, 6)], 1)
+    assert (report.n, report.k, report.d, report.is_mds) == (3, 1, 3, True)
+    assert is_mds_by_minors(code)
     b = _point_of_order(E_F5, 2)
-    with pytest.raises(PreconditionFailed):
-        coset_code(E_F5, [gen3], [b], 2)  # m > order(b) - 1
-    gen6 = _point_of_order(E_F5, 6)
-    with pytest.raises(PreconditionFailed):
-        coset_code(E_F5, [gen3], [gen6], 2)  # <b> meets the subgroup
+    with pytest.raises(NotMDS):
+        coset_code(E_F5, [gen3], [b], 2)
+    points = coset(E_F5, subgroup_closure(E_F5, [gen3]), b)
+    assert not is_mds_by_minors(build_code(E_F5, points, 2))
 
 
 def test_coset_code_needs_a_coset_representative():
@@ -207,30 +212,17 @@ def test_coset_code_multi_coset():
 
 def coset_code_oracle(curve, generators, reps, m):
     """Oracle: coset_code's evaluation points as point sets, the union of
-    coset() lists with a pairwise-disjointness check; raises what
-    coset_code must raise."""
+    coset() lists with a pairwise-disjointness check, and the DP's verdict
+    on them; raises what coset_code must raise before its verdict."""
     subgroup = subgroup_closure(curve, generators)
-    if len(reps) == 1:
-        b = reps[0]
-        if b in subgroup:
-            points = list(subgroup)
-        else:
-            if set(closure_oracle(curve, [b])) & set(subgroup) != {INFINITY}:
-                raise PreconditionFailed("<b> meets the subgroup")
-            if m > curve.point_order(b) - 1:
-                raise PreconditionFailed("m > order(b) - 1")
-            points = coset(curve, subgroup, b)
-    else:
-        seen = set()
-        for b in reps:
-            cs = set(coset(curve, subgroup, b))
-            if seen & cs:
-                raise PreconditionFailed("cosets are not pairwise disjoint")
-            seen |= cs
-        points = sorted(seen)
-    if not is_mds_by_group_sums(curve, points, m):
-        raise NotMDS("an m-subset sums to the identity")
-    return points
+    seen = set()
+    for b in reps:
+        cs = set(coset(curve, subgroup, b))
+        if seen & cs:
+            raise PreconditionFailed("cosets are not pairwise disjoint")
+        seen |= cs
+    points = sorted(seen)
+    return points, is_mds_by_group_sums(curve, points, m)
 
 
 def _oracle_curves():
@@ -266,15 +258,45 @@ def test_coset_code_matches_point_set_oracle(data):
     reps = [data.draw(st.sampled_from(pts)) for _ in range(n_reps)]
     m = data.draw(st.integers(1, 4))
     try:
-        expected = build_code(curve, coset_code_oracle(curve, gens, reps, m), m).gen
+        points, mds = coset_code_oracle(curve, gens, reps, m)
+        expected = build_code(curve, points, m).gen if mds else None
     except AgmdsError as exc:
         # an empty rep list ends in RangeViolation, never IndexError
         with pytest.raises(AgmdsError) as got:
             coset_code(curve, gens, reps, m)
         assert type(got.value) is type(exc)
         return
-    code, report = coset_code(curve, gens, reps, m)
-    assert code.gen == expected and report.is_mds
+    if mds:
+        code, report = coset_code(curve, gens, reps, m)
+        assert code.gen == expected and report.is_mds
+    else:
+        with pytest.raises(NotMDS):
+            coset_code(curve, gens, reps, m)
+        try:
+            code = build_code(curve, points, m)
+        except AgmdsError:  # m >= n, or the identity among the points
+            return
+    # the DP's verdict against the minors of the code on the same points
+    if comb(code.n, m) <= 3000:
+        assert is_mds_by_minors(code) == mds
+
+
+def test_independent_cosets_pass_the_group_sum_certificate():
+    # The scan yields a coset from an independent rep unchecked: with
+    # order(b) > m and <b> meeting S only at the identity, every m-sum lies
+    # in m*b + S and m*b lies outside S.  Check that on every subgroup.
+    yielded = 0
+    for curve in ORACLE_CURVES:
+        n_points = len(curve.points())
+        for order in range(2, n_points):
+            if n_points % order:
+                continue
+            for subgroup in _subgroups_of_order(curve, order):
+                for m in range(1, order):
+                    for b, points in _mds_cosets(curve, subgroup, m, True):
+                        assert is_mds_by_group_sums(curve, points, m), (curve.text(), b, m)
+                        yielded += 1
+    assert yielded > 1000
 
 
 # -- searched coset codes -----------------------------------------------------------
@@ -404,6 +426,22 @@ def test_search_coset_code_equals_the_two_pass_reference_search():
         assert _search_outcome(field, N, n, m, seed=1) == expected, (field.q, N, n, m)
         outcomes[isinstance(expected, str)] += 1
     assert outcomes[False] and outcomes[True]  # codes and failures both occur
+
+
+def test_coset_recipes_end_in_coset_code():
+    # the searched and supersingular codes are coset_code's code on the
+    # subgroup and rep they report
+    runs = [(supersingular_code(7, 3, 8, 4), 4)]
+    for field, N, n, m in islice(_sweep_cases([(2, 4), (19,), (3, 3)]), 0, None, 5):
+        try:
+            runs.append((search_coset_code(field, N, n, m, seed=1), m))
+        except NoAdmissibleCurve:
+            pass
+    assert len(runs) > 10
+    for (code, report, meta), m in runs:
+        again, again_report = coset_code(meta["curve"], meta["subgroup"], [meta["rep"]], m)
+        assert (code.gen, report) == (again.gen, again_report)
+        assert code.provenance == again.provenance
 
 
 @pytest.mark.parametrize("q, N, n, m", [
@@ -619,6 +657,64 @@ def test_supersingular_counts_and_codes():
     code, report, meta = supersingular_code(7, 2, 4, 2)
     assert meta["N"] == 64 and (report.n, report.k, report.d) == (4, 2, 3)
     assert report.is_mds
+
+
+# Seeded inputs of each coset recipe, successes and failures alike; the
+# sha256 of their outcomes pins every generator, report, curve and point.
+RECIPE_SWEEPS = {
+    "coprime_split_code": (coprime_split_code, [
+        (F, l1, l2, m, seed)
+        for F in (F19, field_make(23)) for l1, l2 in ((4, 5), (5, 4), (3, 8), (3, 7))
+        for m in (2, 3) for seed in (0, 1)
+    ]),
+    "short_length_code": (short_length_code, [
+        (field_make(q), n, m) for q, n, m in ((1297, 6, 3), (2411, 7, 3), (2411, 6, 2))
+    ]),
+    "sqrt_prime_code": (sqrt_prime_code, [
+        (p, m, longer, seed)
+        for p in (11, 13, 19, 29, 31, 37, 43, 53) for m in (2, 3)
+        for longer in (False, True) for seed in (0, 1)
+    ]),
+    "supersingular_code": (supersingular_code, [
+        (p, e, n_sub, k)
+        for p, e in ((5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 1), (11, 2), (11, 3),
+                     (23, 1), (23, 2))
+        for n_sub in range(2, 17) for k in range(1, n_sub)
+    ]),
+    "search_coset_code": (search_coset_code, [
+        (field_make(*spec), N, n, m, seed)
+        for spec, N, n, m in (((19,), 24, 6, 3), ((19,), 24, 8, 4), ((5, 2), 36, 6, 3),
+                              ((2, 4), 20, 10, 4), ((3, 3), 36, 9, 4), ((5, 3), 110, 10, 5))
+        for seed in (0, 1)
+    ]),
+}
+RECIPE_DIGESTS = {
+    "coprime_split_code": "28c9ac7213302a58c286a3638c40501891e2e755345e6fe2fa62587bb36726a4",
+    "short_length_code": "63aad703efd7c0c441cf03518c8d77196bc7d441d3b3d8140ef16ed13aaa057d",
+    "sqrt_prime_code": "a02c1942656b9194e8c6d742789d0ed3493128562df177931d701cb81060149d",
+    "supersingular_code": "31273426c90a8a67f19980900d467aa65ae78721e2e2c3a93dfb6d6afe82efa2",
+    "search_coset_code": "4ce59766ea0652e60ae7c7486a3bf2f121a631fad86db94e110355ac89040403",
+}
+
+
+def _recipe_outcome(recipe, args):
+    """The code, report and meta of one recipe call as JSON-ready lists, or
+    its error's type and message."""
+    try:
+        code, report, meta = recipe(*args)
+    except AgmdsError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [code.gen.data, dataclasses.astuple(report), code.provenance,
+            meta["curve"].text(), meta["group"], meta["N"], meta["subgroup"],
+            meta["rep"], meta["points"]]
+
+
+@pytest.mark.parametrize("name", sorted(RECIPE_SWEEPS))
+def test_coset_recipe_outputs_are_pinned(name):
+    recipe, cases = RECIPE_SWEEPS[name]
+    outcomes = [_recipe_outcome(recipe, args) for args in cases]
+    assert any(not isinstance(out[0], str) for out in outcomes)
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == RECIPE_DIGESTS[name]
 
 
 # -- twisted and plain evaluation codes ----------------------------------------------------
