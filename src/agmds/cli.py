@@ -171,8 +171,8 @@ def _rs(args, field, seed):
     # By the Vandermonde theorem every k columns are independent, and the
     # Schur square is the RS code of dimension min(2k - 1, n).
     n, k = code.n, code.k
-    schur_d = n - min(2 * k - 1, n) + 1
-    return code, _report_from_distance(code, n - k + 1, True, schur_d=schur_d), {}
+    dim = min(2 * k - 1, n)
+    return code, _report_from_distance(code, n - k + 1, True, schur=(dim, n - dim + 1)), {}
 
 
 # One row per build recipe: the options it records (each needed but a flag;

@@ -5,17 +5,22 @@ here is exact: minimum distance by message enumeration or by support-kernel
 scan, MDS certification by the square minors of the systematic form
 [I | A], each computed from the minors one size smaller by Laplace
 expansion on discrete logs, or (for elliptic curve codes) by an exact
-subset-sum DP on the integer labels of the point group, Schur-square
-dimension, hull dimension from the rank of G G^T, and diagonal
-self-dualization over characteristic 2, whose scalings are the dual of the
-Schur square.  Checks that would exceed their elementary-step budget raise
-BudgetExceeded instead of approximating.  is_mds_by_minors, one k x k
-elimination per k-subset of columns, is the slow oracle the faster
-certificates are tested against.
+subset-sum DP on the integer labels of the point group, Schur squares by
+row products and a rank, hull dimension from the rank of G G^T, and
+diagonal self-dualization over characteristic 2, whose scalings are the
+dual of the Schur square.  The Schur square of an elliptic one-point code
+also has a law, elliptic_schur: L(mP0)^2 = L(2mP0) for m >= 3, so its
+dimension and distance come from Riemann-Roch and the same DP at 2m, as an
+RS code's come from the Vandermonde theorem.  Checks that would exceed
+their elementary-step budget raise BudgetExceeded instead of
+approximating.  is_mds_by_minors, one k x k elimination per k-subset of
+columns, is the slow oracle the faster certificates are tested against,
+and schur_square with min_distance the oracle of the Schur law.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -87,7 +92,10 @@ class CodeReport:
 
     d and schur_d are None when their exact computation would exceed the
     budget; is_mds is None only if both the distance and the systematic
-    minor check were over budget.
+    minor check were over budget.  The recipes read schur_dim and schur_d
+    from a law where one holds: elliptic_schur for elliptic one-point codes
+    (None only when its group-sum DP at 2m exceeds the budget) and the
+    Vandermonde theorem for RS codes (never None).
     """
 
     n: int
@@ -336,6 +344,56 @@ def is_mds_by_group_sums(
     return not _has_subset_sum(elements, m, labels.d1, labels.d2, (0, 0), budget)
 
 
+def _group_sum(curve: Curve, points) -> tuple:
+    """The sum of the points in the curve's group; INFINITY is falsy."""
+    labels = point_labels(curve)
+    acc = (0, 0)
+    for p in points:
+        acc = labels.add(acc, labels.of(p))
+    return labels.point(acc)
+
+
+def elliptic_schur(
+    curve: Curve, points, m: int, budget: int = DEFAULT_BUDGET
+) -> tuple[int, int | None]:
+    """(dimension, minimum distance) of the Schur square of the one-point
+    code of degree m on the given affine points D of a genus-1 curve, read
+    from Riemann-Roch instead of row products and a rank; n = |D|.
+
+    For m = 1 the square is the constants.  For m = 2 it is span{1, x, x^2}
+    (L(2P0) = span{1, x}): a nonzero element vanishes over at most dim - 1
+    abscissas, so d is n minus the dim - 1 largest abscissa multiplicities.
+    For m >= 3, L(mP0) L(mP0) = L(2mP0) (Mumford 1970), so the square is
+    the degree-2m code on D.  When 2m > n its kernel L(2mP0 - D) has
+    dimension 2m - n and the square is all of F^n.  When 2m = n the kernel
+    is nonzero iff D ~ nP0, i.e. iff the labels of D sum to the identity;
+    the dual is then spanned by the residues of a differential with a
+    simple pole at every point of D, a full-weight word, so d = 2.  When
+    2m < n the square has dimension 2m and is MDS iff no 2m points sum to
+    the identity (is_mds_by_group_sums), else d = n - 2m; d is None when
+    that DP exceeds the budget.
+    """
+    pts = list(points)
+    n = len(pts)
+    if curve.genus != 1 or not 1 <= m < n:
+        raise RangeViolation(f"need a genus-1 curve and 1 <= m < n ({m=}, {n=})")
+    if m == 1:
+        return 1, n
+    if m == 2:
+        multiplicity = Counter(x for x, _ in pts)
+        dim = min(3, len(multiplicity))
+        return dim, n - sum(c for _, c in multiplicity.most_common(dim - 1))
+    if 2 * m > n:
+        return n, 1
+    if 2 * m == n:
+        return (n, 1) if _group_sum(curve, pts) else (n - 1, 2)
+    try:
+        mds = is_mds_by_group_sums(curve, pts, 2 * m, budget)
+    except BudgetExceeded:
+        return 2 * m, None
+    return 2 * m, n - 2 * m + (1 if mds else 0)
+
+
 def _has_subset_sum(elements, m: int, d1: int, d2: int, target, budget: int) -> bool:
     """Whether some m of the elements (pairs in Z/d1 x Z/d2) sum to target.
 
@@ -494,25 +552,28 @@ def _report_from_distance(
     d: int | None,
     is_mds: bool | None,
     budget: int = DEFAULT_BUDGET,
-    schur_d: int | None = None,
+    schur: tuple[int, int | None] | None = None,
 ) -> CodeReport:
     """The CodeReport of a code whose distance and MDS verdict are already
     known: a recipe whose certificate proved MDS passes d = n - k + 1.  A
-    caller that knows the Schur square's distance passes it as schur_d;
-    otherwise it is computed, and stays None over budget."""
+    caller that knows the Schur square's dimension and distance by a law
+    passes them as schur = (dim, d): elliptic_schur for elliptic one-point
+    codes, the Vandermonde theorem for RS codes.  Otherwise the square is
+    row-reduced and its distance scanned, staying None over budget."""
     n, k = code.n, code.k
-    schur = schur_square(code)
-    if schur_d is None:
-        schur_d = _distance_or_none(schur, budget)
+    if schur is None:
+        square = schur_square(code)
+        schur = square.k, _distance_or_none(square, budget)
+    schur_dim, schur_d = schur
     hull = hull_dim(code)
     return CodeReport(
         n=n,
         k=k,
         d=d,
         is_mds=is_mds,
-        schur_dim=schur.k,
+        schur_dim=schur_dim,
         schur_d=schur_d,
         hull_dim=hull,
         self_dual=2 * k == n and hull == k,
-        non_rs_certified=schur.k >= 2 * k,
+        non_rs_certified=schur_dim >= 2 * k,
     )

@@ -7,9 +7,12 @@ even when a sufficient condition already holds), the same DP on the
 discrete logs of the evaluation elements for twisted evaluation codes
 (their product criterion), the minors of the systematic form [I | A]
 on genus 2.  The report takes d = n - k + 1 from that verdict (d = n - k
-for a twisted code that fails it).  Polynomial-code baselines live here
-too; a plain RS code is MDS by the Vandermonde theorem and needs no
-certificate.
+for a twisted code that fails it).  An elliptic report takes its Schur
+square's dimension and distance from code.elliptic_schur (Riemann-Roch,
+and the DP at 2m); twisted and genus-2 reports still row-reduce the
+square and scan its distance.  Polynomial-code baselines live here too; a
+plain RS code is MDS by the Vandermonde theorem and needs no certificate,
+and its square is the RS code of dimension min(2k - 1, n).
 
 The elliptic recipes share one group representation, the point labels of
 curves.point_labels: subgroups are spans of labels, and a coset b + S is S
@@ -35,11 +38,13 @@ from .code import (
     DEFAULT_BUDGET,  # re-exported: the step budget of every certificate here
     LinearCode,
     CodeReport,
+    _group_sum,
     _has_subset_sum,
     _report_from_distance,
     _require_minor_budget,
     _systematic_form_is_mds,
     build_code,
+    elliptic_schur,
     is_mds_by_group_sums,
     self_dualize,
 )
@@ -74,14 +79,6 @@ from .rrspace import evaluate_monomial, rr_basis
 # -- coset codes -----------------------------------------------------------------
 
 
-def _group_sum(curve: Curve, points) -> tuple:
-    labels = point_labels(curve)
-    acc = (0, 0)
-    for p in points:
-        acc = labels.add(acc, labels.of(p))
-    return labels.point(acc)
-
-
 def _coset_result(curve: Curve, subgroup, b: tuple, points, m: int):
     """coset_code's degree-m code on the coset b + subgroup, its report and meta."""
     code, report = coset_code(curve, subgroup, [b], m)
@@ -100,7 +97,8 @@ def coset_code(
     one verdict: NotMDS when some m of the points sum to the identity.
     Subgroup, cosets and sums are all taken on the point labels; two
     cosets are equal or disjoint, so the union is disjoint iff it has
-    len(reps) * |S| labels.  The certificate fixes d = n - m + 1.
+    len(reps) * |S| labels.  The certificate fixes d = n - m + 1, and
+    elliptic_schur gives the Schur square's dimension and distance.
     """
     if not coset_reps:
         raise RangeViolation("need at least one coset representative")
@@ -116,7 +114,9 @@ def coset_code(
     provenance = {"construction": "coset", "curve": curve.text(), "m": m,
                   "subgroup_order": len(sub_set), "cosets": len(reps)}
     code = build_code(curve, points, m, provenance)
-    return code, _report_from_distance(code, code.n - m + 1, True)
+    return code, _report_from_distance(
+        code, code.n - m + 1, True, schur=elliptic_schur(curve, points, m)
+    )
 
 
 def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
@@ -537,8 +537,11 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
     base_code = build_code(curve, points, m, provenance)
     sd = self_dualize(base_code, seed=seed)
     sd.provenance.update(provenance)
-    # Diagonal scaling keeps every codeword weight, so sd is MDS as well.
-    report = _report_from_distance(sd, n - m + 1, True)
+    # sd scales the columns of base_code by nonzero roots, so it is MDS as
+    # well, and its Schur square scales base_code's: same dimension, same d.
+    report = _report_from_distance(
+        sd, n - m + 1, True, schur=elliptic_schur(curve, points, m)
+    )
     meta = {
         "curve": curve,
         "N": n_points,

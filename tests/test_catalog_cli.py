@@ -880,6 +880,18 @@ def test_cli_golden_ids(argv, entry_id, monkeypatch, capsys):
     assert json.loads(out)["id"] == entry_id
 
 
+def test_cli_coset_build_takes_its_schur_distance_from_the_law(monkeypatch, capsys):
+    # The square of the [96,40] code is the degree-80 code on its 96 points,
+    # MDS by the group-sum DP at 80; a distance scan of it is over budget.
+    monkeypatch.delenv("AGMDS_SEED", raising=False)
+    rc, out, _ = run_cli("build", "--recipe", "coset", "--q", "2^8", "--N", "288",
+                         "--n", "96", "--m", "40", "--json", capsys=capsys)
+    doc = json.loads(out)
+    assert rc == 0
+    assert (doc["report"]["schur_dim"], doc["report"]["schur_d"]) == (80, 17)
+    assert doc["id"] == "f6ad456a1f067a15ecab4c1fb0f0a6dc19bc26f88a87a87c66c6f4b4bd8242d5"
+
+
 # Every build recipe's usage message when its options are left out.
 RECIPE_NEEDS = {
     "coset": "--N, --n and --m",

@@ -13,6 +13,7 @@ from agmds.code import (
     build_code,
     dual_code,
     eaqec_params,
+    elliptic_schur,
     hull_dim,
     invariant_report,
     is_mds_by_group_sums,
@@ -466,6 +467,102 @@ def test_schur_square_examples():
 
     rep = build_code(E_F5, PTS_F5, 1)
     assert schur_square(rep).k == 1
+
+
+# -- the Schur square of an elliptic code by Riemann-Roch ---------------------------
+
+
+def _zero_sum_set(labels, affine, n, rng):
+    """n distinct affine points whose labels sum to the identity, or None
+    when 20 draws find none."""
+    for _ in range(20):
+        pts = rng.sample(affine, n - 1)
+        i = -sum(labels.of(p)[0] for p in pts) % labels.d1
+        j = -sum(labels.of(p)[1] for p in pts) % labels.d2
+        last = labels.point((i, j))
+        if last and last not in pts:
+            return pts + [last]
+    return None
+
+
+def _schur_law_case(curve, kind, rng):
+    """(points, m) of the given branch of elliptic_schur on at most 10
+    random affine points of curve, or None when the curve cannot give it."""
+    affine = curve.affine_points()
+    top = min(len(affine), 10)
+    if kind == "m=1" and top >= 2:
+        return rng.sample(affine, rng.randint(2, top)), 1
+    if kind == "m=2" and top >= 3:
+        return rng.sample(affine, rng.randint(3, top)), 2
+    if kind == "m=2, two abscissas":
+        by_x = {}
+        for pt in affine:
+            by_x.setdefault(pt[0], []).append(pt)
+        doubled = [pts for pts in by_x.values() if len(pts) == 2]
+        if doubled and len(by_x) >= 2:
+            first = rng.choice(doubled)
+            other = rng.choice([pts for pts in by_x.values() if pts is not first])
+            return first + other, 2
+    if kind == "2m < n" and top >= 7:
+        n = rng.randint(7, top)
+        return rng.sample(affine, n), rng.randint(3, (n - 1) // 2)
+    if kind == "2m = n" and top >= 6:
+        n = 2 * rng.randint(3, top // 2)
+        return rng.sample(affine, n), n // 2
+    if kind == "2m = n, zero sum" and top >= 6:
+        n = 2 * rng.randint(3, top // 2)
+        pts = _zero_sum_set(point_labels(curve), affine, n, rng)
+        return None if pts is None else (pts, n // 2)
+    if kind == "2m > n" and top >= 4:
+        n = rng.randint(4, top)
+        return rng.sample(affine, n), rng.randint(max(3, n // 2 + 1), n - 1)
+    return None
+
+
+def _schur_law_branch(n, m, schur_dim, schur_d):
+    if m == 1:
+        return "m=1"
+    if m == 2:
+        return f"m=2, {schur_dim} abscissas"
+    if 2 * m == n:
+        return "2m = n, zero sum" if schur_dim == n - 1 else "2m = n"
+    if 2 * m > n:
+        return "2m > n"
+    return "2m < n, MDS square" if schur_d == n - 2 * m + 1 else "2m < n"
+
+
+def test_elliptic_schur_law_matches_the_square_on_every_family_curve():
+    # every family curve of three small fields, with random evaluation sets
+    # for each branch of the law, against the row products, their rank and
+    # the exact distance scan
+    kinds = ("m=1", "m=2", "m=2, two abscissas", "2m < n", "2m = n",
+             "2m = n, zero sum", "2m > n")
+    rng = random.Random(20170801)
+    branches = set()
+    for F in (F7, field_make(2, 3), field_make(3, 2)):
+        for curve in curve_family(F):
+            for kind in kinds:
+                case = _schur_law_case(curve, kind, rng)
+                if case is None:
+                    continue
+                pts, m = case
+                square = schur_square(build_code(curve, pts, m))
+                law = elliptic_schur(curve, pts, m)
+                assert law == (square.k, min_distance(square)), (curve.text(), pts, m)
+                branches.add(_schur_law_branch(len(pts), m, *law))
+    assert branches == {
+        "m=1", "m=2, 2 abscissas", "m=2, 3 abscissas", "2m < n", "2m < n, MDS square",
+        "2m = n", "2m = n, zero sum", "2m > n",
+    }
+
+
+def test_elliptic_schur_over_budget_keeps_the_dimension():
+    curve = curve_make(F7, 1, (0, 0, 0, 3, 1))
+    pts = curve.affine_points()[:9]
+    assert elliptic_schur(curve, pts, 3) == (6, 3)
+    assert elliptic_schur(curve, pts, 3, budget=1) == (6, None)
+    with pytest.raises(RangeViolation):
+        elliptic_schur(curve, pts, 9)
 
 
 def test_hull_examples():

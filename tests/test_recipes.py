@@ -138,6 +138,18 @@ def test_coset_code_beyond_the_subset_scan_budget():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("spec, N", [((2, 6), 54), ((3, 4), 90)], ids=["f64-n54", "f81-n90"])
+def test_degree_two_searches_read_the_square_off_the_abscissas(spec, N):
+    # The square of a degree-2 code is span{1, x, x^2}: its distance is n
+    # minus the two largest abscissa multiplicities, where a scan of its
+    # q^3 codewords took seconds per search.
+    t0 = time.perf_counter()
+    _, report, _ = search_coset_code(field_make(*spec), N, 18, 2, seed=1)
+    elapsed = time.perf_counter() - t0
+    assert (report.d, report.schur_dim, report.schur_d) == (17, 3, 16)
+    assert elapsed < 0.5
+
+
 def closure_oracle(curve, generators):
     """Oracle: the subgroup the points generate, grown by the group law."""
     span = {INFINITY}
