@@ -17,14 +17,13 @@ and its square is the RS code of dimension min(2k - 1, n).
 The elliptic recipes share one group representation, the point labels of
 curves.point_labels: subgroups are spans of labels, and a coset b + S is S
 shifted by b's label.  coset_code is the one constructor of elliptic coset
-codes and the DP its one verdict; search_coset_code and supersingular_code
-end in it.  One scan (_mds_cosets) walks the cosets of a subgroup for
-them; it only selects which coset is returned, so a coset its DP filter
-passed is certified again by coset_code.  search_coset_code walks its
-curves once and ranks each group shape once, on the first curve of that
-shape: whether a coset code exists is a property of the group, not of the
-curve.  Step budgets are code.DEFAULT_BUDGET throughout; only the genus-2
-hunt takes a budget (its sample count).
+codes and the DP its one verdict.  search_coset_code and supersingular_code
+choose their coset with one scan: they walk cosets (_cosets) in a fixed
+order and return the first that coset_code certifies, so each coset tried
+reaches the DP once.  search_coset_code scans only the first curve of each
+group shape: whether a coset code exists is a property of the group, not
+of the curve.  Step budgets are code.DEFAULT_BUDGET throughout; only the
+genus-2 hunt takes a budget (its sample count).
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .code import (
 )
 from .curves import (
     Curve,
-    PointLabels,
     _matching_curves,
     admissible_curve_orders,
     curve_make,
@@ -59,7 +57,7 @@ from .curves import (
     hasse_window,
     point_labels,
 )
-from .intmath import is_prime, prime_factors
+from .intmath import is_prime
 from .errors import (
     BudgetExhausted,
     DuplicateEvaluationPoints,
@@ -79,12 +77,34 @@ from .rrspace import evaluate_monomial, rr_basis
 # -- coset codes -----------------------------------------------------------------
 
 
-def _coset_result(curve: Curve, subgroup, b: tuple, points, m: int):
-    """coset_code's degree-m code on the coset b + subgroup, its report and meta."""
-    code, report = coset_code(curve, subgroup, [b], m)
+def _coset_result(curve: Curve, subgroup, points, m: int):
+    """coset_code's degree-m code, report and meta on the sorted points of a
+    coset of the subgroup (the rep is the first), or None on NotMDS."""
+    try:
+        code, report = coset_code(curve, subgroup, points[:1], m)
+    except NotMDS:
+        return None
     meta = {"curve": curve, "group": group_structure(curve), "N": len(curve.points()),
-            "subgroup": subgroup, "rep": b, "points": points}
+            "subgroup": subgroup, "rep": points[0], "points": points}
     return code, report, meta
+
+
+def _first_certified(subgroups, m: int):
+    """_coset_result of the first coset that coset_code certifies, walking
+    the cosets (_cosets) of each (curve, subgroup) pair in turn, or None.
+    When 2m = n, cosets summing to the identity are tried after all the
+    others: those keep the Schur dimension at its generic value 2m."""
+    deferred = []
+    for curve, subgroup in subgroups:
+        for points in _cosets(curve, subgroup):
+            if 2 * m == len(points) and not _group_sum(curve, points):
+                deferred.append((curve, subgroup, points))
+            elif found := _coset_result(curve, subgroup, points, m):
+                return found
+    for candidate in deferred:
+        if found := _coset_result(*candidate, m):
+            return found
+    return None
 
 
 def coset_code(
@@ -146,20 +166,12 @@ def search_coset_code(
     field: FieldSpec, n_points: int, n: int, m: int, seed: int = 0
 ) -> tuple[LinearCode, CodeReport, dict]:
     """Find a curve with the given point count and a size-n coset whose
-    degree-m code is MDS.
+    degree-m code is MDS: the first coset that _first_certified accepts.
 
-    Cosets from independent reps (_mds_cosets) are tried first; cosets
-    whose full point sum is nonzero are preferred when 2m = n (that keeps
-    the Schur dimension at its generic value 2m).  The winner is built and
-    certified by coset_code, whose group-sum DP is the code's only MDS
-    certificate.
-
-    The curves are walked once, at most _SEARCH_CURVES of them, and each
-    gets the rank of its best coset (_best_coset); the first curve of the
-    lowest rank wins, and the walk stops at rank 0.  The rank depends only
-    on the group Z/d1 x Z/d2, so only the first curve of each shape is
-    ranked; the others still count toward the cap.  A curve keeps its
-    Sylow bases, so ranking it after asking its shape builds none twice.
+    The curves are walked once, at most _SEARCH_CURVES of them; on each,
+    the size-n subgroups in sorted order and each one's cosets in order of
+    their first point.  Whether a coset passes depends only on the group
+    Z/d1 x Z/d2, so only the first curve of each shape is scanned.
     """
     if not 1 <= m < n:
         raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
@@ -171,91 +183,39 @@ def search_coset_code(
         raise NoAdmissibleCurve(
             f"a size-{n} subgroup needs n | N, got N={n_points}"
         )
-    curves = _matching_curves(
-        field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
-    )
-    ranked = {}  # shape -> (rank, curve, candidate) of its first curve
-    for curve in islice(curves, _SEARCH_CURVES):
-        shape = group_structure(curve)
-        if shape in ranked:
-            continue
-        rank, candidate = _best_coset(curve, n, m)
-        ranked[shape] = rank, curve, candidate
-        if rank == 0:
-            break
-    if not ranked:
-        raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
-    # min keeps the first curve of the lowest rank
-    _, curve, candidate = min(ranked.values(), key=itemgetter(0))
-    if candidate is None:
+
+    def subgroups():
+        curves = _matching_curves(
+            field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
+        )
+        shapes = set()  # the group shapes scanned so far
+        for curve in islice(curves, _SEARCH_CURVES):
+            if (shape := group_structure(curve)) not in shapes:
+                shapes.add(shape)
+                yield from ((curve, s) for s in _subgroups_of_order(curve, n))
+        if not shapes:
+            raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
+
+    found = _first_certified(subgroups(), m)
+    if found is None:
         raise NoAdmissibleCurve(
             f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
             f"giving an MDS degree-{m} code"
         )
-    return _coset_result(curve, *candidate, m)
+    return found
 
 
-def _best_coset(curve: Curve, n: int, m: int):
-    """(rank, (subgroup, rep, points)) of the size-n coset the search
-    prefers on this curve, the first of the lowest rank in scan order.
-
-    Rank 0 is a coset from an independent rep (the first scan), rank 1
-    one from any rep (the second); a coset whose points sum to the
-    identity when 2m = n ranks 2 higher.  Rank 4, with candidate None, means no size-n coset
-    gives an MDS degree-m code.
-    """
-    subgroups = _subgroups_of_order(curve, n)
-    best = 4, None
-    for rank in (0, 1):
-        for subgroup in subgroups:
-            for b, points in _mds_cosets(curve, subgroup, m, rank == 0):
-                if 2 * m == n and not _group_sum(curve, points):
-                    if best[1] is None:
-                        best = rank + 2, (subgroup, b, points)
-                    continue
-                return rank, (subgroup, b, points)
-    return best
-
-
-def _mds_cosets(curve: Curve, subgroup, m: int, independent_only: bool):
-    """Yield (b, sorted points of b + S) for every coset of the subgroup S
-    (given by its points) on which no m points sum to the identity.
-
-    Reps b are walked in sorted point order and each coset is tried once,
-    from its first rep.  Without independent_only the group-sum DP filters
-    the cosets.  With it, only reps b with order(b) > m and <b> meeting S
-    only at the identity are tried, and their cosets are yielded unchecked:
-    every m-subset sums to m*b plus an element of S, and m*b lies outside S.
-    The scan only selects; coset_code certifies the coset it returns.
-    """
+def _cosets(curve: Curve, subgroup):
+    """Yield the sorted points of every coset b + S other than the subgroup
+    S itself (given by its points), in order of their first point."""
     labels = point_labels(curve)
     sub_labels = [labels.of(p) for p in subgroup]
-    sub_set = set(sub_labels)
-    covered = set(sub_set)  # the subgroup and every coset tried so far
-    for b in curve.points():
-        lb = labels.of(b)
-        if lb in covered or independent_only and (
-            labels.order(lb) <= m or not _meets_only_at_identity(labels, lb, sub_set)
-        ):
-            continue
-        coset_labels = [labels.add(lb, s) for s in sub_labels]
-        covered.update(coset_labels)
-        points = labels.sorted_points(coset_labels)
-        if independent_only or is_mds_by_group_sums(curve, points, m):
-            yield b, points
-
-
-def _meets_only_at_identity(labels: PointLabels, b, sub_set: set) -> bool:
-    """Whether the cyclic group <b> meets the subgroup only at the identity.
-
-    The intersection is a subgroup of <b>; it is trivial iff no
-    prime-order piece of <b> lies in the subgroup, and the order-l piece is
-    generated by (order(b)/l) * b.
-    """
-    order_b = labels.order(b)
-    return all(
-        labels.scale(order_b // l, b) not in sub_set for l in prime_factors(order_b)
-    )
+    covered = set(sub_labels)  # the subgroup and every coset yielded so far
+    for b in map(labels.of, curve.points()):
+        if b not in covered:
+            coset_labels = [labels.add(b, s) for s in sub_labels]
+            covered.update(coset_labels)
+            yield labels.sorted_points(coset_labels)
 
 
 # -- length recipes ------------------------------------------------------------------
@@ -327,14 +287,17 @@ def _is_odd_prime(p: int) -> bool:
 def supersingular_code(
     p: int, ext_degree: int, n_sub: int, k: int, seed: int = 0
 ) -> tuple[LinearCode, CodeReport, dict]:
-    """MDS [n_sub, k] code over F_{p^ext} from a supersingular curve, with
-    the evaluation set a coset of an order-n_sub cyclic subgroup.
+    """MDS [n_sub, k] code over F_{p^ext} from a supersingular curve, on
+    the first coset of an order-n_sub cyclic subgroup (in order of the
+    cosets' first points) that coset_code certifies.
 
     Needs an odd p, and uses y^2 = x^3 + 1 when p = 2 mod 3, else
     y^2 = x^3 + x when p = 3 mod 4.  The point count is p^e + 1 for odd
     extension degree e and (p^(e/2) - (-1)^(e/2))^2 for even e, and n_sub
     must divide it and stay below its square root (odd e) or below
-    p^(e/2) - (-1)^(e/2) (even e).
+    p^(e/2) - (-1)^(e/2) (even e).  The subgroup is spanned by the first
+    point of order n_sub: SubgroupNotFound when there is none, NotMDS when
+    none of its cosets passes.
     """
     if p % 2 == 0:  # both models are singular in characteristic 2
         raise PreconditionFailed("p must be odd")
@@ -372,14 +335,10 @@ def supersingular_code(
     if generator is None:
         raise SubgroupNotFound(f"no point of order {n_sub} on {curve.text()}")
     subgroup = labels.sorted_points(labels.span([generator]))
-    found = next(_mds_cosets(curve, subgroup, k, True), None)
+    found = _first_certified([(curve, subgroup)], k)
     if found is None:
-        raise SubgroupNotFound(
-            f"no coset representative of order > {k} independent of the "
-            f"order-{n_sub} subgroup"
-        )
-    b, points = found
-    return _coset_result(curve, subgroup, b, points, k)
+        raise NotMDS(f"no coset of the order-{n_sub} subgroup is MDS at degree {k}")
+    return found
 
 
 # -- polynomial-code baselines -----------------------------------------------------------

@@ -794,11 +794,13 @@ def test_cli_budget_must_be_positive(argv, budget, capsys):
 # Content ids; the id hashes the whole report, so any moved reported value
 # changes it.  The first four were pinned before recipes took d from their
 # certificate, the rest before the twisted flag moved to the subset-sum DP
-# and the rs recipe to the Vandermonde report.
+# and the rs recipe to the Vandermonde report.  The coset-recipe ids (coset,
+# sqrt-prime, coprime-split, short-length, supersingular) were re-pinned when
+# those recipes came to return the first coset that coset_code certifies.
 GOLDEN_IDS = [
     (
         ("build", "--recipe", "coset", "--q", "19", "--N", "24", "--n", "6", "--m", "3"),
-        "8ea9b61d6964e318aa0bf20d9f233dc294407e1882474fc98267d9c550111bce",
+        "0eb9f8e6e6a296039011ff2defd69d3862e44352a9c299f3e19e3bad18441724",
     ),
     (
         ("build", "--recipe", "twisted-rs", "--q", "19", "--alpha", "1,2,3,4",
@@ -843,7 +845,7 @@ GOLDEN_IDS = [
     ),
     (
         ("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2"),
-        "8d869e88d29b7d3b68f069f08f4636f68eaafb259a5c19fbb8785ad75550cba6",
+        "995eeaf54b8b85c5f4ffc93f3fb008fc2af495e7b100feed1cff5ba801a3c66a",
     ),
     (
         ("build", "--recipe", "sqrt-prime", "--p", "19", "--m", "2", "--longer"),
@@ -852,17 +854,17 @@ GOLDEN_IDS = [
     (
         ("build", "--recipe", "coprime-split", "--q", "19", "--l1", "4", "--l2", "5",
          "--m", "2"),
-        "4fe0706d1950ecf66c5b61f97a6dfb8fbd5b0c4edb71c899fefb98d7ae650e0f",
+        "87a7e8ecaff65f53c99fb87ab04952297052b66eb2c721c475a6d541d6e07d93",
     ),
     (
         ("build", "--recipe", "short-length", "--q", "2411", "--n", "7", "--m", "3"),
-        "be13b64482c8fb8f8b89b936252bfeb4357dd5e8ef0ebec0e4c09b7049309b4f",
+        "d4e6ebe20f9f2560d1c429653223f112b9d990c243c70ccdfd6fb392f3aabe57",
     ),
     # pinned once supersingular entries recorded their points and group
     (
         ("build", "--recipe", "supersingular", "--p", "7", "--ext", "3", "--N", "8",
          "--k", "4"),
-        "a39f0506030882ee3208aa47071c980087b29a57260115e16839ddc7d22ef1d1",
+        "f32a5df95bca1e9cb3c2c2df0645d84098d9d59a8735d03e80233d222fc9de22",
     ),
 ]
 GOLDEN_NAMES = [

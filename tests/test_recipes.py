@@ -54,11 +54,8 @@ from agmds.recipes import (
     _SEARCH_CURVES,
     _SEARCH_FAMILY_CAP,
     DEFAULT_BUDGET,
-    _best_coset,
-    _coset_result,
+    _cosets,
     _group_sum,
-    _mds_cosets,
-    _meets_only_at_identity,
     _subgroups_of_order,
     admissible_pipeline_traces,
     coprime_split_code,
@@ -193,22 +190,6 @@ def test_subgroups_of_order_match_pairwise_closure_oracle():
     assert sum(d1 > 1 for d1, _ in shapes) >= 5
 
 
-@pytest.mark.parametrize("p, s, shape", [(2, 8, (3, 96)), (5, 3, (1, 110))])
-def test_meets_only_at_identity_equals_span_intersection(p, s, shape):
-    n_points = shape[0] * shape[1]
-    curve = find_curve_with_order(field_make(p, s), n_points, shape=shape)
-    labels = point_labels(curve)
-    spans = {b: labels.span([b]) for b in map(labels.of, curve.points())}
-    for n in range(1, n_points + 1):
-        if n_points % n:
-            continue
-        for subgroup in _subgroups_of_order(curve, n):
-            sub_set = set(map(labels.of, subgroup))
-            for b, span in spans.items():
-                expected = span & sub_set == {(0, 0)}
-                assert _meets_only_at_identity(labels, b, sub_set) == expected, (n, b)
-
-
 def test_coset_code_multi_coset():
     # two disjoint cosets of the order-2 subgroup of Z/6
     gen2 = _point_of_order(E_F5, 2)
@@ -293,24 +274,6 @@ def test_coset_code_matches_point_set_oracle(data):
         assert is_mds_by_minors(code) == mds
 
 
-def test_independent_cosets_pass_the_group_sum_certificate():
-    # The scan yields a coset from an independent rep unchecked: with
-    # order(b) > m and <b> meeting S only at the identity, every m-sum lies
-    # in m*b + S and m*b lies outside S.  Check that on every subgroup.
-    yielded = 0
-    for curve in ORACLE_CURVES:
-        n_points = len(curve.points())
-        for order in range(2, n_points):
-            if n_points % order:
-                continue
-            for subgroup in _subgroups_of_order(curve, order):
-                for m in range(1, order):
-                    for b, points in _mds_cosets(curve, subgroup, m, True):
-                        assert is_mds_by_group_sums(curve, points, m), (curve.text(), b, m)
-                        yielded += 1
-    assert yielded > 1000
-
-
 # -- searched coset codes -----------------------------------------------------------
 
 
@@ -328,12 +291,14 @@ def test_search_coset_code_f19(N, n, m, d):
 def _reference_coset_search(
     field, n_points: int, n: int, m: int, seed: int = 0
 ):
-    """The two-pass search that the one-walk search replaced, kept verbatim
-    as the oracle: pass 1 tries independent reps curve by curve, pass 2 every
-    rep on the curves pass 1 labelled, and a failed isomorphism class is
-    skipped by its key."""
-    if not 1 <= m <= n:
-        raise RangeViolation(f"need 1 <= m <= n ({m=}, {n=})")
+    """Brute-force reference of the one-scan rule.  It walks the same
+    _matching_curves prefix with no shape memo and tries every coset of
+    every size-n subgroup, listed by the group law: subgroups in sorted
+    order, cosets in order of their first point, and when 2m = n the cosets
+    summing to the identity after all the others.  The first coset whose
+    code the minors call MDS wins (the group-sum DP when C(n, m) > 3000)."""
+    if not 1 <= m < n:
+        raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
     if n_points not in admissible_curve_orders(field.q):
         raise NoAdmissibleCurve(
             f"N={n_points} is not an attainable point count over q={field.q}"
@@ -342,44 +307,51 @@ def _reference_coset_search(
         raise NoAdmissibleCurve(
             f"a size-{n} subgroup needs n | N, got N={n_points}"
         )
-
-    def cosets(curve, subgroups, independent_only):
-        return ((curve, subgroup, b, points) for subgroup in subgroups
-                for b, points in _mds_cosets(curve, subgroup, m, independent_only))
+    curves = _matching_curves(
+        field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
+    )
 
     def candidates():
-        keyed = field.q <= _SEARCH_FAMILY_CAP  # class keys name family tuples only
-        curves = _matching_curves(
-            field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
-        )
-        tried = []  # (curve, its size-n subgroups) for every curve pass 1 labels
-        failed = set()  # class keys of those curves, none of which returned
+        walked, last = False, []  # last: the cosets summing to the identity when 2m = n
         for curve in islice(curves, _SEARCH_CURVES):
-            key = class_key(field, curve.coeffs) if keyed else None
-            if key in failed:
-                continue
-            subgroups = _subgroups_of_order(curve, n)
-            tried.append((curve, subgroups))
-            yield from cosets(curve, subgroups, True)
-            if key is not None:
-                failed.add(key)
-        if not tried:
+            walked = True
+            for subgroup in _subgroups_of_order(curve, n):
+                cosets, covered = [], set(subgroup)
+                for b in curve.points():
+                    if b not in covered:
+                        cosets.append(sorted(curve.add(b, s) for s in subgroup))
+                        covered.update(cosets[-1])
+                for points in sorted(cosets):
+                    if 2 * m == n and curve_sum(curve, points) == INFINITY:
+                        last.append((curve, subgroup, points))
+                    else:
+                        yield curve, subgroup, points
+        if not walked:
             raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
-        for curve, subgroups in tried:
-            yield from cosets(curve, subgroups, False)
+        yield from last
 
-    fallback = None
-    for candidate in candidates():
-        if 2 * m == n and not _group_sum(candidate[0], candidate[3]):
-            fallback = fallback or candidate
-            continue
-        return _coset_result(*candidate, m)
-    if fallback is not None:
-        return _coset_result(*fallback, m)
+    for curve, subgroup, points in candidates():
+        if comb(n, m) <= 3000:
+            mds = is_mds_by_minors(build_code(curve, points, m))
+        else:
+            mds = is_mds_by_group_sums(curve, points, m)
+        if mds:
+            code, report = coset_code(curve, subgroup, [points[0]], m)
+            return code, report, {
+                "curve": curve, "group": group_structure(curve), "N": n_points,
+                "subgroup": subgroup, "rep": points[0], "points": points}
     raise NoAdmissibleCurve(
         f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
         f"giving an MDS degree-{m} code"
     )
+
+
+def curve_sum(curve, points):
+    """Oracle: the sum of the points by the group law."""
+    acc = INFINITY
+    for p in points:
+        acc = curve.add(acc, p)
+    return acc
 
 
 def _search_outcome(field, N, n, m, search=search_coset_code, seed=0):
@@ -430,7 +402,7 @@ def _sweep_cases(fields):
                         yield field, N, n, m
 
 
-def test_search_coset_code_equals_the_two_pass_reference_search():
+def test_search_coset_code_equals_the_brute_force_reference_search():
     fields = [(2, 3), (3, 2), (11,), (13,), (2, 4), (17,), (19,), (5, 2), (3, 3), (2, 5)]
     outcomes = Counter()
     for field, N, n, m in _sweep_cases(fields):
@@ -456,12 +428,27 @@ def test_coset_recipes_end_in_coset_code():
         assert code.provenance == again.provenance
 
 
+def test_coset_recipes_send_each_coset_to_the_dp_once(monkeypatch):
+    # only coset_code calls recipes.is_mds_by_group_sums at degree m
+    seen = Counter()
+    dp = recipes_module.is_mds_by_group_sums
+
+    def recording(curve, points, m):
+        seen[curve.text(), tuple(points), m] += 1
+        return dp(curve, points, m)
+
+    monkeypatch.setattr(recipes_module, "is_mds_by_group_sums", recording)
+    search_coset_code(field_make(2, 8), 288, 16, 8)
+    supersingular_code(7, 3, 8, 4)
+    assert seen and max(seen.values()) == 1
+
+
 @pytest.mark.parametrize("q, N, n, m", [
     ((2, 8), 288, 16, 8),
     ((2, 6), 72, 12, 6),
 ], ids=["f256-n288", "f64-n72-fails"])
 def test_search_coset_code_counts_each_tuple_once(q, N, n, m, monkeypatch):
-    # both passes take their curves from one walk of the family
+    # the search takes its curves from one walk of the family
     counted = []
     point_count = Curve.point_count
 
@@ -479,7 +466,7 @@ def test_search_coset_code_counts_each_tuple_once(q, N, n, m, monkeypatch):
     ((2, 6), 72, 12, 6, 1),
 ], ids=["f256-n288", "f64-n72-fails"])
 def test_search_coset_code_reuses_pass_one_labels(q, N, n, m, labellings, monkeypatch):
-    # the search ranks each group shape on one curve object, labelled once
+    # the search scans each group shape on one curve object, labelled once
     fresh = []
     point_labels = recipes_module.point_labels
 
@@ -551,9 +538,19 @@ def test_search_coset_code_refuses_m_equal_to_n_before_counting(monkeypatch):
         search_coset_code(F19, 24, 6, 6)
 
 
-def test_best_coset_rank_is_a_property_of_the_group_shape():
+def _coset_verdict(curve, n: int, m: int) -> tuple:
+    """(some size-n coset passes the DP, some passing coset has a nonzero
+    sum), the second None unless 2m = n."""
+    passing = [points for subgroup in _subgroups_of_order(curve, n)
+               for points in _cosets(curve, subgroup)
+               if is_mds_by_group_sums(curve, points, m)]
+    nonzero = any(_group_sum(curve, points) for points in passing)
+    return bool(passing), nonzero if 2 * m == n else None
+
+
+def test_first_certified_coset_is_a_property_of_the_group_shape():
     # the premise of the search's shape memo, on up to 3 curves per (N, shape)
-    ranks = Counter()
+    verdicts = Counter()
     for spec in [(5,), (7,), (2, 3), (3, 2), (11,), (13,), (2, 4), (19,)]:
         by_shape = {}
         for curve in curve_family(field_make(*spec)):
@@ -565,11 +562,11 @@ def test_best_coset_rank_is_a_property_of_the_group_shape():
                 if N % n:
                     continue
                 for m in {1, 2, n // 2, n - 1} & set(range(1, n)):
-                    (rank,) = {_best_coset(c, n, m)[0] for c in curves}
-                    ranks[rank] += 1
-    # no curve here has rank 2 (an identity-sum coset from an independent
-    # rep, and nothing better)
-    assert ranks == {0: 272, 1: 176, 3: 14, 4: 152}
+                    (verdict,) = {_coset_verdict(c, n, m) for c in curves}
+                    verdicts[verdict] += 1
+    # 14 (N, n, m) have MDS cosets only among those summing to the identity
+    assert verdicts == {(True, None): 330, (True, True): 118, (True, False): 14,
+                        (False, None): 122, (False, False): 30}
 
 
 @pytest.mark.parametrize("spec", [(2, 4), (5, 2), (3, 2)], ids=["f16", "f25", "f9"])
@@ -644,10 +641,11 @@ def test_supersingular_counts_and_codes():
     # p = 7 = 3 mod 4: y^2 = x^3 + x has 8 points over F_7 ...
     e7 = curve_make(field_make(7), 1, (0, 0, 0, 1, 0))
     assert len(e7.points()) == 8
-    # ... but the group is cyclic of order 8, so every nontrivial subgroup
-    # contains the unique 2-torsion point and no independent rep exists
-    with pytest.raises(SubgroupNotFound):
-        supersingular_code(7, 1, 2, 1)
+    # ... and the group is cyclic of order 8: no coset rep is independent of
+    # the order-2 subgroup, yet a coset of it gives an MDS [2, 1, 2] code
+    code, report, meta = supersingular_code(7, 1, 2, 1)
+    assert (report.n, report.k, report.d, report.is_mds) == (2, 1, 2, True)
+    assert is_mds_by_minors(code)
 
     with pytest.raises(PreconditionFailed):
         supersingular_code(7, 1, 3, 1)  # 3 does not divide 8
@@ -662,13 +660,20 @@ def test_supersingular_counts_and_codes():
     # even extension degree: F_25 count (5+1)^2 = 36, exponent 6
     code, report, meta = supersingular_code(5, 2, 3, 2)
     assert meta["N"] == 36 and (report.n, report.k, report.d) == (3, 2, 2)
-    with pytest.raises(SubgroupNotFound):
+    with pytest.raises(SubgroupNotFound, match="no point of order 4"):
         supersingular_code(5, 2, 4, 2)  # no order-4 point in (Z/6)^2
 
     # p = 7, even extension: (Z/8)^2 over F_49 has independent order-4 parts
     code, report, meta = supersingular_code(7, 2, 4, 2)
     assert meta["N"] == 64 and (report.n, report.k, report.d) == (4, 2, 3)
     assert report.is_mds
+
+
+def test_supersingular_code_refuses_a_subgroup_with_no_mds_coset(monkeypatch):
+    # no pinned input has one, so the DP is made to refuse every coset
+    monkeypatch.setattr(recipes_module, "is_mds_by_group_sums", lambda *args: False)
+    with pytest.raises(NotMDS, match="no coset of the order-8 subgroup is MDS at degree 4"):
+        supersingular_code(7, 3, 8, 4)
 
 
 # Seeded inputs of each coset recipe, successes and failures alike; the
@@ -701,11 +706,11 @@ RECIPE_SWEEPS = {
     ]),
 }
 RECIPE_DIGESTS = {
-    "coprime_split_code": "28c9ac7213302a58c286a3638c40501891e2e755345e6fe2fa62587bb36726a4",
-    "short_length_code": "63aad703efd7c0c441cf03518c8d77196bc7d441d3b3d8140ef16ed13aaa057d",
-    "sqrt_prime_code": "a02c1942656b9194e8c6d742789d0ed3493128562df177931d701cb81060149d",
-    "supersingular_code": "31273426c90a8a67f19980900d467aa65ae78721e2e2c3a93dfb6d6afe82efa2",
-    "search_coset_code": "4ce59766ea0652e60ae7c7486a3bf2f121a631fad86db94e110355ac89040403",
+    "coprime_split_code": "d631256f78adc1b5110b9c13598a75b09daaca5e39c12776c441d6811bca5579",
+    "short_length_code": "dfdd9cb6cbf67bf5331d7b1db286c0e424c2cb628d4dceffb7549dccb8badbc9",
+    "sqrt_prime_code": "2468984d0a26fc110552d15ee048d06b8447c5b9080a5a64086a862fec39b60f",
+    "supersingular_code": "1e5a616e993eb7682b8340743c8fc979fc1d16d3b6097c4073e2742924f4f8b5",
+    "search_coset_code": "bdbb75481e0a09c4bd41e98ef895f8492ba099908e16a3c0e098dc5b0ca5f9bc",
 }
 
 
