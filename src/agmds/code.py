@@ -347,10 +347,7 @@ def is_mds_by_group_sums(
 def _group_sum(curve: Curve, points) -> tuple:
     """The sum of the points in the curve's group; INFINITY is falsy."""
     labels = point_labels(curve)
-    acc = (0, 0)
-    for p in points:
-        acc = labels.add(acc, labels.of(p))
-    return labels.point(acc)
+    return labels.point(labels.sum(map(labels.of, points)))
 
 
 def elliptic_schur(

@@ -565,36 +565,14 @@ def _poly_gcd(F: FieldSpec, a: list, b: list) -> list:
 # -- integer labels for the point group -----------------------------------------------
 
 
-class PointLabels:
-    """Integer coordinates for the rational points of a genus-1 curve.
+class Group:
+    """Z/d1 x Z/d2 (d1 | d2) on integer labels (i, j), which add
+    coordinatewise: orders, spans and sums are integer arithmetic."""
 
-    The point group is Z/d1 x Z/d2 (d1 | d2) with a basis (P1, P2) of
-    orders d1 and d2; the point i*P1 + j*P2 carries the label (i, j).
-    Labels add coordinatewise, so orders, spans and cosets are integer
-    arithmetic.
-    """
+    __slots__ = ("d1", "d2")
 
-    __slots__ = ("field", "d1", "d2", "_label", "_point")
-
-    def __init__(self, field: FieldSpec, d1: int, d2: int, label: dict, point: dict):
-        self.field = field
-        self.d1 = d1
-        self.d2 = d2
-        self._label = label
-        self._point = point
-
-    def of(self, pt: tuple) -> tuple[int, int]:
-        try:
-            return self._label[pt]
-        except (KeyError, TypeError):  # TypeError: an unhashable non-pair
-            text = _given_point_text(self.field, pt)
-            raise PointNotOnCurve(f"{text} is not a rational point of the curve") from None
-
-    def point(self, a: tuple[int, int]) -> tuple:
-        return self._point[a]
-
-    def sorted_points(self, labels) -> list:
-        return sorted(self._point[a] for a in labels)
+    def __init__(self, d1: int, d2: int):
+        self.d1, self.d2 = d1, d2
 
     def add(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (a[0] + b[0]) % self.d1, (a[1] + b[1]) % self.d2
@@ -615,6 +593,39 @@ class PointLabels:
         """The labels killed by n: the n-torsion Z/gcd(n,d1) x Z/gcd(n,d2)."""
         s1, s2 = self.d1 // gcd(n, self.d1), self.d2 // gcd(n, self.d2)
         return [(i, j) for i in range(0, self.d1, s1) for j in range(0, self.d2, s2)]
+
+    def sum(self, labels) -> tuple[int, int]:
+        i, j = map(sum, zip((0, 0), *labels))
+        return i % self.d1, j % self.d2
+
+
+class PointLabels(Group):
+    """Integer coordinates for the rational points of a genus-1 curve.
+
+    The point group is Z/d1 x Z/d2 (d1 | d2) with a basis (P1, P2) of
+    orders d1 and d2; the point i*P1 + j*P2 carries the label (i, j).
+    """
+
+    __slots__ = ("field", "_label", "_point")
+
+    def __init__(self, field: FieldSpec, d1: int, d2: int, label: dict, point: dict):
+        super().__init__(d1, d2)
+        self.field = field
+        self._label = label
+        self._point = point
+
+    def of(self, pt: tuple) -> tuple[int, int]:
+        try:
+            return self._label[pt]
+        except (KeyError, TypeError):  # TypeError: an unhashable non-pair
+            text = _given_point_text(self.field, pt)
+            raise PointNotOnCurve(f"{text} is not a rational point of the curve") from None
+
+    def point(self, a: tuple[int, int]) -> tuple:
+        return self._point[a]
+
+    def sorted_points(self, labels) -> list:
+        return sorted(self._point[a] for a in labels)
 
 
 def point_labels(curve: Curve) -> PointLabels:

@@ -14,22 +14,20 @@ square and scan its distance.  Polynomial-code baselines live here too; a
 plain RS code is MDS by the Vandermonde theorem and needs no certificate,
 and its square is the RS code of dimension min(2k - 1, n).
 
-The elliptic recipes share one group representation, the point labels of
-curves.point_labels: subgroups are spans of labels, and a coset b + S is S
-shifted by b's label.  coset_code is the one constructor of elliptic coset
-codes and the DP its one verdict.  search_coset_code and supersingular_code
-choose their coset with one scan: they walk cosets (_cosets) in a fixed
-order and return the first that coset_code certifies, so each coset tried
-reaches the DP once.  search_coset_code scans only the first curve of each
-group shape: whether a coset code exists is a property of the group, not
-of the curve.  Step budgets are code.DEFAULT_BUDGET throughout; only the
+The elliptic recipes share one group representation, the labels of
+curves.Group (point_labels on a curve): subgroups are label sets, and a
+coset b + S is S shifted by b.  coset_code is the one constructor of
+elliptic coset codes and the DP its one verdict.  search_coset_code and
+supersingular_code choose their coset by group arithmetic (_passes), and
+build it once.  Step budgets are code.DEFAULT_BUDGET throughout; only the
 genus-2 hunt takes a budget (its sample count).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from math import comb, gcd, isqrt
+from functools import partial
+from itertools import combinations, product
+from math import comb, gcd, isqrt, lcm
 from operator import itemgetter
 from random import Random
 
@@ -49,8 +47,10 @@ from .code import (
 )
 from .curves import (
     Curve,
+    Group,
     _matching_curves,
     admissible_curve_orders,
+    admissible_group_structures,
     curve_make,
     find_curve_with_order,
     group_structure,
@@ -77,34 +77,57 @@ from .rrspace import evaluate_monomial, rr_basis
 # -- coset codes -----------------------------------------------------------------
 
 
-def _coset_result(curve: Curve, subgroup, points, m: int):
-    """coset_code's degree-m code, report and meta on the sorted points of a
-    coset of the subgroup (the rep is the first), or None on NotMDS."""
-    try:
-        code, report = coset_code(curve, subgroup, points[:1], m)
-    except NotMDS:
+def _coset_result(curve: Curve, subgroups, m: int):
+    """coset_code's code, report and meta on the curve's first passing coset
+    (_first_coset) of the subgroups (label sets) in sorted order, or None."""
+    labels = point_labels(curve)
+    subgroups = sorted(subgroups, key=labels.sorted_points)
+    if not (found := _first_coset(labels, subgroups, m, partial(map, labels.of, curve.points()))):
         return None
-    meta = {"curve": curve, "group": group_structure(curve), "N": len(curve.points()),
-            "subgroup": subgroup, "rep": points[0], "points": points}
-    return code, report, meta
+    subgroup, b = found[1:]
+    points = labels.sorted_points(labels.add(b, s) for s in subgroup)
+    subgroup = tuple(labels.sorted_points(subgroup))
+    code, report = coset_code(curve, subgroup, points[:1], m)
+    meta = {"curve": curve, "group": group_structure(curve), "N": len(curve.points())}
+    return code, report, meta | {"subgroup": subgroup, "rep": points[0], "points": points}
 
 
-def _first_certified(subgroups, m: int):
-    """_coset_result of the first coset that coset_code certifies, walking
-    the cosets (_cosets) of each (curve, subgroup) pair in turn, or None.
-    When 2m = n, cosets summing to the identity are tried after all the
-    others: those keep the Schur dimension at its generic value 2m."""
-    deferred = []
-    for curve, subgroup in subgroups:
-        for points in _cosets(curve, subgroup):
-            if 2 * m == len(points) and not _group_sum(curve, points):
-                deferred.append((curve, subgroup, points))
-            elif found := _coset_result(curve, subgroup, points, m):
-                return found
-    for candidate in deferred:
-        if found := _coset_result(*candidate, m):
-            return found
-    return None
+def _passes(group: Group, subgroup, b, m: int) -> bool:
+    """Whether no m distinct elements of the coset b + S (S a subgroup, as
+    labels; 1 <= m < |S|) sum to the identity: is_mds_by_group_sums's verdict.
+
+    The m-sums of b + S are m*b + Sigma_m(S), and the m-sums Sigma_m(S) of S
+    are S but for Sigma_2((Z/2)^2) = S - {0}.  So b + S passes iff m*b is
+    not in S; for S = (Z/2)^2 and m = 2, iff 2b is 0 or not in S.  Proof
+    sketch: for S = Z/n the sums of m distinct integers in [0, n) fill an
+    interval of length m(n - m) + 1 >= n.  For S = Z/d1 x Z/d2, split the m
+    over the cosets of Z/d2: one holding 1 to d2 - 1 of them frees the second
+    coordinate, and moving one to the next coset moves the first by 1; only
+    (Z/2)^2 at m = 2 has no split reaching every first coordinate so.  A
+    brute force pins the fact for every such S of order at most 130.
+    """
+    mb = group.scale(m, b)
+    klein = m == 2 and len(subgroup) == 4 and all(group.scale(2, s) == (0, 0) for s in subgroup)
+    return mb not in subgroup or (klein and mb == (0, 0))
+
+
+def _first_coset(group: Group, subgroups, m: int, walk):
+    """(deferred, S, b) for the first coset b + S other than S whose degree-m
+    code passes (_passes), or None: the subgroups S in turn, each one's
+    cosets in order of their first element in walk() (passing is a coset
+    property, so the first passing element is its coset's first).  When
+    2m = n, a coset summing to the identity (n*b + sum(S)) comes after
+    every other passing coset: those keep the Schur dimension at 2m."""
+    deferred = None
+    for subgroup in subgroups:
+        n, total = len(subgroup), group.sum(subgroup)
+        for b in walk():
+            if b in subgroup or not _passes(group, subgroup, b, m):
+                continue
+            if 2 * m != n or group.add(group.scale(n, b), total) != (0, 0):
+                return False, subgroup, b
+            deferred = deferred or (True, subgroup, b)
+    return deferred
 
 
 def coset_code(
@@ -139,26 +162,28 @@ def coset_code(
     )
 
 
-def _subgroups_of_order(curve: Curve, order: int) -> list[tuple]:
-    """All subgroups of the given order, each as a sorted point tuple.
-
-    A subgroup of order t lies in the t-torsion, and the point group has
-    rank at most 2, so every such subgroup is a cyclic subgroup of the
-    torsion or the sum of two; on labels each sum is integer arithmetic.
-    """
-    labels = point_labels(curve)
-    cyclic = list({frozenset(labels.span([t])) for t in labels.torsion(order)})
+def _subgroups_of_order(group: Group, order: int) -> list:
+    """All subgroups of the given order, as frozensets of labels: in rank 2,
+    the cyclic subgroups of the order's torsion and the sums of two.  Each
+    cyclic one is spanned once, by the multiples of its first generator, and
+    a pair whose sum is cyclic (lcm of the orders = order) is skipped."""
+    cyclic, generators = [], set()  # generators: of the cyclic subgroups so far
+    for t in group.torsion(order):
+        if t not in generators:
+            o = group.order(t)
+            multiples = [group.scale(k, t) for k in range(o)]
+            cyclic.append(frozenset(multiples))
+            generators.update(x for k, x in enumerate(multiples) if gcd(k, o) == 1)
     found = {c for c in cyclic if len(c) == order}
     for a, b in combinations(cyclic, 2):
-        if len(a) * len(b) == order * len(a & b):
-            found.add(frozenset(labels.add(x, y) for x in a for y in b))
-    return sorted(tuple(labels.sorted_points(s)) for s in found)
+        if len(a) * len(b) == order * len(a & b) and lcm(len(a), len(b)) < order:
+            found.add(frozenset(group.add(x, y) for x in a for y in b))
+    return list(found)
 
 
-# search_coset_code walks at most 40 curves, with 200 random draws per curve,
-# and walks the curve family only up to q = 300: above that, seeded draws find
-# curves of one order far sooner, and they keep the codes it always returned.
-_SEARCH_CURVES = 40
+# search_coset_code walks the curve family up to q = 300, and above that
+# draws 8000 seeded random models: they find curves of one order far sooner.
+_SEARCH_DRAWS = 8000
 _SEARCH_FAMILY_CAP = 300
 
 
@@ -166,56 +191,41 @@ def search_coset_code(
     field: FieldSpec, n_points: int, n: int, m: int, seed: int = 0
 ) -> tuple[LinearCode, CodeReport, dict]:
     """Find a curve with the given point count and a size-n coset whose
-    degree-m code is MDS: the first coset that _first_certified accepts.
-
-    The curves are walked once, at most _SEARCH_CURVES of them; on each,
-    the size-n subgroups in sorted order and each one's cosets in order of
-    their first point.  Whether a coset passes depends only on the group
-    Z/d1 x Z/d2, so only the first curve of each shape is scanned.
-    """
+    degree-m code is MDS.  A coset's verdict depends only on the group
+    (_passes), so each admissible shape is decided first on a bare Group
+    (an undeferred pass beats a deferred one), and no curve is walked when
+    none passes.  The walk stops at the first curve of the best verdict,
+    else takes the first that passes; _coset_result takes its coset."""
     if not 1 <= m < n:
         raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
     if n_points not in admissible_curve_orders(field.q):
-        raise NoAdmissibleCurve(
-            f"N={n_points} is not an attainable point count over q={field.q}"
-        )
+        raise NoAdmissibleCurve(f"N={n_points} is not an attainable point count over q={field.q}")
     if n_points % n != 0:
-        raise NoAdmissibleCurve(
-            f"a size-{n} subgroup needs n | N, got N={n_points}"
-        )
-
-    def subgroups():
-        curves = _matching_curves(
-            field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
-        )
-        shapes = set()  # the group shapes scanned so far
-        for curve in islice(curves, _SEARCH_CURVES):
-            if (shape := group_structure(curve)) not in shapes:
-                shapes.add(shape)
-                yield from ((curve, s) for s in _subgroups_of_order(curve, n))
-        if not shapes:
-            raise NoAdmissibleCurve(f"no curve with N={n_points} found over q={field.q}")
-
-    found = _first_certified(subgroups(), m)
-    if found is None:
-        raise NoAdmissibleCurve(
-            f"no curve with N={n_points} over q={field.q} has a size-{n} coset "
-            f"giving an MDS degree-{m} code"
-        )
-    return found
-
-
-def _cosets(curve: Curve, subgroup):
-    """Yield the sorted points of every coset b + S other than the subgroup
-    S itself (given by its points), in order of their first point."""
-    labels = point_labels(curve)
-    sub_labels = [labels.of(p) for p in subgroup]
-    covered = set(sub_labels)  # the subgroup and every coset yielded so far
-    for b in map(labels.of, curve.points()):
-        if b not in covered:
-            coset_labels = [labels.add(b, s) for s in sub_labels]
-            covered.update(coset_labels)
-            yield labels.sorted_points(coset_labels)
+        raise NoAdmissibleCurve(f"a size-{n} subgroup needs n | N, got N={n_points}")
+    no_coset = NoAdmissibleCurve(f"no curve with N={n_points} over q={field.q} has a size-{n} "
+                                 f"coset giving an MDS degree-{m} code")
+    verdicts = {}  # shape -> (deferred, its size-n subgroups), for the shapes that pass
+    for d1, d2 in admissible_group_structures(field.q, n_points):
+        group = Group(d1, d2)
+        subgroups = _subgroups_of_order(group, n)
+        if found := _first_coset(group, subgroups, m, partial(product, range(d1), range(d2))):
+            verdicts[d1, d2] = found[0], subgroups
+    if not verdicts:
+        raise no_coset
+    best = min(deferred for deferred, _ in verdicts.values())
+    firsts, walked = {}, False  # firsts: deferred -> the first curve of that verdict
+    curves = _matching_curves(field, n_points, None, seed, _SEARCH_DRAWS, _SEARCH_FAMILY_CAP)
+    for curve in curves:
+        walked = True
+        if verdict := verdicts.get(group_structure(curve)):
+            firsts.setdefault(verdict[0], curve)
+            if best in firsts:
+                break
+    if not firsts:
+        raise no_coset if walked else NoAdmissibleCurve(
+            f"no curve with N={n_points} found over q={field.q}")
+    curve = firsts[min(firsts)]
+    return _coset_result(curve, verdicts[group_structure(curve)][1], m)
 
 
 # -- length recipes ------------------------------------------------------------------
@@ -232,8 +242,7 @@ def coprime_split_code(
         raise PreconditionFailed("both factors must be coprime to q")
     if not 2 <= m <= l1 - 1:
         raise PreconditionFailed(f"need 2 <= m <= l1 - 1 = {l1 - 1}, got {m}")
-    n_points = l1 * l2
-    return search_coset_code(field, n_points, l1, m, seed=seed)
+    return search_coset_code(field, l1 * l2, l1, m, seed=seed)
 
 
 def short_length_code(
@@ -269,7 +278,7 @@ def sqrt_prime_code(
 ) -> tuple[LinearCode, CodeReport, dict]:
     """MDS code of length floor(sqrt(p)) (or that plus one) over F_p, from
     a curve with n(n+1) points split as Z/n x Z/(n+1)."""
-    if not _is_odd_prime(p):
+    if p % 2 == 0 or not is_prime(p):
         raise PreconditionFailed("p must be an odd prime")
     field = field_make(p)
     n = isqrt(p)
@@ -280,24 +289,19 @@ def sqrt_prime_code(
     return search_coset_code(field, n_points, length, m, seed=seed)
 
 
-def _is_odd_prime(p: int) -> bool:
-    return p % 2 == 1 and is_prime(p)
-
-
 def supersingular_code(
     p: int, ext_degree: int, n_sub: int, k: int, seed: int = 0
 ) -> tuple[LinearCode, CodeReport, dict]:
-    """MDS [n_sub, k] code over F_{p^ext} from a supersingular curve, on
-    the first coset of an order-n_sub cyclic subgroup (in order of the
-    cosets' first points) that coset_code certifies.
+    """MDS [n_sub, k] code over F_{p^ext} from a supersingular curve, on the
+    first passing coset (_coset_result) of the subgroup spanned by the first
+    point of order n_sub: SubgroupNotFound when there is none, NotMDS when
+    none of its cosets passes.
 
     Needs an odd p, and uses y^2 = x^3 + 1 when p = 2 mod 3, else
     y^2 = x^3 + x when p = 3 mod 4.  The point count is p^e + 1 for odd
     extension degree e and (p^(e/2) - (-1)^(e/2))^2 for even e, and n_sub
     must divide it and stay below its square root (odd e) or below
-    p^(e/2) - (-1)^(e/2) (even e).  The subgroup is spanned by the first
-    point of order n_sub: SubgroupNotFound when there is none, NotMDS when
-    none of its cosets passes.
+    p^(e/2) - (-1)^(e/2) (even e).
     """
     if p % 2 == 0:  # both models are singular in characteristic 2
         raise PreconditionFailed("p must be odd")
@@ -334,8 +338,7 @@ def supersingular_code(
     )
     if generator is None:
         raise SubgroupNotFound(f"no point of order {n_sub} on {curve.text()}")
-    subgroup = labels.sorted_points(labels.span([generator]))
-    found = _first_certified([(curve, subgroup)], k)
+    found = _coset_result(curve, [frozenset(labels.span([generator]))], k)
     if found is None:
         raise NotMDS(f"no coset of the order-{n_sub} subgroup is MDS at degree {k}")
     return found
@@ -411,11 +414,7 @@ def admissible_pipeline_traces(s1: int, s2: int) -> list[int]:
     ordered by increasing absolute value."""
     q = 2 ** (s1 * s2)
     w = isqrt(4 * q)
-    out = [
-        beta
-        for beta in range(-w, w + 1)
-        if beta % 8 == 1 % 8 and (2 - beta) % (2**s1 - 1) == 0
-    ]
+    out = [beta for beta in range(-w, w + 1) if beta % 8 == 1 and (2 - beta) % (2**s1 - 1) == 0]
     return sorted(out, key=lambda b: (abs(b), b))
 
 

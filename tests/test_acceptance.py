@@ -34,6 +34,7 @@ from agmds.curves import (
     coset,
     curve_family,
     is_admissible_structure,
+    point_labels,
     random_curve,
     subgroup_closure,
 )
@@ -104,7 +105,8 @@ def test_criterion_2_schur_dimension_laws():
             for n in (8, 10, 12):
                 if n_points % n or n_points == n:
                     continue
-                subs = _subgroups_of_order(curve, n)
+                labels = point_labels(curve)
+                subs = sorted(labels.sorted_points(s) for s in _subgroups_of_order(labels, n))
                 if not subs:
                     continue
                 sub = subs[0]

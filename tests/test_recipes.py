@@ -6,7 +6,7 @@ import hashlib
 import json
 import time
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb
 from random import Random
 
@@ -28,8 +28,10 @@ from agmds.code import (
 from agmds.curves import (
     INFINITY,
     Curve,
+    Group,
     _matching_curves,
     admissible_curve_orders,
+    admissible_group_structures,
     coset,
     curve_family,
     find_curve_with_order,
@@ -51,11 +53,10 @@ from agmds.errors import (
 )
 import agmds.recipes as recipes_module
 from agmds.recipes import (
-    _SEARCH_CURVES,
+    _SEARCH_DRAWS,
     _SEARCH_FAMILY_CAP,
     DEFAULT_BUDGET,
-    _cosets,
-    _group_sum,
+    _passes,
     _subgroups_of_order,
     admissible_pipeline_traces,
     coprime_split_code,
@@ -174,6 +175,7 @@ def subgroups_of_order_oracle(curve, order):
 
 
 def test_subgroups_of_order_match_pairwise_closure_oracle():
+    # the subgroups of a bare Group of the curve's shape, read as points
     shapes = set()
     for F in (field_make(3, 2), field_make(13), field_make(17)):
         for curve in curve_family(F):
@@ -181,11 +183,13 @@ def test_subgroups_of_order_match_pairwise_closure_oracle():
             if shape in shapes:
                 continue
             shapes.add(shape)
+            labels = point_labels(curve)
             n_points = shape[0] * shape[1]
             for order in range(1, min(n_points, 12) + 1):
                 if n_points % order == 0:
                     expected = subgroups_of_order_oracle(curve, order)
-                    assert _subgroups_of_order(curve, order) == expected
+                    found = _subgroups_of_order(Group(*shape), order)
+                    assert sorted(tuple(labels.sorted_points(s)) for s in found) == expected
     # several subgroups of one order occur only in non-cyclic groups
     assert sum(d1 > 1 for d1, _ in shapes) >= 5
 
@@ -292,11 +296,13 @@ def _reference_coset_search(
     field, n_points: int, n: int, m: int, seed: int = 0
 ):
     """Brute-force reference of the one-scan rule.  It walks the same
-    _matching_curves prefix with no shape memo and tries every coset of
-    every size-n subgroup, listed by the group law: subgroups in sorted
-    order, cosets in order of their first point, and when 2m = n the cosets
-    summing to the identity after all the others.  The first coset whose
-    code the minors call MDS wins (the group-sum DP when C(n, m) > 3000)."""
+    _matching_curves order with no shape verdict, until every admissible
+    shape has appeared, and tries every coset of every size-n subgroup of
+    each curve, listed by the group law: subgroups in sorted order, cosets
+    in order of their first point, and when 2m = n the cosets summing to
+    the identity after all the others.  The first coset whose code the
+    minors call MDS wins (the group-sum DP when C(n, m) > 3000).  A class
+    copy is the class's first curve again, so its cosets are not retried."""
     if not 1 <= m < n:
         raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
     if n_points not in admissible_curve_orders(field.q):
@@ -308,14 +314,20 @@ def _reference_coset_search(
             f"a size-{n} subgroup needs n | N, got N={n_points}"
         )
     curves = _matching_curves(
-        field, n_points, None, seed, 200 * _SEARCH_CURVES, _SEARCH_FAMILY_CAP
+        field, n_points, None, seed, _SEARCH_DRAWS, _SEARCH_FAMILY_CAP
     )
+    unseen = set(admissible_group_structures(field.q, n_points))
 
     def candidates():
-        walked, last = False, []  # last: the cosets summing to the identity when 2m = n
-        for curve in islice(curves, _SEARCH_CURVES):
-            walked = True
-            for subgroup in _subgroups_of_order(curve, n):
+        walked, last = set(), []  # last: the cosets summing to the identity when 2m = n
+        for curve in curves:
+            if not unseen:
+                break
+            if id(curve) in walked:
+                continue
+            walked.add(id(curve))
+            unseen.discard(group_structure(curve))
+            for subgroup in subgroups_of_order_oracle(curve, n):
                 cosets, covered = [], set(subgroup)
                 for b in curve.points():
                     if b not in covered:
@@ -365,14 +377,14 @@ def _search_outcome(field, N, n, m, search=search_coset_code, seed=0):
 
 @pytest.mark.parametrize("q, N, n, m, labelled", [
     ((2, 8), 288, 16, 8, 1),
-    ((2, 6), 72, 12, 6, 1),
+    ((2, 6), 72, 12, 6, 0),
     ((5, 3), 110, 10, 5, 1),
     ((19, 1), 24, 6, 3, 1),
 ], ids=["f256-n288", "f64-n72-fails", "f125-n110", "f19-n24"])
 def test_search_coset_code_labels_each_failing_class_once(q, N, n, m, labelled,
                                                           monkeypatch):
-    # Each group shape is labelled once, so each class is too: both classes
-    # among F_64's first 40 N = 72 tuples have shape (1, 72).
+    # The shapes are decided on bare labels, so only the curve of the code
+    # is labelled, and a search that no shape passes labels none.
     field = field_make(*q)
     expected = _search_outcome(field, N, n, m, _reference_coset_search)
     curves = []  # the distinct curves the search labels, in order
@@ -429,26 +441,30 @@ def test_coset_recipes_end_in_coset_code():
 
 
 def test_coset_recipes_send_each_coset_to_the_dp_once(monkeypatch):
-    # only coset_code calls recipes.is_mds_by_group_sums at degree m
-    seen = Counter()
+    # only coset_code calls recipes.is_mds_by_group_sums at degree m, and
+    # only on the coset it returns
+    seen = []
     dp = recipes_module.is_mds_by_group_sums
 
     def recording(curve, points, m):
-        seen[curve.text(), tuple(points), m] += 1
+        seen.append((curve.text(), list(points), m))
         return dp(curve, points, m)
 
     monkeypatch.setattr(recipes_module, "is_mds_by_group_sums", recording)
-    search_coset_code(field_make(2, 8), 288, 16, 8)
-    supersingular_code(7, 3, 8, 4)
-    assert seen and max(seen.values()) == 1
+    for run, m in ((lambda: search_coset_code(field_make(2, 8), 288, 16, 8), 8),
+                   (lambda: supersingular_code(7, 3, 8, 4), 4)):
+        seen.clear()
+        _, _, meta = run()
+        assert seen == [(meta["curve"].text(), meta["points"], m)]
 
 
-@pytest.mark.parametrize("q, N, n, m", [
-    ((2, 8), 288, 16, 8),
-    ((2, 6), 72, 12, 6),
+@pytest.mark.parametrize("q, N, n, m, walks", [
+    ((2, 8), 288, 16, 8, True),
+    ((2, 6), 72, 12, 6, False),
 ], ids=["f256-n288", "f64-n72-fails"])
-def test_search_coset_code_counts_each_tuple_once(q, N, n, m, monkeypatch):
-    # the search takes its curves from one walk of the family
+def test_search_coset_code_counts_each_tuple_once(q, N, n, m, walks, monkeypatch):
+    # the search takes its curves from one walk of the family, and takes
+    # none when no group shape passes
     counted = []
     point_count = Curve.point_count
 
@@ -458,15 +474,16 @@ def test_search_coset_code_counts_each_tuple_once(q, N, n, m, monkeypatch):
 
     monkeypatch.setattr(Curve, "point_count", counting)
     _search_outcome(field_make(*q), N, n, m)
-    assert counted and len(counted) == len(set(counted))
+    assert bool(counted) == walks and len(counted) == len(set(counted))
 
 
 @pytest.mark.parametrize("q, N, n, m, labellings", [
     ((2, 8), 288, 16, 8, 1),
-    ((2, 6), 72, 12, 6, 1),
+    ((2, 6), 72, 12, 6, 0),
 ], ids=["f256-n288", "f64-n72-fails"])
 def test_search_coset_code_reuses_pass_one_labels(q, N, n, m, labellings, monkeypatch):
-    # the search scans each group shape on one curve object, labelled once
+    # the search labels the curve of its code once, and none when no group
+    # shape passes
     fresh = []
     point_labels = recipes_module.point_labels
 
@@ -505,9 +522,15 @@ def test_search_coset_code_enumerates_a_counted_char2_curve_once(monkeypatch):
     assert [len(run) for run in runs].count(287) == 1
 
 
-def test_search_coset_code_keeps_the_family_cap_failure():
-    # The first 40 N = 72 tuples over F_64 fall into 2 of the 9 ordinary
-    # classes; neither has an MDS size-12 coset, and the cap stops the walk.
+def test_search_coset_code_fails_by_the_shape_verdict(monkeypatch):
+    # Both N = 72 shapes over F_64, (1, 72) and (3, 24), have 6b in H for
+    # every size-12 subgroup H and every b, so the search fails before it
+    # walks a curve.
+    def walking(*args):
+        raise AssertionError("walked the curves")
+
+    monkeypatch.setattr(recipes_module, "_matching_curves", walking)
+    assert admissible_group_structures(64, 72) == [(1, 72), (3, 24)]
     assert _search_outcome(field_make(2, 6), 72, 12, 6) == (
         "NoAdmissibleCurve: no curve with N=72 over q=64 has a size-12 coset "
         "giving an MDS degree-6 code"
@@ -538,35 +561,53 @@ def test_search_coset_code_refuses_m_equal_to_n_before_counting(monkeypatch):
         search_coset_code(F19, 24, 6, 6)
 
 
-def _coset_verdict(curve, n: int, m: int) -> tuple:
-    """(some size-n coset passes the DP, some passing coset has a nonzero
-    sum), the second None unless 2m = n."""
-    passing = [points for subgroup in _subgroups_of_order(curve, n)
-               for points in _cosets(curve, subgroup)
-               if is_mds_by_group_sums(curve, points, m)]
-    nonzero = any(_group_sum(curve, points) for points in passing)
-    return bool(passing), nonzero if 2 * m == n else None
+def test_m_sums_fill_every_rank_2_group_but_the_klein_pair():
+    # Sigma_m(H), the sums of m distinct elements of H = Z/d1 x Z/d2, is all
+    # of H for every 1 <= m < |H| except (Z/2)^2 at m = 2: the fact behind
+    # recipes._passes, by brute force.  reach[k][r] holds the k-sums with
+    # first coordinate r as one d2-bit row, and adding an element (i, j)
+    # rotates each row by j, as in code._has_subset_sum.
+    groups = [(d1, d2) for d1 in range(1, 12) for d2 in range(d1, 130 // d1 + 1, d1)]
+    exceptions = []
+    for d1, d2 in groups:
+        n, full = d1 * d2, (1 << d2) - 1
+        reach = [[0] * d1 for _ in range(n + 1)]
+        reach[0][0] = 1
+        for t, (i, j) in enumerate(product(range(d1), range(d2))):
+            for k in range(t, -1, -1):
+                dst = reach[k + 1]
+                for r, row in enumerate(reach[k]):
+                    if row:
+                        dst[(r + i) % d1] |= ((row << j) | (row >> (d2 - j))) & full
+        exceptions += [(d1, d2, m) for m in range(1, n) if reach[m] != [full] * d1]
+    assert len(groups) == 199  # the trivial group among them
+    assert exceptions == [(2, 2, 2)]
 
 
-def test_first_certified_coset_is_a_property_of_the_group_shape():
-    # the premise of the search's shape memo, on up to 3 curves per (N, shape)
-    verdicts = Counter()
-    for spec in [(5,), (7,), (2, 3), (3, 2), (11,), (13,), (2, 4), (19,)]:
-        by_shape = {}
+def test_passes_matches_the_dp_on_every_coset_of_one_curve_per_shape():
+    # every subgroup, coset (the subgroup itself too) and degree of one
+    # curve per (N, shape), against is_mds_by_group_sums on the points
+    pairs, klein = Counter(), 0
+    for spec in [(7,), (2, 3), (3, 2), (11,), (13,), (2, 4), (17,), (5, 2)]:
+        curves = {}
         for curve in curve_family(field_make(*spec)):
-            same = by_shape.setdefault((len(curve.points()), group_structure(curve)), [])
-            if len(same) < 3:
-                same.append(curve)
-        for (N, _), curves in by_shape.items():
-            for n in range(2, N):
-                if N % n:
-                    continue
-                for m in {1, 2, n // 2, n - 1} & set(range(1, n)):
-                    (verdict,) = {_coset_verdict(c, n, m) for c in curves}
-                    verdicts[verdict] += 1
-    # 14 (N, n, m) have MDS cosets only among those summing to the identity
-    assert verdicts == {(True, None): 330, (True, True): 118, (True, False): 14,
-                        (False, None): 122, (False, False): 30}
+            curves.setdefault((len(curve.points()), group_structure(curve)), curve)
+        for curve in curves.values():
+            labels = point_labels(curve)
+            N = len(curve.points())
+            for subgroup in (s for order in range(2, N + 1) if N % order == 0
+                             for s in _subgroups_of_order(labels, order)):
+                n = len(subgroup)
+                elements = product(range(labels.d1), range(labels.d2))
+                reps = {min(labels.add(b, s) for s in subgroup) for b in elements}
+                klein += n == 4 and all(labels.scale(2, s) == (0, 0) for s in subgroup)
+                for b in reps:
+                    points = labels.sorted_points(labels.add(b, s) for s in subgroup)
+                    for m in range(1, n):
+                        verdict = _passes(labels, subgroup, b, m)
+                        assert verdict == is_mds_by_group_sums(curve, points, m)
+                        pairs[verdict] += 1
+    assert klein == 27 and pairs == {True: 4155, False: 5045}
 
 
 @pytest.mark.parametrize("spec", [(2, 4), (5, 2), (3, 2)], ids=["f16", "f25", "f9"])
@@ -670,8 +711,8 @@ def test_supersingular_counts_and_codes():
 
 
 def test_supersingular_code_refuses_a_subgroup_with_no_mds_coset(monkeypatch):
-    # no pinned input has one, so the DP is made to refuse every coset
-    monkeypatch.setattr(recipes_module, "is_mds_by_group_sums", lambda *args: False)
+    # no pinned input has one, so every coset is made to fail
+    monkeypatch.setattr(recipes_module, "_passes", lambda *args: False)
     with pytest.raises(NotMDS, match="no coset of the order-8 subgroup is MDS at degree 4"):
         supersingular_code(7, 3, 8, 4)
 
