@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
 from math import comb
 from random import Random
 
-from .curves import Curve, point_labels
+from .curves import INFINITY, Curve, point_labels
 from .errors import (
     BudgetExceeded,
     CharNotTwo,
@@ -116,7 +116,12 @@ def build_code(
     curve: Curve, points, m: int, provenance: dict | None = None
 ) -> LinearCode:
     """One-point evaluation code: row r, column c holds the r-th basis
-    monomial of L(m*P0) evaluated at the c-th point."""
+    monomial of L(m*P0) evaluated at the c-th point.
+
+    The generator has full rank without a rank check: the monomials are a
+    basis of L(m*P0), and a nonzero f in L(m*P0) has its only pole at P0,
+    of order at most m, so at most m zeros; on n > m distinct affine points
+    it cannot vanish everywhere."""
     pts = list(points)
     n = len(pts)
     g = curve.genus
@@ -133,7 +138,7 @@ def build_code(
     rows = [
         [evaluate_monomial(F, mono, p) for p in pts] for mono in basis.monomials
     ]
-    return LinearCode(F, FFMatrix(F, rows, n), provenance)
+    return LinearCode._of_full_rank(F, FFMatrix(F, rows, n), provenance)
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -345,9 +350,9 @@ def is_mds_by_group_sums(
 
 
 def _group_sum(curve: Curve, points) -> tuple:
-    """The sum of the points in the curve's group; INFINITY is falsy."""
-    labels = point_labels(curve)
-    return labels.point(labels.sum(map(labels.of, points)))
+    """The sum of the points under the group law; INFINITY is falsy.  It
+    labels nothing, so a caller with few points never labels the group."""
+    return reduce(curve._group_law(), points, INFINITY)
 
 
 def elliptic_schur(
@@ -383,6 +388,7 @@ def elliptic_schur(
     if 2 * m > n:
         return n, 1
     if 2 * m == n:
+        curve._require_group(*pts)  # the law itself checks no point
         return (n, 1) if _group_sum(curve, pts) else (n - 1, 2)
     try:
         mds = is_mds_by_group_sums(curve, pts, 2 * m, budget)
@@ -491,7 +497,10 @@ def self_dualize(code: LinearCode, seed: int = 0) -> LinearCode:
         )
     sqrt_v = [F.frobenius_sqrt(c) for c in v]
     scaled = code.gen.scale_columns(sqrt_v)
-    out = LinearCode(F, scaled, {"construction": "self-dualize", "scaling": v})
+    # nonzero column scalings keep the rank of code's full-rank generator
+    out = LinearCode._of_full_rank(
+        F, scaled, {"construction": "self-dualize", "scaling": v}
+    )
     if not out.gen.mul(out.gen.transpose()).is_zero():  # pragma: no cover
         raise AssertionError("scaled generator is not self-orthogonal")
     return out

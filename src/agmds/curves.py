@@ -629,24 +629,17 @@ class PointLabels(Group):
 
 
 def point_labels(curve: Curve) -> PointLabels:
-    """The integer labels of the curve's points, computed once per curve.
-
-    A basis is built prime by prime (_sylow_basis) and CRT-combined into
-    P1 of order d1 and P2 of order d2; labelling then walks the grid
-    i*P1 + j*P2 with N additions.
+    """The integer labels of the curve's points, computed once per curve:
+    i*P1 + j*P2 carries the label (i, j) for the basis of _group_basis, and
+    labelling walks that grid with N additions.  The labels depend on which
+    basis the stride walk of _sylow_basis meets first; no recipe output
+    does, since subgroups are taken whole and cosets by their first point.
     """
     curve._require_group()
     if curve._labels is None:
         n = len(curve.points())
         add = curve._group_law()
-        p1 = p2 = ()
-        d1 = 1
-        for l, h in factorint(n).items():
-            g_max, g_other, a = _sylow_basis(curve, n, l, h)
-            p2 = add(p2, g_max)
-            p1 = add(p1, g_other)
-            d1 *= l**a
-        d2 = n // d1
+        d1, d2, p1, p2 = _group_basis(curve)
         label: dict = {}
         point: dict = {}
         row = ()
@@ -663,18 +656,47 @@ def point_labels(curve: Curve) -> PointLabels:
     return curve._labels
 
 
+def _group_basis(curve: Curve):
+    """(d1, d2, P1, P2): the point group is Z/d1 x Z/d2 (d1 | d2) with P1
+    of order d1 and P2 of order d2.  The Sylow bases (_sylow_basis) are
+    joined by CRT: points of coprime orders sum to a point of the product
+    order, so P2 sums their maximal-order G and P1 their H."""
+    n = len(curve.points())
+    add = curve._group_law()
+    p1 = p2 = ()
+    d1 = 1
+    for l, h in factorint(n).items():
+        g_max, g_other, a = _sylow_basis(curve, n, l, h)
+        p2 = add(p2, g_max)
+        p1 = add(p1, g_other)
+        d1 *= l**a
+    return d1, n // d1, p1, p2
+
+
 def _sylow_basis(curve: Curve, n: int, l: int, h: int):
     """A basis (G, H, a) of the l-Sylow subgroup Z/l^a x Z/l^(h-a), a <= h-a:
     G of maximal order l^(h-a), H of order l^a with <G> + <H> the whole
     l-part (H is infinity when a = 0).  Group elements are point tuples.
 
-    Points, walked in sorted order, are mapped into the l-part by the
-    cofactor n / l^h.  When the l-part must be cyclic (h = 1, or l does not
-    divide q - 1, by the Weil pairing) the first image of order l^h is G.
-    Otherwise the images' span is closed until it has l^h elements; G is
-    its first element of maximal order and H the first of order l^a whose
-    order-l multiple lies outside <G>.  Each basis is built once per curve
-    and kept in curve._sylow, so group_structure and point_labels share it.
+    Points are mapped into the l-part by the cofactor n / l^h, walked in a
+    fixed stride order: the i-th is points[i*k % n] for the largest
+    k <= 0.618 n prime to n.  When the l-part must be cyclic (h = 1, or l
+    does not divide q - 1, by the Weil pairing) the first image of order l^h
+    is G.  Otherwise the images' span is closed until it has l^h elements;
+    G is its first element of maximal order and H the first of order l^a
+    whose order-l multiple lies outside <G>.  Each basis is built once per
+    curve and kept in curve._sylow, so group_structure and point_labels
+    share it.
+
+    The walk fixes the cyclic case's G; a closed span is the whole l-part
+    whatever the walk.  Sorted (x, y) order is the worst walk for l = 2 in
+    characteristic 2: a point of y^2 + xy = x^3 + a2 x^2 + a6 is twice a
+    point iff Tr(x) = Tr(a2) (point halving), and the abscissa codes below
+    32 over F_2^8 (below 2048 over F_2^16) all have trace 0, so when
+    Tr(a2) = 0 no point below them generates the 2-part.  Each stride step
+    moves a golden-ratio fraction of the way through the sorted points, so
+    the abscissas tried spread over the field, and about half of them give
+    a generator.
     """
     if l not in curve._sylow:
         curve._sylow[l] = _build_sylow_basis(curve, n, l, h)
@@ -682,11 +704,14 @@ def _sylow_basis(curve: Curve, n: int, l: int, h: int):
 
 
 def _build_sylow_basis(curve: Curve, n: int, l: int, h: int):
-    """The basis of _sylow_basis, built afresh."""
+    """The basis of _sylow_basis, built afresh from the stride walk."""
     scalar, add = curve._scalar_xy, curve._group_law()
     size = l**h
     cofactor = n // size
-    images = (scalar(cofactor, pt) for pt in curve.points())
+    points, step = curve.points(), n * 618 // 1000
+    while gcd(step, n) != 1:
+        step -= 1
+    images = (scalar(cofactor, points[i * step % n]) for i in range(n))
     if h == 1 or (curve.field.q - 1) % l:
         for g in images:
             if scalar(size // l, g):

@@ -1,13 +1,15 @@
 """End-to-end code constructions.
 
 Each recipe locates (or accepts) a curve, picks evaluation points, builds
-the code and certifies it MDS with one certificate: the subset-sum DP on
-the point labels for elliptic codes (their exact MDS condition, so it runs
-even when a sufficient condition already holds), the same DP on the
-discrete logs of the evaluation elements for twisted evaluation codes
-(their product criterion), the minors of the systematic form [I | A]
-on genus 2.  The report takes d = n - k + 1 from that verdict (d = n - k
-for a twisted code that fails it).  An elliptic report takes its Schur
+the code and certifies it MDS with one certificate: for elliptic coset
+codes, the subset-sum DP on the point labels (their exact MDS condition,
+so it runs even when a sufficient condition already holds) in coset_code,
+and its closed form on one coset, m*b outside the subgroup (_passes), in
+the self-dual pipeline; the same DP on the discrete logs of the
+evaluation elements for twisted evaluation codes (their product
+criterion); the minors of the systematic form [I | A] on genus 2.  The
+report takes d = n - k + 1 from that verdict (d = n - k for a twisted
+code that fails it).  An elliptic report takes its Schur
 square's dimension and distance from code.elliptic_schur (Riemann-Roch,
 and the DP at 2m); twisted and genus-2 reports still row-reduce the
 square and scan its distance.  Polynomial-code baselines live here too; a
@@ -19,8 +21,11 @@ curves.Group (point_labels on a curve): subgroups are label sets, and a
 coset b + S is S shifted by b.  coset_code is the one constructor of
 elliptic coset codes and the DP its one verdict.  search_coset_code and
 supersingular_code choose their coset by group arithmetic (_passes), and
-build it once.  Step budgets are code.DEFAULT_BUDGET throughout; only the
-genus-2 hunt takes a budget (its sample count).
+build it once.  The self-dual pipeline's curve is cyclic, so it takes its
+coset on a bare Group(1, N) and maps the n labels it needs to points by
+multiples of the generator; it labels no other point.  Step budgets are
+code.DEFAULT_BUDGET throughout; only the genus-2 hunt takes a budget (its
+sample count).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .code import (
 from .curves import (
     Curve,
     Group,
+    _group_basis,
     _matching_curves,
     admissible_curve_orders,
     admissible_group_structures,
@@ -117,10 +123,16 @@ def _first_coset(group: Group, subgroups, m: int, walk):
     cosets in order of their first element in walk() (passing is a coset
     property, so the first passing element is its coset's first).  When
     2m = n, a coset summing to the identity (n*b + sum(S)) comes after
-    every other passing coset: those keep the Schur dimension at 2m."""
+    every other passing coset: those keep the Schur dimension at 2m.  A
+    subgroup holding m*G, read off the two basis labels, has no passing
+    coset unless it is a Klein four-group, and is skipped without a walk."""
     deferred = None
     for subgroup in subgroups:
-        n, total = len(subgroup), group.sum(subgroup)
+        n = len(subgroup)
+        m_basis = group.scale(m, (1, 0)), group.scale(m, (0, 1))
+        if n != 4 and all(x in subgroup for x in m_basis):
+            continue
+        total = group.sum(subgroup) if 2 * m == n else None
         for b in walk():
             if b in subgroup or not _passes(group, subgroup, b, m):
                 continue
@@ -163,10 +175,14 @@ def coset_code(
 
 
 def _subgroups_of_order(group: Group, order: int) -> list:
-    """All subgroups of the given order, as frozensets of labels: in rank 2,
-    the cyclic subgroups of the order's torsion and the sums of two.  Each
+    """All subgroups of the given order, as frozensets of labels.  A cyclic
+    group has at most one, the multiples of d2 / order.  In rank 2 they are
+    the cyclic subgroups of the order's torsion and the sums of two: each
     cyclic one is spanned once, by the multiples of its first generator, and
     a pair whose sum is cyclic (lcm of the orders = order) is skipped."""
+    if group.d1 == 1:
+        step, rest = divmod(group.d2, order)
+        return [] if rest else [frozenset((0, k * step) for k in range(order))]
     cyclic, generators = [], set()  # generators: of the cyclic subgroups so far
     for t in group.torsion(order):
         if t not in generators:
@@ -427,11 +443,13 @@ def self_dual_pipeline(
     is divisible by 8 and is 2^h2 * L with L odd); find a curve with that
     order and a cyclic group; evaluate on the coset b + E1 where E1 combines
     the order-2^t piece of the 2-part with an order-l_prime subgroup and
-    b = 2^(h2-1-t) * theta for theta generating the 2-part.  The coset sums
-    to the identity, so the dual of the degree-n/2 code is a diagonal
-    rescaling of it; MDS is certified by the group-sum certificate (it can
-    fail for t >= 2, in which case NotMDS propagates), and the square-root
-    rescaling then yields a self-dual generator.
+    b = 2^(h2-1-t) * theta for theta generating the 2-part.  b + E1 is the
+    one coset of E1 other than E1 in the subgroup of order 2n, so it does
+    not depend on the generator.  The coset sums to the identity, so the
+    dual of the degree-n/2 code is a diagonal rescaling of it.  MDS is
+    decided on the labels by the coset certificate (_passes): m*b has order
+    4, so it lies in E1, and NotMDS is raised, exactly when t >= 2.  The
+    square-root rescaling then yields a self-dual generator.
     """
     if s1 < 1 or s2 < 1:
         raise PreconditionFailed("extension degrees must be positive")
@@ -472,20 +490,21 @@ def self_dual_pipeline(
 
 
 def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
-    labels = point_labels(curve)
-    generator = (0, 1)  # the curve has shape (1, N): labels are Z/1 x Z/N
-    theta = labels.scale(big_l, generator)  # order 2^h2
-    odd_gen = labels.scale(2**h2, generator)  # order L
-    e2_gen = labels.scale(big_l // l_prime, odd_gen)  # order l_prime
-    e1 = labels.span([labels.scale(2 ** (h2 - t), theta), e2_gen])
-    b = labels.scale(2 ** (h2 - 1 - t), theta)
-    points = labels.sorted_points(labels.add(b, s) for s in e1)
-    n = len(points)
+    group = Group(1, n_points)  # the curve is cyclic: k*P2 has the label (0, k)
+    generator = (0, 1)
+    theta = group.scale(big_l, generator)  # order 2^h2
+    odd_gen = group.scale(2**h2, generator)  # order L
+    e2_gen = group.scale(big_l // l_prime, odd_gen)  # order l_prime
+    e1 = group.span([group.scale(2 ** (h2 - t), theta), e2_gen])
+    b = group.scale(2 ** (h2 - 1 - t), theta)
+    n = len(e1)
     m = n // 2
+    if not _passes(group, e1, b, m):
+        raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
+    p2 = _group_basis(curve)[3]
+    points = sorted(curve._scalar_xy(j, p2) for _, j in (group.add(b, s) for s in e1))
     if _group_sum(curve, points):  # pragma: no cover
         raise AssertionError("pipeline coset does not sum to the identity")
-    if not is_mds_by_group_sums(curve, points, m):
-        raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     provenance = {
         "construction": "self-dual-pipeline",
         "curve": curve.text(),

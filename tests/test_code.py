@@ -42,6 +42,7 @@ from agmds.errors import (
     DuplicatePoints,
     NoFullWeightSolution,
     NotHalfRate,
+    PointNotOnCurve,
     RangeViolation,
     RankDeficient,
 )
@@ -80,6 +81,27 @@ def test_build_code_errors():
         build_code(E_F5, PTS_F5, 3)  # m < n required
     with pytest.raises(DuplicatePoints):
         build_code(E_F5, [PTS_F5[0], PTS_F5[0], PTS_F5[1]], 2)
+
+
+def test_build_code_generators_have_full_rank_without_the_check():
+    # build_code skips LinearCode's rank check: a nonzero f in L(m*P0) has
+    # at most m zeros, so n > m distinct affine points give rank k; rank()
+    # is the oracle on seeded random curves, point sets and degrees.
+    rng = random.Random(37)
+    curves = [random_curve(F, rng) for F in (F7, F16, F19, field_make(3, 2), F31)
+              for _ in range(4)]
+    curves.append(curve_make(F31, 2, [1, 0, 0, 0, 0, 1]))  # genus 2
+    built = 0
+    for curve in curves:
+        affine, low = curve.affine_points(), 2 * curve.genus - 1  # the least m
+        for _ in range(6 if len(affine) > low else 0):
+            n = rng.randint(low + 1, len(affine))
+            m = rng.randint(low, n - 1)
+            code = build_code(curve, rng.sample(affine, n), m)
+            assert code.k == m + 1 - curve.genus
+            assert rank(code.gen) == code.k, (curve.text(), n, m)
+            built += 1
+    assert built >= 100
 
 
 def test_dual_code_examples():
@@ -563,6 +585,11 @@ def test_elliptic_schur_over_budget_keeps_the_dimension():
     assert elliptic_schur(curve, pts, 3, budget=1) == (6, None)
     with pytest.raises(RangeViolation):
         elliptic_schur(curve, pts, 9)
+    # the sums at 2m <= n name a point off the curve
+    off = next((x, y) for x in range(7) for y in range(7) if not curve.contains((x, y)))
+    for m, subset in ((3, pts[:5] + [off]), (3, pts[:8] + [off])):
+        with pytest.raises(PointNotOnCurve):
+            elliptic_schur(curve, subset, m)
 
 
 def test_hull_examples():

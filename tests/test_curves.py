@@ -766,6 +766,33 @@ def test_sylow_bases_are_built_once_in_either_order(F, monkeypatch):
             assert work[0][1] == work[1][1] == work[1][0], (coeffs, work)
 
 
+def test_cyclic_two_part_generator_is_found_in_a_few_trials(monkeypatch):
+    # A point of y^2 + xy = x^3 + a2 x^2 + a6 is twice a point iff
+    # Tr(x) = Tr(a2), and over F_2^8 every abscissa code below 32 has trace
+    # 0.  On g1:1,0,0,0,1 (a2 = 0, 2-part Z/32) a walk in sorted order meets
+    # its first generator, (54, 169), at the 61st affine point, after 390
+    # group-law calls; the stride walk spreads its abscissas over the field.
+    F = field_make(2, 8)
+    calls, group_law = [0], Curve._group_law
+
+    def counting(curve):
+        law = group_law(curve)
+
+        def step(P, Q):
+            calls[0] += 1
+            return law(P, Q)
+
+        return step
+
+    monkeypatch.setattr(Curve, "_group_law", counting)
+    curve = parse_curve_text(F, "g1:1,0,0,0,1")
+    n = len(curve.points())
+    assert factorint(n)[2] == 5
+    g, other, a = curves_module._build_sylow_basis(curve, n, 2, 5)
+    assert calls[0] <= 40, calls[0]
+    assert (other, a) == ((), 0) and curve.point_order(g) == 32
+
+
 def test_structure_divides_q_minus_1():
     rng = random.Random(31)
     for F in (F13, F16, F19):

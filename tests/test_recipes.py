@@ -6,6 +6,7 @@ import hashlib
 import json
 import time
 from collections import Counter
+from functools import partial
 from itertools import combinations, islice, product
 from math import comb
 from random import Random
@@ -51,6 +52,7 @@ from agmds.errors import (
     RangeViolation,
     SubgroupNotFound,
 )
+import agmds.curves as curves_module
 import agmds.recipes as recipes_module
 from agmds.recipes import (
     _SEARCH_DRAWS,
@@ -608,6 +610,38 @@ def test_passes_matches_the_dp_on_every_coset_of_one_curve_per_shape():
                         assert verdict == is_mds_by_group_sums(curve, points, m)
                         pairs[verdict] += 1
     assert klein == 27 and pairs == {True: 4155, False: 5045}
+
+
+def test_first_coset_skips_exactly_the_subgroups_with_no_passing_coset():
+    # _first_coset skips a subgroup holding m*G without walking it; on every
+    # subgroup and degree of the groups of order <= 48 the verdict equals
+    # a walk of _passes over the whole group.
+    walked = []
+
+    def walk(group):
+        walked.append(1)
+        return product(range(group.d1), range(group.d2))
+
+    skipped = 0
+    for d1 in range(1, 7):
+        for d2 in range(d1, 48 // d1 + 1, d1):
+            group = Group(d1, d2)
+            for order in range(2, d1 * d2):
+                for subgroup in _subgroups_of_order(group, order):
+                    for m in range(1, order):
+                        walked.clear()
+                        found = recipes_module._first_coset(
+                            group, [subgroup], m, partial(walk, group))
+                        expected = any(b not in subgroup and _passes(group, subgroup, b, m)
+                                       for b in walk(group))
+                        assert (found is not None) == expected, (d1, d2, sorted(subgroup), m)
+                        skipped += len(walked) == 1
+    assert skipped > 0
+    # the failing F_2^16 shape: Z/66048's subgroup of order 33024 holds 2G
+    group = Group(1, 66048)
+    (subgroup,) = _subgroups_of_order(group, 33024)
+    assert recipes_module._first_coset(
+        group, [subgroup], 2, lambda: pytest.fail("the subgroup was walked")) is None
 
 
 @pytest.mark.parametrize("spec", [(2, 4), (5, 2), (3, 2)], ids=["f16", "f25", "f9"])
@@ -1185,6 +1219,63 @@ def test_genus2_schur_dimension():
     code = build_code(X, pts, 9)
     assert code.k == 8
     assert schur_square(code).k == 2 * code.k + 1
+
+
+# Seeded pipeline inputs: codes at t = 1, NotMDS at t >= 2, the parameter
+# errors, and (2, 4, 1, 5), which takes the second trace; the sha256 of
+# their outcomes pins every generator, scaling, report, curve and point.
+PIPELINE_SWEEP = [
+    (s1, s2, t, lp, seed)
+    for s1, s2, ts, lps in ((2, 2, (1, 2, 3), (1, 3, 5)), (1, 4, (1, 2, 3), (1, 3)),
+                            (2, 3, (1, 2), (1, 3, 9)), (3, 2, (1, 2), (1, 7)),
+                            (4, 2, (1, 2, 3), (1, 3, 5, 15)), (2, 4, (1, 2), (3, 5, 11)),
+                            (2, 5, (1, 2), (3, 43)), (5, 2, (1, 4), (1, 31)),
+                            (1, 5, (1, 3, 4), (1,)), (3, 1, (1,), (1,)))
+    for t in ts for lp in lps for seed in (0, 1)
+]
+PIPELINE_DIGEST = "6e2768bc49c83c1f161c8d761b107bd13f96df1fbdec5e51543e0916174da49a"
+
+
+def _pipeline_digest():
+    outcomes = []
+    for args in PIPELINE_SWEEP:
+        try:
+            code, report, meta = self_dual_pipeline(*args)
+        except AgmdsError as exc:
+            outcomes.append([type(exc).__name__, str(exc)])
+            continue
+        outcomes.append([code.gen.data, dataclasses.astuple(report), code.provenance,
+                         meta["curve"].text(), meta["group"], meta["N"], meta["beta"],
+                         meta["h2"], meta["L"], meta["points"], meta["base_code"].gen.data])
+    kinds = Counter(out[0] if isinstance(out[0], str) else "code" for out in outcomes)
+    assert set(kinds) == {"code", "NotMDS", "PreconditionFailed", "NoAdmissibleBeta"}
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+def test_self_dual_pipeline_outputs_are_pinned():
+    assert _pipeline_digest() == PIPELINE_DIGEST
+
+
+def test_recipe_outputs_do_not_depend_on_the_group_basis(monkeypatch):
+    # Every Sylow basis is replaced by k times itself, k prime to l: another
+    # basis of the same l-part, hence other labels.  Subgroups are taken
+    # whole and cosets by their first point, so no output moves.
+    build = curves_module._build_sylow_basis
+    moved = []
+
+    def rebased(curve, n, l, h):
+        g, other, a = build(curve, n, l, h)
+        k = 3 if l == 2 else 2
+        new = curve._scalar_xy(k, g), curve._scalar_xy(k, other), a
+        moved.append(new != (g, other, a))
+        return new
+
+    monkeypatch.setattr(curves_module, "_build_sylow_basis", rebased)
+    assert _pipeline_digest() == PIPELINE_DIGEST
+    for name, (recipe, cases) in sorted(RECIPE_SWEEPS.items()):
+        outcomes = [_recipe_outcome(recipe, args) for args in cases]
+        assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == RECIPE_DIGESTS[name]
+    assert sum(moved) >= 100, Counter(moved)
 
 
 # -- reports against the full scans --------------------------------------------------------
