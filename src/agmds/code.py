@@ -10,8 +10,8 @@ row products and a rank, hull dimension from the rank of G G^T, and
 diagonal self-dualization over characteristic 2, whose scalings are the
 dual of the Schur square.  The Schur square of an elliptic one-point code
 also has a law, elliptic_schur: L(mP0)^2 = L(2mP0) for m >= 3, so its
-dimension and distance come from Riemann-Roch and the same DP at 2m, as an
-RS code's come from the Vandermonde theorem.  Checks that would exceed
+dimension and distance come from Riemann-Roch and the MDS verdict at 2m, as
+an RS code's come from the Vandermonde theorem.  Checks that would exceed
 their elementary-step budget raise BudgetExceeded instead of
 approximating.  is_mds_by_minors, one k x k elimination per k-subset of
 columns, is the slow oracle the faster certificates are tested against,
@@ -94,8 +94,8 @@ class CodeReport:
     budget; is_mds is None only if both the distance and the systematic
     minor check were over budget.  The recipes read schur_dim and schur_d
     from a law where one holds: elliptic_schur for elliptic one-point codes
-    (None only when its group-sum DP at 2m exceeds the budget) and the
-    Vandermonde theorem for RS codes (never None).
+    (None only for a union of cosets whose group-sum DP at 2m exceeds the
+    budget) and the Vandermonde theorem for RS codes (never None).
     """
 
     n: int
@@ -355,12 +355,11 @@ def _group_sum(curve: Curve, points) -> tuple:
     return reduce(curve._group_law(), points, INFINITY)
 
 
-def elliptic_schur(
-    curve: Curve, points, m: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, int | None]:
+def elliptic_schur(points, m: int, mds_at) -> tuple[int, int | None]:
     """(dimension, minimum distance) of the Schur square of the one-point
     code of degree m on the given affine points D of a genus-1 curve, read
-    from Riemann-Roch instead of row products and a rank; n = |D|.
+    from Riemann-Roch instead of row products and a rank; n = |D|.  mds_at(k)
+    says whether no k points of D sum to the identity; it is asked at 2m only.
 
     For m = 1 the square is the constants.  For m = 2 it is span{1, x, x^2}
     (L(2P0) = span{1, x}): a nonzero element vanishes over at most dim - 1
@@ -368,17 +367,16 @@ def elliptic_schur(
     For m >= 3, L(mP0) L(mP0) = L(2mP0) (Mumford 1970), so the square is
     the degree-2m code on D.  When 2m > n its kernel L(2mP0 - D) has
     dimension 2m - n and the square is all of F^n.  When 2m = n the kernel
-    is nonzero iff D ~ nP0, i.e. iff the labels of D sum to the identity;
-    the dual is then spanned by the residues of a differential with a
-    simple pole at every point of D, a full-weight word, so d = 2.  When
-    2m < n the square has dimension 2m and is MDS iff no 2m points sum to
-    the identity (is_mds_by_group_sums), else d = n - 2m; d is None when
-    that DP exceeds the budget.
+    is nonzero iff D ~ nP0, i.e. iff D sums to the identity (mds_at(n)
+    fails); the dual is then spanned by the residues of a differential with
+    a simple pole at every point of D, a full-weight word, so d = 2.  When
+    2m < n the square has dimension 2m and is MDS iff mds_at(2m), else
+    d = n - 2m; d is None when that verdict exceeds its budget.
     """
     pts = list(points)
     n = len(pts)
-    if curve.genus != 1 or not 1 <= m < n:
-        raise RangeViolation(f"need a genus-1 curve and 1 <= m < n ({m=}, {n=})")
+    if not 1 <= m < n:
+        raise RangeViolation(f"need 1 <= m < n ({m=}, {n=})")
     if m == 1:
         return 1, n
     if m == 2:
@@ -388,10 +386,9 @@ def elliptic_schur(
     if 2 * m > n:
         return n, 1
     if 2 * m == n:
-        curve._require_group(*pts)  # the law itself checks no point
-        return (n, 1) if _group_sum(curve, pts) else (n - 1, 2)
+        return (n, 1) if mds_at(n) else (n - 1, 2)
     try:
-        mds = is_mds_by_group_sums(curve, pts, 2 * m, budget)
+        mds = mds_at(2 * m)
     except BudgetExceeded:
         return 2 * m, None
     return 2 * m, n - 2 * m + (1 if mds else 0)

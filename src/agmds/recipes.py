@@ -1,31 +1,29 @@
 """End-to-end code constructions.
 
 Each recipe locates (or accepts) a curve, picks evaluation points, builds
-the code and certifies it MDS with one certificate: for elliptic coset
-codes, the subset-sum DP on the point labels (their exact MDS condition,
-so it runs even when a sufficient condition already holds) in coset_code,
-and its closed form on one coset, m*b outside the subgroup (_passes), in
-the self-dual pipeline; the same DP on the discrete logs of the
-evaluation elements for twisted evaluation codes (their product
-criterion); the minors of the systematic form [I | A] on genus 2.  The
-report takes d = n - k + 1 from that verdict (d = n - k for a twisted
-code that fails it).  An elliptic report takes its Schur
-square's dimension and distance from code.elliptic_schur (Riemann-Roch,
-and the DP at 2m); twisted and genus-2 reports still row-reduce the
-square and scan its distance.  Polynomial-code baselines live here too; a
-plain RS code is MDS by the Vandermonde theorem and needs no certificate,
-and its square is the RS code of dimension min(2k - 1, n).
+the code and certifies it MDS with one certificate: for an elliptic code
+on one coset b + S, m*b outside S (_passes); for a union of cosets, the
+subset-sum DP on the point labels (their exact MDS condition); the same
+DP on the discrete logs of the evaluation elements for twisted
+evaluation codes (their product criterion); the minors of the systematic
+form [I | A] on genus 2.  The report takes d = n - k + 1 from that verdict
+(d = n - k for a twisted code that fails it).  An elliptic report takes
+its Schur square's dimension and distance from code.elliptic_schur
+(Riemann-Roch, and the same verdict at 2m); twisted and genus-2 reports
+still row-reduce the square and scan its distance.  Polynomial-code
+baselines live here too; a plain RS code is MDS by the Vandermonde theorem
+and needs no certificate, and its square is the RS code of dimension
+min(2k - 1, n).
 
 The elliptic recipes share one group representation, the labels of
 curves.Group (point_labels on a curve): subgroups are label sets, and a
 coset b + S is S shifted by b.  coset_code is the one constructor of
-elliptic coset codes and the DP its one verdict.  search_coset_code and
-supersingular_code choose their coset by group arithmetic (_passes), and
-build it once.  The self-dual pipeline's curve is cyclic, so it takes its
-coset on a bare Group(1, N) and maps the n labels it needs to points by
-multiples of the generator; it labels no other point.  Step budgets are
-code.DEFAULT_BUDGET throughout; only the genus-2 hunt takes a budget (its
-sample count).
+elliptic coset codes.  search_coset_code and supersingular_code choose
+their coset by _passes, and build it once.  The self-dual pipeline's curve
+is cyclic, so it takes its coset on a bare Group(1, N) and maps the n
+labels it needs to points by multiples of the generator; it labels no
+other point.  Step budgets are code.DEFAULT_BUDGET throughout; only the
+genus-2 hunt takes a budget (its sample count).
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ def _coset_result(curve: Curve, subgroups, m: int):
 
 def _passes(group: Group, subgroup, b, m: int) -> bool:
     """Whether no m distinct elements of the coset b + S (S a subgroup, as
-    labels; 1 <= m < |S|) sum to the identity: is_mds_by_group_sums's verdict.
+    labels; 1 <= m <= |S|) sum to the identity: is_mds_by_group_sums's verdict.
 
     The m-sums of b + S are m*b + Sigma_m(S), and the m-sums Sigma_m(S) of S
     are S but for Sigma_2((Z/2)^2) = S - {0}.  So b + S passes iff m*b is
@@ -110,9 +108,14 @@ def _passes(group: Group, subgroup, b, m: int) -> bool:
     over the cosets of Z/d2: one holding 1 to d2 - 1 of them frees the second
     coordinate, and moving one to the next coset moves the first by 1; only
     (Z/2)^2 at m = 2 has no split reaching every first coordinate so.  A
-    brute force pins the fact for every such S of order at most 130.
+    brute force pins the fact for every such S of order at most 130.  At
+    m = |S| the coset itself sums to m*b + sum(S), and sum(S) = -sum(S) is
+    S's one element of order 2 if it has exactly one, else 0.
     """
     mb = group.scale(m, b)
+    if m == len(subgroup):
+        halves = [t for t in group.torsion(2)[1:] if t in subgroup]  # [0] is 0
+        return mb != (halves[0] if len(halves) == 1 else (0, 0))
     klein = m == 2 and len(subgroup) == 4 and all(group.scale(2, s) == (0, 0) for s in subgroup)
     return mb not in subgroup or (klein and mb == (0, 0))
 
@@ -122,9 +125,9 @@ def _first_coset(group: Group, subgroups, m: int, walk):
     code passes (_passes), or None: the subgroups S in turn, each one's
     cosets in order of their first element in walk() (passing is a coset
     property, so the first passing element is its coset's first).  When
-    2m = n, a coset summing to the identity (n*b + sum(S)) comes after
-    every other passing coset: those keep the Schur dimension at 2m.  A
-    subgroup holding m*G, read off the two basis labels, has no passing
+    2m = n, a coset summing to the identity (failing _passes at n) comes
+    after every other passing coset: those keep the Schur dimension at 2m.
+    A subgroup holding m*G, read off the two basis labels, has no passing
     coset unless it is a Klein four-group, and is skipped without a walk."""
     deferred = None
     for subgroup in subgroups:
@@ -132,11 +135,10 @@ def _first_coset(group: Group, subgroups, m: int, walk):
         m_basis = group.scale(m, (1, 0)), group.scale(m, (0, 1))
         if n != 4 and all(x in subgroup for x in m_basis):
             continue
-        total = group.sum(subgroup) if 2 * m == n else None
         for b in walk():
             if b in subgroup or not _passes(group, subgroup, b, m):
                 continue
-            if 2 * m != n or group.add(group.scale(n, b), total) != (0, 0):
+            if 2 * m != n or _passes(group, subgroup, b, n):
                 return False, subgroup, b
             deferred = deferred or (True, subgroup, b)
     return deferred
@@ -148,12 +150,12 @@ def coset_code(
     """Code on a coset b + S (or a disjoint union of cosets) of a subgroup
     S, with divisor m * P0: the one constructor of elliptic coset codes.
 
-    The union must be disjoint, and the exact group-sum certificate is the
-    one verdict: NotMDS when some m of the points sum to the identity.
-    Subgroup, cosets and sums are all taken on the point labels; two
-    cosets are equal or disjoint, so the union is disjoint iff it has
-    len(reps) * |S| labels.  The certificate fixes d = n - m + 1, and
-    elliptic_schur gives the Schur square's dimension and distance.
+    The union must be disjoint, and NotMDS is raised when some m of the
+    points sum to the identity: _passes decides one coset, the exact
+    group-sum DP a union.  Subgroup, cosets and sums are all taken on the
+    point labels; two cosets are equal or disjoint, so the union is
+    disjoint iff it has len(reps) * |S| labels.  The verdict fixes
+    d = n - m + 1, and elliptic_schur asks it at 2m for the Schur square.
     """
     if not coset_reps:
         raise RangeViolation("need at least one coset representative")
@@ -164,13 +166,17 @@ def coset_code(
     if len(union) != len(reps) * len(sub_set):
         raise PreconditionFailed("cosets are not pairwise disjoint")
     points = labels.sorted_points(union)
-    if not is_mds_by_group_sums(curve, points, m):
+    if not 1 <= m <= len(points):
+        raise RangeViolation(f"need 1 <= m <= n ({m=}, n={len(points)})")
+    mds_at = (partial(_passes, labels, sub_set, reps[0]) if len(reps) == 1
+              else partial(is_mds_by_group_sums, curve, points))
+    if not mds_at(m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     provenance = {"construction": "coset", "curve": curve.text(), "m": m,
                   "subgroup_order": len(sub_set), "cosets": len(reps)}
     code = build_code(curve, points, m, provenance)
     return code, _report_from_distance(
-        code, code.n - m + 1, True, schur=elliptic_schur(curve, points, m)
+        code, code.n - m + 1, True, schur=elliptic_schur(points, m, mds_at)
     )
 
 
@@ -447,9 +453,9 @@ def self_dual_pipeline(
     one coset of E1 other than E1 in the subgroup of order 2n, so it does
     not depend on the generator.  The coset sums to the identity, so the
     dual of the degree-n/2 code is a diagonal rescaling of it.  MDS is
-    decided on the labels by the coset certificate (_passes): m*b has order
-    4, so it lies in E1, and NotMDS is raised, exactly when t >= 2.  The
-    square-root rescaling then yields a self-dual generator.
+    decided on the labels by _passes, at m and (for the Schur square) at n:
+    m*b has order 4, so it lies in E1, and NotMDS is raised, exactly when
+    t >= 2.  The square-root rescaling then yields a self-dual generator.
     """
     if s1 < 1 or s2 < 1:
         raise PreconditionFailed("extension degrees must be positive")
@@ -499,7 +505,8 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
     b = group.scale(2 ** (h2 - 1 - t), theta)
     n = len(e1)
     m = n // 2
-    if not _passes(group, e1, b, m):
+    mds_at = partial(_passes, group, e1, b)
+    if not mds_at(m):
         raise NotMDS(f"a {m}-subset of the evaluation points sums to the identity")
     p2 = _group_basis(curve)[3]
     points = sorted(curve._scalar_xy(j, p2) for _, j in (group.add(b, s) for s in e1))
@@ -517,7 +524,7 @@ def _run_pipeline(curve, n_points, h2, big_l, t, l_prime, seed, beta):
     # sd scales the columns of base_code by nonzero roots, so it is MDS as
     # well, and its Schur square scales base_code's: same dimension, same d.
     report = _report_from_distance(
-        sd, n - m + 1, True, schur=elliptic_schur(curve, points, m)
+        sd, n - m + 1, True, schur=elliptic_schur(points, m, mds_at)
     )
     meta = {
         "curve": curve,

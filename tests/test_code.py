@@ -2,6 +2,7 @@
 squares, hulls, self-dualization, quantum-parameter arithmetic."""
 
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from agmds import curve_make, field_make
 from agmds.code import (
+    DEFAULT_BUDGET,
     LinearCode,
     build_code,
     dual_code,
@@ -31,6 +33,7 @@ from agmds.curves import (
     coset,
     curve_family,
     discriminant_genus1,
+    group_structure,
     point_labels,
     random_curve,
     subgroup_closure,
@@ -47,7 +50,7 @@ from agmds.errors import (
     RankDeficient,
 )
 from agmds.linalg import FFMatrix, rank
-from agmds.recipes import rs_code, search_coset_code
+from agmds.recipes import _passes, _subgroups_of_order, rs_code, search_coset_code
 
 F2 = field_make(2)
 F5 = field_make(5)
@@ -555,8 +558,9 @@ def _schur_law_branch(n, m, schur_dim, schur_d):
 
 def test_elliptic_schur_law_matches_the_square_on_every_family_curve():
     # every family curve of three small fields, with random evaluation sets
-    # for each branch of the law, against the row products, their rank and
-    # the exact distance scan
+    # for each branch of the law under the DP's verdict, and a random coset
+    # of each subgroup of order 6 to 10 under _passes, against the row
+    # products, their rank and the exact distance scan
     kinds = ("m=1", "m=2", "m=2, two abscissas", "2m < n", "2m = n",
              "2m = n, zero sum", "2m > n")
     rng = random.Random(20170801)
@@ -569,27 +573,51 @@ def test_elliptic_schur_law_matches_the_square_on_every_family_curve():
                     continue
                 pts, m = case
                 square = schur_square(build_code(curve, pts, m))
-                law = elliptic_schur(curve, pts, m)
+                law = elliptic_schur(pts, m, partial(is_mds_by_group_sums, curve, pts))
                 assert law == (square.k, min_distance(square)), (curve.text(), pts, m)
                 branches.add(_schur_law_branch(len(pts), m, *law))
+    # a random coset of each subgroup of order 6 to 10, at every degree
+    # 3 <= m <= n/2, on one curve per group shape, under _passes
+    coset_branches = set()
+    for F in (F7, field_make(2, 3), field_make(3, 2), F19):
+        shapes = {}
+        for curve in curve_family(F):
+            shapes.setdefault(group_structure(curve), curve)
+        for curve in shapes.values():
+            labels = point_labels(curve)
+            N = labels.d1 * labels.d2
+            for subgroup in (s for n in range(6, 11) if N % n == 0 and N > n
+                             for s in _subgroups_of_order(labels, n)):
+                b = rng.choice([b for b in labels.span([(1, 0), (0, 1)]) if b not in subgroup])
+                pts = labels.sorted_points(labels.add(b, s) for s in subgroup)
+                for m in range(3, len(pts) // 2 + 1):
+                    square = schur_square(build_code(curve, pts, m))
+                    law = elliptic_schur(pts, m, partial(_passes, labels, subgroup, b))
+                    assert law == (square.k, min_distance(square)), (pts, m)
+                    coset_branches.add(_schur_law_branch(len(pts), m, *law))
     assert branches == {
         "m=1", "m=2, 2 abscissas", "m=2, 3 abscissas", "2m < n", "2m < n, MDS square",
         "2m = n", "2m = n, zero sum", "2m > n",
     }
+    assert coset_branches == {"2m < n", "2m < n, MDS square", "2m = n", "2m = n, zero sum"}
 
 
 def test_elliptic_schur_over_budget_keeps_the_dimension():
     curve = curve_make(F7, 1, (0, 0, 0, 3, 1))
     pts = curve.affine_points()[:9]
-    assert elliptic_schur(curve, pts, 3) == (6, 3)
-    assert elliptic_schur(curve, pts, 3, budget=1) == (6, None)
+
+    def dp(points, budget=DEFAULT_BUDGET):
+        return partial(is_mds_by_group_sums, curve, points, budget=budget)
+
+    assert elliptic_schur(pts, 3, dp(pts)) == (6, 3)
+    assert elliptic_schur(pts, 3, dp(pts, budget=1)) == (6, None)
     with pytest.raises(RangeViolation):
-        elliptic_schur(curve, pts, 9)
+        elliptic_schur(pts, 9, dp(pts))
     # the sums at 2m <= n name a point off the curve
     off = next((x, y) for x in range(7) for y in range(7) if not curve.contains((x, y)))
     for m, subset in ((3, pts[:5] + [off]), (3, pts[:8] + [off])):
         with pytest.raises(PointNotOnCurve):
-            elliptic_schur(curve, subset, m)
+            elliptic_schur(subset, m, dp(subset))
 
 
 def test_hull_examples():

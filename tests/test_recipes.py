@@ -442,22 +442,49 @@ def test_coset_recipes_end_in_coset_code():
         assert code.provenance == again.provenance
 
 
-def test_coset_recipes_send_each_coset_to_the_dp_once(monkeypatch):
-    # only coset_code calls recipes.is_mds_by_group_sums at degree m, and
-    # only on the coset it returns
-    seen = []
-    dp = recipes_module.is_mds_by_group_sums
+def test_single_coset_codes_reach_no_dp(monkeypatch):
+    # _passes decides one coset at every degree its code and Schur square
+    # ask, so with a DP that always refuses, the recipes and a one-rep
+    # coset_code give the same codes and reports; a union of two cosets
+    # still reaches the DP
+    _, _, meta = supersingular_code(7, 3, 8, 4)
+    curve, subgroup, rep = meta["curve"], meta["subgroup"], meta["rep"]
+    runs = [lambda: search_coset_code(field_make(2, 8), 288, 16, 8),
+            lambda: supersingular_code(7, 3, 8, 4),
+            lambda: self_dual_pipeline(2, 4, 1, 3),
+            lambda: coset_code(curve, subgroup, [rep], 4)]
+    expected = [run()[:2] for run in runs]
 
-    def recording(curve, points, m):
-        seen.append((curve.text(), list(points), m))
-        return dp(curve, points, m)
+    def refusing(*args):
+        raise BudgetExceeded("the DP ran")
 
-    monkeypatch.setattr(recipes_module, "is_mds_by_group_sums", recording)
-    for run, m in ((lambda: search_coset_code(field_make(2, 8), 288, 16, 8), 8),
-                   (lambda: supersingular_code(7, 3, 8, 4), 4)):
-        seen.clear()
-        _, _, meta = run()
-        assert seen == [(meta["curve"].text(), meta["points"], m)]
+    monkeypatch.setattr(code_module, "_has_subset_sum", refusing)
+    for run, (code, report) in zip(runs, expected):
+        again, again_report = run()[:2]
+        assert (again.gen, again_report) == (code.gen, report)
+    taken = set(meta["points"]) | set(subgroup)
+    other = next(p for p in curve.points() if p not in taken)
+    with pytest.raises(BudgetExceeded, match="the DP ran"):
+        coset_code(curve, subgroup, [rep, other], 4)
+
+
+@pytest.mark.parametrize("run, checks", [
+    (lambda: search_coset_code(field_make(2, 8), 288, 16, 8, seed=0), 16),
+    (lambda: self_dual_pipeline(2, 4, 1, 3), 6),
+], ids=["search-f256-n16", "pipeline-f256-n6"])
+def test_elliptic_recipes_check_each_evaluation_point_once(run, checks, monkeypatch):
+    # build_code checks each evaluation point once, and the Schur law
+    # checks none
+    calls = []
+    contains = Curve.contains
+
+    def counting(curve, point):
+        calls.append(point)
+        return contains(curve, point)
+
+    monkeypatch.setattr(Curve, "contains", counting)
+    _, _, meta = run()
+    assert len(calls) == checks and sorted(calls) == sorted(meta["points"])
 
 
 @pytest.mark.parametrize("q, N, n, m, walks", [
@@ -587,8 +614,8 @@ def test_m_sums_fill_every_rank_2_group_but_the_klein_pair():
 
 
 def test_passes_matches_the_dp_on_every_coset_of_one_curve_per_shape():
-    # every subgroup, coset (the subgroup itself too) and degree of one
-    # curve per (N, shape), against is_mds_by_group_sums on the points
+    # every subgroup, coset (the subgroup itself too) and degree 1 <= m <= n
+    # of one curve per (N, shape), against is_mds_by_group_sums on the points
     pairs, klein = Counter(), 0
     for spec in [(7,), (2, 3), (3, 2), (11,), (13,), (2, 4), (17,), (5, 2)]:
         curves = {}
@@ -605,11 +632,11 @@ def test_passes_matches_the_dp_on_every_coset_of_one_curve_per_shape():
                 klein += n == 4 and all(labels.scale(2, s) == (0, 0) for s in subgroup)
                 for b in reps:
                     points = labels.sorted_points(labels.add(b, s) for s in subgroup)
-                    for m in range(1, n):
+                    for m in range(1, n + 1):
                         verdict = _passes(labels, subgroup, b, m)
                         assert verdict == is_mds_by_group_sums(curve, points, m)
                         pairs[verdict] += 1
-    assert klein == 27 and pairs == {True: 4155, False: 5045}
+    assert klein == 27 and pairs == {True: 6273, False: 5625}
 
 
 def test_first_coset_skips_exactly_the_subgroups_with_no_passing_coset():
@@ -642,6 +669,19 @@ def test_first_coset_skips_exactly_the_subgroups_with_no_passing_coset():
     (subgroup,) = _subgroups_of_order(group, 33024)
     assert recipes_module._first_coset(
         group, [subgroup], 2, lambda: pytest.fail("the subgroup was walked")) is None
+
+
+def test_first_coset_defers_in_linear_time():
+    # Z/65540's even labels, m = n/2: every odd b passes at m, and every
+    # coset sums to the identity, so the search walks all of Z/65540 and
+    # returns its first deferred coset; each _passes call at n is O(1)
+    group = Group(1, 65540)
+    (evens,) = _subgroups_of_order(group, 32770)
+    t0 = time.perf_counter()
+    found = recipes_module._first_coset(
+        group, [evens], 16385, partial(product, range(1), range(65540)))
+    assert found == (True, evens, (0, 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("spec", [(2, 4), (5, 2), (3, 2)], ids=["f16", "f25", "f9"])
